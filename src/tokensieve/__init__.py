@@ -15,8 +15,9 @@ from .gsp import (DEFAULT_GAMMA, DEFAULT_TAU, BipartiteRedundancyGraph,
                   redundancy_scores)
 from .qcsp import (DppKernel, GreedyState, available_backends, build_kernel,
                    default_backend, greedy_map, qcsp_select)
-from .similarity import (cosine_similarity_matrix, l2_normalize_rows,
-                         mean_pool, min_max_normalize, relevance_scores)
+from .similarity import (InputError, Prepared, cosine_similarity_matrix,
+                         l2_normalize_rows, mean_pool, min_max_normalize,
+                         prepare, relevance_scores)
 from .tensor_io import (MatrixFormatError, Selection, SelectionFormatError,
                         read_matrix, read_selection, write_matrix,
                         write_selection)
@@ -30,8 +31,10 @@ __all__ = [
     "DEFAULT_TAU",
     "GreedyState",
     "GridShape",
+    "InputError",
     "MatrixFormatError",
     "ModelProfile",
+    "Prepared",
     "RedundancyScores",
     "Selection",
     "SelectionFormatError",
@@ -53,6 +56,7 @@ __all__ = [
     "mean_neighbor_similarity",
     "mean_pool",
     "min_max_normalize",
+    "prepare",
     "qcsp_select",
     "read_matrix",
     "read_selection",

@@ -5,8 +5,10 @@ Subcommands: prune (run a selection mode over a token file), score
 (seeded timing), synth (synthetic embedding fixtures), analyze (grid
 diagnostics).
 
-Exit codes: 0 success, 1 runtime or property failure (I/O errors,
-failed verification), 2 usage errors (bad flags or parameter values).
+Exit codes: 0 success, 1 runtime, data or property failure (I/O errors,
+input that breaks the data contract such as non-finite values or a
+query/token width mismatch, failed verification), 2 usage errors (bad
+flags or parameter values).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import analysis, fusion, gsp, qcsp, synth, verify
 from .gsp import DEFAULT_GAMMA, DEFAULT_TAU
 from .rng import gaussian_matrix
-from .similarity import mean_pool, min_max_normalize, relevance_scores
+from .similarity import InputError, prepare
 from .tensor_io import (MatrixFormatError, Selection, SelectionFormatError,
                         read_matrix, write_matrix, write_selection)
 
@@ -57,11 +59,7 @@ def _run_mode(mode: str, h_v, h_q, m: int, args) -> Selection:
     if mode == "gsp":
         return gsp.gsp_select(h_v, args.tau, args.gamma, keep=m)
     if mode == "qcsp":
-        if h_q is None:
-            kept = qcsp.greedy_map(qcsp.build_kernel(h_v, np.ones(len(h_v))),
-                                   m, backend=args.backend)
-        else:
-            kept = qcsp.qcsp_select(h_v, h_q, m, backend=args.backend)
+        kept = qcsp.qcsp_select(h_v, h_q, m, backend=args.backend)
         return Selection(kept, len(h_v), ["qcsp-only"] * m,
                          {"mode": "qcsp", "m": m})
     if mode == "random":
@@ -94,12 +92,11 @@ def cmd_prune(args) -> int:
 def cmd_score(args) -> int:
     h_v = _load(args.tokens)
     n = h_v.shape[0]
-    scores = gsp.redundancy_scores(gsp.build_graph(h_v, args.tau, args.gamma))
+    prep = prepare(h_v, _load(args.query) if args.query else None, gram=False)
+    scores = gsp.redundancy_scores(gsp.build_graph(prep, args.tau, args.gamma))
     if args.query:
-        raw = relevance_scores(h_v, mean_pool(_load(args.query)))
-        norm = min_max_normalize(raw)
-        raw_col = ["%.9g" % v for v in raw]
-        norm_col = ["%.9g" % v for v in norm]
+        raw_col = ["%.9g" % v for v in prep.relevance_raw]
+        norm_col = ["%.9g" % v for v in prep.relevance]
     else:
         raw_col = [""] * n
         norm_col = [""] * n
@@ -279,7 +276,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (MatrixFormatError, SelectionFormatError, OSError) as exc:
+    except (MatrixFormatError, SelectionFormatError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -24,17 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from .gsp import DEFAULT_GAMMA, DEFAULT_TAU, gsp_select
-from .qcsp import EPS, GreedyState, build_kernel, greedy_map
+from .qcsp import EPS, MATERIALIZE_THRESHOLD, GreedyState, build_kernel, qcsp_select
 from .rng import SplitMix64
-from .similarity import mean_pool, min_max_normalize, relevance_scores
+# mean_pool, min_max_normalize and relevance_scores are no longer called here;
+# they stay importable from this module because the benchmark's tracer
+# (perfbench/spans.py) wraps them by name
+from .similarity import mean_pool, min_max_normalize, prepare, relevance_scores  # noqa: F401
 from .tensor_io import Selection
-
-
-def _relevance_for(h_v: np.ndarray, h_q) -> np.ndarray:
-    if h_q is None:
-        # no query: uniform relevance, selection degrades to pure diversity
-        return np.ones(h_v.shape[0])
-    return min_max_normalize(relevance_scores(h_v, mean_pool(h_q)))
 
 
 def script_select(h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
@@ -50,8 +46,11 @@ def script_select(h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
     if not 1 <= gsp_keep <= n:
         raise ValueError(f"gsp_keep must lie in [1, {n}], got {gsp_keep}")
 
-    g_members = set(gsp_select(h_v, tau, gamma, gsp_keep).kept)
-    state = GreedyState(build_kernel(h_v, _relevance_for(h_v, h_q)), eps=eps, backend=backend)
+    # one normalization, relevance and Gram for both stages; GSP reads the
+    # Gram before the kernel scales it into L in place
+    prep = prepare(h_v, h_q, gram=n <= MATERIALIZE_THRESHOLD)
+    g_members = set(gsp_select(prep, tau, gamma, gsp_keep).kept)
+    state = GreedyState(build_kernel(prep, prep.relevance), eps=eps, backend=backend)
 
     kept: list[int] = []
     g_unseen = len(g_members)
@@ -100,7 +99,9 @@ def baseline_topk_relevance(h_v: np.ndarray, h_q: np.ndarray, m: int) -> Selecti
     n = h_v.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"budget must lie in [1, {n}], got {m}")
-    raw = relevance_scores(h_v, mean_pool(h_q))
+    if h_q is None:
+        raise ValueError("top-k relevance needs a query")
+    raw = prepare(h_v, h_q, gram=False).relevance_raw
     ranked = np.argsort(-raw, kind="stable")
     return Selection([int(i) for i in ranked[:m]], n, ["baseline"] * m,
                      {"mode": "topk", "m": m})
@@ -113,7 +114,7 @@ def baseline_diversity_only(h_v: np.ndarray, m: int,
     n = h_v.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"budget must lie in [1, {n}], got {m}")
-    kept = greedy_map(build_kernel(h_v, np.ones(n)), m, backend=backend)
+    kept = qcsp_select(h_v, None, m, backend=backend)
     return Selection(kept, n, ["baseline"] * m, {"mode": "diversity", "m": m})
 
 

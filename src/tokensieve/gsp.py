@@ -11,6 +11,11 @@ where degree counts cross-side neighbors with similarity >= tau and
 mean_sim averages over exactly those neighbors.  A token with no
 neighbor above the threshold falls back to its mean similarity against
 all cross-side tokens.  Low score = structurally non-redundant = kept.
+
+The cross-side cosines are the even x odd block S[0::2, 1::2] of the
+unit-row Gram.  Given a prepared instance that holds S, the graph is a
+strided view of it and costs no arithmetic; otherwise the block is one
+gemm of the prepared unit rows.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .similarity import cosine_similarity_matrix
+from .similarity import Prepared, prepare
 from .tensor_io import Selection
 
 DEFAULT_TAU = 0.3
@@ -59,19 +64,21 @@ class RedundancyScores:
     used_fallback: np.ndarray  # bool per token
 
 
-def build_graph(h_v: np.ndarray, tau: float = DEFAULT_TAU,
+def build_graph(h_v: np.ndarray | Prepared, tau: float = DEFAULT_TAU,
                 gamma: float = DEFAULT_GAMMA) -> BipartiteRedundancyGraph:
-    h_v = np.asarray(h_v, dtype=np.float64)
+    """The redundancy graph of token rows, or of a prepared instance."""
     if not (-1.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (-1, 1), got {tau}")
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    n = h_v.shape[0]
-    src, dst = bipartite_split(n)
+    prep = h_v if isinstance(h_v, Prepared) else prepare(h_v, gram=False)
+    src, dst = bipartite_split(prep.n)
     if len(dst) == 0:
         cross = np.zeros((len(src), 0))
+    elif prep.gram is not None:
+        cross = prep.gram[0::2, 1::2]
     else:
-        cross = cosine_similarity_matrix(h_v[src], h_v[dst])
+        cross = prep.unit[0::2] @ prep.unit[1::2].T
     return BipartiteRedundancyGraph(src, dst, cross, float(tau), float(gamma))
 
 
@@ -102,14 +109,13 @@ def redundancy_scores(g: BipartiteRedundancyGraph) -> RedundancyScores:
     return RedundancyScores(score, degree, mean_sim, used_fallback)
 
 
-def gsp_select(h_v: np.ndarray, tau: float = DEFAULT_TAU, gamma: float = DEFAULT_GAMMA,
-               keep: int = None) -> Selection:
+def gsp_select(h_v: np.ndarray | Prepared, tau: float = DEFAULT_TAU,
+               gamma: float = DEFAULT_GAMMA, keep: int = None) -> Selection:
     """Keep the `keep` lowest-redundancy tokens; ascending index order.
 
     Ties in score break toward the lower original index.
     """
-    h_v = np.asarray(h_v, dtype=np.float64)
-    n = h_v.shape[0]
+    n = h_v.n if isinstance(h_v, Prepared) else len(h_v)
     if keep is None or not (1 <= keep <= n):
         raise ValueError(f"keep must lie in [1, {n}], got {keep}")
     scores = redundancy_scores(build_graph(h_v, tau, gamma)).score

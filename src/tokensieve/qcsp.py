@@ -1,9 +1,13 @@
 """Query-conditioned kernel construction and greedy MAP selection.
 
-The kernel is L(i,j) = r_i * r_j * <u_i, u_j> for l2-normalized token
-rows u and normalized relevance r, i.e. the Gram matrix of the rows
-r_i * u_i.  Greedy MAP maintains, per candidate, the residual gain
-v_i^2 (the determinant ratio a selection would contribute) and a
+The kernel is L = diag(r) S diag(r), entry (i, j) = S(i,j) * r_i * r_j,
+where S = U @ U.T is the Gram matrix of the l2-normalized token rows u
+and r is the normalized relevance (see similarity.prepare).  Built from
+a prepared instance, the kernel takes over the instance's Gram buffer,
+scales its lower triangle in place and mirrors it onto the upper one:
+no second n x n matrix and no scaled copy of the rows are made, and L
+is exactly symmetric.  Greedy MAP maintains, per candidate, the residual
+gain v_i^2 (the determinant ratio a selection would contribute) and a
 coefficient vector u_i via incremental Cholesky updates:
 
     j      = argmax over unselected i of v_i^2   (ties: lower index)
@@ -23,7 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .similarity import l2_normalize_rows, mean_pool, min_max_normalize, relevance_scores
+# l2_normalize_rows is no longer called here; it stays importable from this
+# module because the benchmark's tracer (perfbench/spans.py) wraps it by name
+from .similarity import Prepared, l2_normalize_rows, prepare  # noqa: F401
 
 try:
     from ._native import greedy_steps as _native_steps
@@ -45,22 +51,25 @@ def default_backend() -> str:
 class DppKernel:
     """Relevance-reweighted similarity kernel, materialized or row-on-demand.
 
-    Entries come from the scaled rows V = diag(relevance) @ unit_rows, so
-    the matrix is symmetric PSD by construction with diagonal relevance^2
-    (zero-embedding rows get diagonal 0).  Matrices up to
-    materialize_threshold rows are stored densely; beyond that only V is
-    kept and rows are computed on demand, which is all greedy MAP needs.
+    L = diag(relevance) @ (unit_rows @ unit_rows.T) @ diag(relevance) is
+    symmetric PSD by construction with diagonal relevance^2 (zero-embedding
+    rows get diagonal 0).  Matrices up to materialize_threshold rows are
+    stored densely, in the buffer of `gram` (the unit-row Gram, scaled in
+    place) when one is given; beyond that only the unit rows and the
+    relevance are kept and rows are computed on demand, which is all
+    greedy MAP needs.
     """
 
     def __init__(self, unit_rows: np.ndarray, relevance: np.ndarray,
-                 materialize_threshold: int = MATERIALIZE_THRESHOLD):
+                 materialize_threshold: int = MATERIALIZE_THRESHOLD,
+                 gram: np.ndarray | None = None):
         self.unit = unit_rows
         self.relevance = relevance
         self.n = unit_rows.shape[0]
         self.materialize_threshold = materialize_threshold
-        self._scaled = unit_rows * relevance[:, None]
+        self._gram = gram
         self._L = None
-        if self.n <= materialize_threshold:
+        if gram is not None or self.n <= materialize_threshold:
             self.materialize()
 
     @property
@@ -69,31 +78,45 @@ class DppKernel:
 
     def materialize(self) -> np.ndarray:
         if self._L is None:
-            l = self._scaled @ self._scaled.T
-            # force exact symmetry; gemm may differ across the diagonal by ~1e-17
-            _mirror_lower(l)
-            self._L = l
+            gram = self.unit @ self.unit.T if self._gram is None else self._gram
+            self._gram = None
+            _scale_lower(gram, self.relevance)
+            # scale first, then mirror: (S_ij r_i) r_j and (S_ji r_j) r_i
+            # differ in the last bit, so scaling both triangles would break
+            # exact symmetry
+            _mirror_lower(gram)
+            self._L = gram
         return self._L
 
     def row(self, j: int) -> np.ndarray:
         if self._L is not None:
             return self._L[j]
-        return self._scaled @ self._scaled[j]
+        return (self.unit @ self.unit[j]) * self.relevance * self.relevance[j]
 
     def entry(self, i: int, j: int) -> float:
         if self._L is not None:
             return float(self._L[i, j])
-        return float(self._scaled[i] @ self._scaled[j])
+        return float(self.unit[i] @ self.unit[j] * self.relevance[i] * self.relevance[j])
 
     def diagonal(self) -> np.ndarray:
         if self._L is not None:
             return np.diagonal(self._L).copy()
-        return np.einsum("ij,ij->i", self._scaled, self._scaled)
+        r = self.relevance
+        return np.einsum("ij,ij->i", self.unit, self.unit) * r * r
 
-    def sim_matrix(self) -> np.ndarray:
-        """The underlying cosine matrix S' of the normalized rows (uncached)."""
-        s = self.unit @ self.unit.T
-        return np.tril(s) + np.tril(s, -1).T
+
+_BLOCK = 128
+
+
+def _scale_lower(a: np.ndarray, r: np.ndarray) -> None:
+    """Set a[i, j] = (a[i, j] * r_i) * r_j on and below the diagonal, in place,
+    over row blocks so each block is scaled while it is in cache."""
+    n = a.shape[0]
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(n, i0 + _BLOCK)
+        rows = a[i0:i1, :i1]
+        rows *= r[i0:i1, None]
+        rows *= r[:i1]
 
 
 def _mirror_lower(a: np.ndarray) -> None:
@@ -103,24 +126,26 @@ def _mirror_lower(a: np.ndarray) -> None:
     np.array_equal to np.tril(a) + np.tril(a, -1).T.
     """
     n = a.shape[0]
-    block = 128
-    for i0 in range(0, n, block):
-        i1 = min(n, i0 + block)
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(n, i0 + _BLOCK)
         diag = a[i0:i1, i0:i1]
         upper = np.triu_indices(i1 - i0, 1)
         diag[upper] = diag.T[upper]
         a[i0:i1, i1:] = a[i1:, i0:i1].T
 
 
-def build_kernel(h_v: np.ndarray, r_norm: np.ndarray,
+def build_kernel(h_v: np.ndarray | Prepared, r_norm: np.ndarray,
                  materialize_threshold: int = MATERIALIZE_THRESHOLD) -> DppKernel:
-    h_v = np.asarray(h_v, dtype=np.float64)
+    """The kernel of token rows (or a prepared instance) and a normalized
+    relevance; a materialized kernel takes over the instance's Gram."""
+    prep = h_v if isinstance(h_v, Prepared) else prepare(h_v, gram=False)
     r = np.asarray(r_norm, dtype=np.float64)
-    if h_v.ndim != 2 or r.ndim != 1 or h_v.shape[0] != r.shape[0]:
-        raise ValueError(f"shape mismatch: tokens {h_v.shape}, relevance {r.shape}")
+    if r.ndim != 1 or prep.n != r.shape[0]:
+        raise ValueError(f"shape mismatch: tokens {prep.unit.shape}, relevance {r.shape}")
     if r.size and (r.min() < -1e-12 or r.max() > 1.0 + 1e-12):
         raise ValueError("normalized relevance must lie in [0, 1]")
-    return DppKernel(l2_normalize_rows(h_v), r, materialize_threshold)
+    gram = prep.take_gram() if prep.n <= materialize_threshold else None
+    return DppKernel(prep.unit, r, materialize_threshold, gram)
 
 
 class GreedyState:
@@ -235,8 +260,13 @@ def greedy_map(kernel: DppKernel, k: int, eps: float = EPS,
     return [int(i) for i in state.order[:k]]
 
 
-def qcsp_select(h_v: np.ndarray, h_q: np.ndarray, k: int,
+def qcsp_select(h_v: np.ndarray, h_q, k: int,
                 eps: float = EPS, backend: str | None = None) -> list[int]:
-    """Relevance scoring against the pooled query, then greedy MAP."""
-    r_norm = min_max_normalize(relevance_scores(h_v, mean_pool(h_q)))
-    return greedy_map(build_kernel(h_v, r_norm), k, eps=eps, backend=backend)
+    """Relevance scoring against the pooled query, then greedy MAP.
+
+    Without a query (h_q None) relevance is uniform and the selection is
+    pure diversity.
+    """
+    h_v = np.asarray(h_v, dtype=np.float64)
+    prep = prepare(h_v, h_q, gram=h_v.shape[0] <= MATERIALIZE_THRESHOLD)
+    return greedy_map(build_kernel(prep, prep.relevance), k, eps=eps, backend=backend)

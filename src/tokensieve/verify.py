@@ -195,9 +195,8 @@ def make_greedy_instance(rng: SplitMix64, d: int = 32):
     k = 1 + rng.next_below(min(4, n))              # 1..4
     h_v = gaussian_matrix(rng.next_u64() >> 1, n, d)
     h_q = gaussian_matrix(rng.next_u64() >> 1, 1 + rng.next_below(4), d)
-    r = similarity.min_max_normalize(
-        similarity.relevance_scores(h_v, similarity.mean_pool(h_q)))
-    return qcsp.build_kernel(h_v, r), k
+    prep = similarity.prepare(h_v, h_q)
+    return qcsp.build_kernel(prep, prep.relevance), k
 
 
 def marginal_gain_errors(kernel, k: int, eps: float = qcsp.EPS,
@@ -368,7 +367,7 @@ def check_diversity_dominance(instances: int = 100, seed: int = 11) -> CheckResu
         d = 16 + rng.next_below(17)
         base = gaussian_matrix(rng.next_u64() >> 1, distinct, d)
         h_v = np.repeat(base, copies, axis=0)
-        picked = qcsp.greedy_map(qcsp.build_kernel(h_v, np.ones(len(h_v))), distinct)
+        picked = qcsp.qcsp_select(h_v, None, distinct)
         base_ids = {p // copies for p in picked}
         if len(base_ids) != distinct:
             violations += 1

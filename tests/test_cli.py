@@ -92,6 +92,15 @@ def test_prune_qcsp_without_query_is_diversity_only(toks, tmp_path):
     assert read_selection(a).kept == read_selection(b).kept
 
 
+def test_prune_query_width_mismatch_exits_1(toks, tmp_path, capsys):
+    q = tmp_path / "wide.emb1"
+    write_matrix(gaussian_matrix(12, 2, 6), q)
+    code = main(["prune", "--tokens", toks, "--query", str(q), "--keep", "3",
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert "width" in capsys.readouterr().err
+
+
 def test_prune_topk_requires_query(toks, tmp_path, capsys):
     code = main(["prune", "--tokens", toks, "--keep", "2", "--mode", "topk",
                  "--out", str(tmp_path / "x.json")])

@@ -5,9 +5,9 @@ from tokensieve.fusion import (baseline_diversity_only, baseline_gsp_only,
                                baseline_random, baseline_topk_relevance,
                                script_select)
 from tokensieve.gsp import gsp_select
-from tokensieve.qcsp import GreedyState, build_kernel, greedy_map
+from tokensieve.qcsp import GreedyState, build_kernel, greedy_map, qcsp_select
 from tokensieve.rng import SplitMix64, gaussian_matrix
-from tokensieve.similarity import (l2_normalize_rows, mean_pool,
+from tokensieve.similarity import (InputError, l2_normalize_rows, mean_pool,
                                    min_max_normalize, relevance_scores)
 
 
@@ -176,3 +176,23 @@ def test_diversity_baseline():
 def test_gsp_baseline_delegates():
     h_v = gaussian_matrix(5, 14, 6)
     assert baseline_gsp_only(h_v, 6).kept == gsp_select(h_v, keep=6).kept
+
+
+def test_selectors_reject_non_finite_input():
+    rng = np.random.default_rng(0)
+    h_v = rng.standard_normal((40, 8))
+    h_q = rng.standard_normal((4, 8))
+    h_v[5, 3] = np.nan
+    for select in (lambda: script_select(h_v, h_q, 6),
+                   lambda: qcsp_select(h_v, h_q, 6),
+                   lambda: gsp_select(h_v, keep=6),
+                   lambda: baseline_diversity_only(h_v, 6),
+                   lambda: baseline_topk_relevance(h_v, h_q, 6)):
+        with pytest.raises(InputError, match="token row 5"):
+            select()
+    h_v[5, 3] = 0.0
+    h_q[2, 1] = np.inf
+    with pytest.raises(InputError, match="query"):
+        script_select(h_v, h_q, 6)
+    with pytest.raises(InputError, match="width"):
+        script_select(h_v, h_q[:, :7], 6)

@@ -54,15 +54,40 @@ def test_materialized_kernel_is_exactly_symmetric():
     h = gaussian_matrix(8, 600, 32)
     r = np.linspace(0.0, 1.0, 600)
     l = build_kernel(h, r).materialize()
-    scaled = l2_normalize_rows(h) * r[:, None]
-    raw = scaled @ scaled.T
+    unit = l2_normalize_rows(h)
+    raw = unit @ unit.T * r[:, None] * r
+    _mirror_lower(raw)
     assert np.array_equal(l, l.T)
-    assert np.array_equal(l, np.tril(raw) + np.tril(raw, -1).T)
+    assert np.array_equal(l, raw)
     # a matrix far from symmetric shows the mirror copies lower onto upper
     a = gaussian_matrix(9, 600, 600)
     expected = np.tril(a) + np.tril(a, -1).T
     _mirror_lower(a)
     assert np.array_equal(a, expected)
+
+
+def test_row_on_demand_kernel_matches_materialized():
+    rng = np.random.default_rng(21)
+    for trial in range(10):
+        n = int(rng.integers(6, 70))
+        d = int(rng.integers(2, 40))  # n > d in most trials
+        h = rng.standard_normal((n, d))
+        h[rng.integers(0, n, size=2)] = 0.0  # zero rows
+        r = min_max_normalize(rng.standard_normal(n))
+        dense = build_kernel(h, r)
+        lazy = build_kernel(h, r, materialize_threshold=n - 1)
+        assert dense.materialized and not lazy.materialized
+        l = dense.materialize()
+        np.testing.assert_allclose(lazy.diagonal(), np.diag(l), rtol=1e-13, atol=1e-16)
+        for j in range(n):
+            np.testing.assert_allclose(lazy.row(j), l[j], rtol=1e-12, atol=1e-15)
+        assert lazy.entry(1, n - 1) == pytest.approx(l[1, n - 1], rel=1e-12, abs=1e-15)
+        # past the kernel's rank the residual gains are rounding noise, so
+        # the order is compared up to it
+        k = min(d, int(np.count_nonzero(np.diag(l))))
+        expected = greedy_map(dense, k, backend="python")
+        assert greedy_map(lazy, k, backend="python") == expected, trial
+        assert not lazy.materialized
 
 
 def test_kernel_validates_relevance_range():

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from tokensieve.rng import gaussian_matrix
-from tokensieve.similarity import (cosine_similarity_matrix,
+from tokensieve.similarity import (InputError, cosine_similarity_matrix,
                                    l2_normalize_rows, mean_pool,
-                                   min_max_normalize, relevance_scores)
+                                   min_max_normalize, prepare, relevance_scores)
 
 
 def test_normalize_analytic():
@@ -20,6 +22,65 @@ def test_normalize_unit_row_unchanged():
 def test_normalize_zero_row_stays_zero():
     out = l2_normalize_rows(np.array([[0.0, 0.0], [1.0, 0.0]]))
     np.testing.assert_array_equal(out[0], [0.0, 0.0])
+
+
+def test_normalize_survives_overflow_and_underflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = l2_normalize_rows(np.array([[1.0, 1.0, 1.0, 1.0], [1e200] * 4]))
+        tiny = l2_normalize_rows(np.array([[1e-200] * 4, [1e-200, 0.0, 3e-200, 0.0]]))
+    np.testing.assert_array_equal(out, 0.5)
+    np.testing.assert_array_equal(tiny[0], 0.5)
+    np.testing.assert_allclose(tiny[1], [0.316227766, 0.0, 0.948683298, 0.0])
+
+
+def test_normalize_keeps_ordinary_rows_bit_for_bit():
+    h = gaussian_matrix(3, 50, 17)
+    h[7] = 0.0
+    norms = np.linalg.norm(h, axis=1, keepdims=True)
+    expected = h / np.where(norms > 0.0, norms, 1.0)
+    np.testing.assert_array_equal(l2_normalize_rows(h), expected)
+
+
+def test_normalize_turns_non_finite_rows_into_nan_rows():
+    h = np.array([[1.0, np.nan, 2.0], [np.inf, 1.0, 0.0], [3.0, 4.0, 0.0]])
+    out = l2_normalize_rows(h)
+    assert np.isnan(out[:2]).all()
+    np.testing.assert_allclose(out[2], [0.6, 0.8, 0.0])
+
+
+def test_prepare_shares_one_normalization():
+    h = gaussian_matrix(4, 30, 9)
+    q = gaussian_matrix(5, 3, 9)
+    prep = prepare(h, q)
+    np.testing.assert_array_equal(prep.unit, l2_normalize_rows(h))
+    assert np.array_equal(prep.gram, prep.gram.T)
+    np.testing.assert_allclose(prep.gram, prep.unit @ prep.unit.T, atol=1e-15)
+    np.testing.assert_allclose(prep.relevance_raw, relevance_scores(h, mean_pool(q)),
+                               atol=1e-15)
+    np.testing.assert_array_equal(prep.relevance, min_max_normalize(prep.relevance_raw))
+    bare = prepare(h, gram=False)
+    assert bare.gram is None and bare.relevance_raw is None
+    np.testing.assert_array_equal(bare.relevance, np.ones(30))
+
+
+def test_prepare_rejects_inputs_that_break_the_contract():
+    h = gaussian_matrix(6, 12, 5)
+    q = gaussian_matrix(7, 2, 5)
+    bad = h.copy()
+    bad[4, 2] = np.nan
+    with pytest.raises(InputError, match="token row 4"):
+        prepare(bad, q)
+    bad[4, 2] = -np.inf
+    with pytest.raises(InputError, match="token row 4"):
+        prepare(bad)
+    q_bad = q.copy()
+    q_bad[1, 0] = np.inf
+    with pytest.raises(InputError, match="query"):
+        prepare(h, q_bad)
+    with pytest.raises(InputError, match="width"):
+        prepare(h, gaussian_matrix(7, 2, 6))
+    assert issubclass(InputError, ValueError)
 
 
 def test_cosine_identity_rows():
