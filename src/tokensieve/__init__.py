@@ -13,8 +13,7 @@ from .fusion import (baseline_diversity_only, baseline_gsp_only,
 from .gsp import (DEFAULT_GAMMA, DEFAULT_TAU, BipartiteRedundancyGraph,
                   RedundancyScores, bipartite_split, build_graph, gsp_select,
                   redundancy_scores)
-from .qcsp import (DppKernel, GreedyState, available_backends, build_kernel,
-                   default_backend, greedy_map, qcsp_select)
+from .qcsp import DppKernel, GreedyState, build_kernel, greedy_map, qcsp_select
 from .similarity import (InputError, Prepared, cosine_similarity_matrix,
                          l2_normalize_rows, mean_pool, min_max_normalize,
                          prepare, relevance_scores)
@@ -38,7 +37,6 @@ __all__ = [
     "RedundancyScores",
     "Selection",
     "SelectionFormatError",
-    "available_backends",
     "baseline_diversity_only",
     "baseline_gsp_only",
     "baseline_random",
@@ -47,7 +45,6 @@ __all__ = [
     "build_graph",
     "build_kernel",
     "cosine_similarity_matrix",
-    "default_backend",
     "flops_estimate",
     "greedy_map",
     "gsp_select",

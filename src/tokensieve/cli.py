@@ -27,9 +27,6 @@ from .similarity import InputError, prepare
 from .tensor_io import (MatrixFormatError, Selection, SelectionFormatError,
                         read_matrix, write_matrix, write_selection)
 
-MODES = ("script", "gsp", "qcsp", "random", "topk", "diversity")
-
-
 def _matrix_format(path: str) -> str:
     return "csv" if str(path).endswith(".csv") else "emb1"
 
@@ -51,26 +48,28 @@ def _budget(args, n: int) -> int:
     return m
 
 
-def _run_mode(mode: str, h_v, h_q, m: int, args) -> Selection:
-    gsp_keep = args.gsp_keep if args.gsp_keep is not None else min(len(h_v), 2 * m)
-    if mode == "script":
-        return fusion.script_select(h_v, h_q, m, args.tau, args.gamma,
-                                    gsp_keep, backend=args.backend)
-    if mode == "gsp":
-        return gsp.gsp_select(h_v, args.tau, args.gamma, keep=m)
-    if mode == "qcsp":
-        kept = qcsp.qcsp_select(h_v, h_q, m, backend=args.backend)
-        return Selection(kept, len(h_v), ["qcsp-only"] * m,
-                         {"mode": "qcsp", "m": m})
-    if mode == "random":
-        return fusion.baseline_random(len(h_v), m, args.seed)
-    if mode == "topk":
-        if h_q is None:
-            raise ValueError("--mode topk needs --query")
-        return fusion.baseline_topk_relevance(h_v, h_q, m)
-    if mode == "diversity":
-        return fusion.baseline_diversity_only(h_v, m, backend=args.backend)
-    raise ValueError(f"unknown mode {mode}")
+def _qcsp_only(h_v, h_q, m: int, args) -> Selection:
+    return Selection(qcsp.qcsp_select(h_v, h_q, m), len(h_v), ["qcsp-only"] * m,
+                     {"mode": "qcsp", "m": m})
+
+
+def _topk(h_v, h_q, m: int, args) -> Selection:
+    if h_q is None:
+        raise ValueError("--mode topk needs --query")
+    return fusion.baseline_topk_relevance(h_v, h_q, m)
+
+
+# mode -> selector(h_v, h_q, m, args); --gsp-keep left unset means min(n, 2m)
+SELECTORS = {
+    "script": lambda h_v, h_q, m, args: fusion.script_select(
+        h_v, h_q, m, args.tau, args.gamma, args.gsp_keep),
+    "gsp": lambda h_v, h_q, m, args: gsp.gsp_select(h_v, args.tau, args.gamma, keep=m),
+    "qcsp": _qcsp_only,
+    "random": lambda h_v, h_q, m, args: fusion.baseline_random(len(h_v), m, args.seed),
+    "topk": _topk,
+    "diversity": lambda h_v, h_q, m, args: fusion.baseline_diversity_only(h_v, m),
+}
+MODES = tuple(SELECTORS)
 
 
 def cmd_prune(args) -> int:
@@ -79,7 +78,7 @@ def cmd_prune(args) -> int:
     n = h_v.shape[0]
     m = _budget(args, n)
     start = time.perf_counter()
-    selection = _run_mode(args.mode, h_v, h_q, m, args)
+    selection = SELECTORS[args.mode](h_v, h_q, m, args)
     elapsed = time.perf_counter() - start
     selection.params.setdefault("tau", args.tau)
     selection.params.setdefault("gamma", args.gamma)
@@ -122,27 +121,20 @@ def cmd_verify(args) -> int:
     return 0 if verify.all_passed(results) else 1
 
 
-def _bench_once(mode: str, h_v, h_q, m: int, args) -> float:
-    start = time.perf_counter()
-    _run_mode(mode, h_v, h_q, m, args)
-    return time.perf_counter() - start
-
-
 def cmd_bench(args) -> int:
     if args.n < 1 or args.d < 1 or not 1 <= args.keep <= args.n:
         raise ValueError(f"invalid bench sizes n={args.n} d={args.d} keep={args.keep}")
     h_v = gaussian_matrix(args.seed, args.n, args.d)
     h_q = gaussian_matrix(args.seed + 1, 8, args.d)
-    backends = qcsp.available_backends() if args.backend == "compare" else (args.backend,)
     print(f"bench mode={args.mode} n={args.n} d={args.d} keep={args.keep} "
           f"repeats={args.repeats}")
-    for backend in backends:
-        args.backend = None if backend in ("auto", None) else backend
-        times = [_bench_once(args.mode, h_v, h_q, args.keep, args)
-                 for _ in range(args.repeats)]
-        label = backend or "auto"
-        print(f"backend={label} median={np.median(times):.4f}s "
-              f"min={min(times):.4f}s")
+    select = SELECTORS[args.mode]
+    times = []
+    for _ in range(args.repeats):
+        start = time.perf_counter()
+        select(h_v, h_q, args.keep, args)
+        times.append(time.perf_counter() - start)
+    print(f"median={np.median(times):.4f}s min={min(times):.4f}s")
     return 0
 
 
@@ -213,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_selection_flags(p)
     p.add_argument("--gsp-keep", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=("native", "python"), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_prune)
 
@@ -238,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_selection_flags(p)
     p.add_argument("--gsp-keep", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=("auto", "native", "python", "compare"),
-                   default="auto")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="write a synthetic embedding file")

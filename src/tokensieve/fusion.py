@@ -16,7 +16,9 @@ at the m-th G-member and never passes it (if G holds fewer than m, it
 ends at the last G-member or at step m, whichever is later).  The
 per-step arithmetic does not depend on how the walk is split into
 rounds, so the kept set is that of the full-length order.  A walk of T
-steps costs about n*T^2/2 multiply-adds.
+steps costs about n^2*T/2 multiply-adds in GEMM plus a pass over the
+walk's coefficient panel, at most B*n doubles, per step (B as in
+qcsp.flush_rows); see qcsp for the cost model.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .tensor_io import Selection
 
 def script_select(h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
                   gamma: float = DEFAULT_GAMMA, gsp_keep: int | None = None,
-                  eps: float = EPS, backend: str | None = None) -> Selection:
+                  eps: float = EPS) -> Selection:
     """Budget-m fused selection; kept order follows the greedy-order scan."""
     h_v = np.asarray(h_v, dtype=np.float64)
     n = h_v.shape[0]
@@ -50,7 +52,7 @@ def script_select(h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
     # Gram before the kernel scales it into L in place
     prep = prepare(h_v, h_q, gram=n <= MATERIALIZE_THRESHOLD)
     g_members = set(gsp_select(prep, tau, gamma, gsp_keep).kept)
-    state = GreedyState(build_kernel(prep, prep.relevance), eps=eps, backend=backend)
+    state = GreedyState(build_kernel(prep, prep.relevance), eps=eps)
 
     kept: list[int] = []
     g_unseen = len(g_members)
@@ -107,14 +109,13 @@ def baseline_topk_relevance(h_v: np.ndarray, h_q: np.ndarray, m: int) -> Selecti
                      {"mode": "topk", "m": m})
 
 
-def baseline_diversity_only(h_v: np.ndarray, m: int,
-                            backend: str | None = None) -> Selection:
+def baseline_diversity_only(h_v: np.ndarray, m: int) -> Selection:
     """Greedy MAP with uniform relevance: diversity with no query signal."""
     h_v = np.asarray(h_v, dtype=np.float64)
     n = h_v.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"budget must lie in [1, {n}], got {m}")
-    kept = qcsp_select(h_v, None, m, backend=backend)
+    kept = qcsp_select(h_v, None, m)
     return Selection(kept, n, ["baseline"] * m, {"mode": "diversity", "m": m})
 
 

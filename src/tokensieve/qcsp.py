@@ -19,8 +19,14 @@ Candidates whose v^2 has fallen to <= 0 are never picked; if none are
 positive the kernel rank is exhausted and the remaining budget is
 padded by ascending index so callers always get exactly k indices.
 
-Two step-loop backends exist: a compiled one (tokensieve._native) and a
-numpy one, chosen at import with identical selection semantics.
+The walk is a pivoted Cholesky of L + eps*I, run with deferred updates
+as LAPACK's dpstrf does: the <u_j, u_i> terms of the last few steps come
+from a panel of their coefficient rows, and a full panel is folded into
+a Schur-complement copy of L by GEMM (see GreedyState).  A walk of T
+steps then costs about n^2*T/2 multiply-adds in GEMM, plus a pass over
+the panel, at most B*n doubles with B = flush_rows(n), on each step; the
+unblocked walk streamed the whole t x n coefficient block on step t,
+n*T^2/2 doubles in all.
 """
 
 from __future__ import annotations
@@ -31,21 +37,18 @@ import numpy as np
 # module because the benchmark's tracer (perfbench/spans.py) wraps it by name
 from .similarity import Prepared, l2_normalize_rows, prepare  # noqa: F401
 
-try:
-    from ._native import greedy_steps as _native_steps
-except ImportError:
-    _native_steps = None
-
 EPS = 1e-6
 MATERIALIZE_THRESHOLD = 4096
+# the walk's panel holds max(PANEL_MIN_ROWS, PANEL_BYTES / (8 n)) coefficient
+# rows, about one L2 cache; a flush runs its GEMM in FLUSH_BLOCK-row blocks
+PANEL_BYTES = 2 << 20
+PANEL_MIN_ROWS = 128
+FLUSH_BLOCK = 256
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("native", "python") if _native_steps is not None else ("python",)
-
-
-def default_backend() -> str:
-    return available_backends()[0]
+def flush_rows(n: int) -> int:
+    """Coefficient rows the panel of an n-token walk holds before a flush."""
+    return max(PANEL_MIN_ROWS, PANEL_BYTES // (8 * n))
 
 
 class DppKernel:
@@ -151,22 +154,24 @@ def build_kernel(h_v: np.ndarray | Prepared, r_norm: np.ndarray,
 class GreedyState:
     """Resumable greedy MAP state; extend(k) is prefix-consistent.
 
-    v_sq holds residual gains (selected entries are parked at -inf),
-    order/gains record each step's winner and its v^2 at selection time,
-    and coefficients(i) returns the candidate's Cholesky row u_i.
+    v_sq holds residual gains (selected entries are parked at -inf), and
+    order/gains record each step's winner and its v^2 at selection time.
+
+    The coefficient rows e of the steps since the last flush form the
+    panel P.  Each step reads the winner's row of the working kernel A,
+    subtracts P[:, j] @ P and scales by 1 / sqrt(v_j^2 + eps).  A is L
+    until the first flush; a materialized kernel's panel is flushed once
+    it holds flush_rows(n) rows and another step is asked for: the lower
+    triangle of A becomes A - P.T @ P, the Schur complement of the
+    selection so far, in FLUSH_BLOCK-row GEMMs, and the panel is emptied.
+    A is a separate matrix made at the first flush, so L is never written
+    to.  Walks that never fill the panel do the same arithmetic as the
+    unblocked walk that keeps every coefficient row, bit for bit.  A
+    row-on-demand kernel never flushes and is never materialized.
     """
 
-    def __init__(self, kernel: DppKernel, eps: float = EPS, backend: str | None = None):
-        if backend is None:
-            backend = "native" if (_native_steps is not None and kernel.materialized) else "python"
-        if backend == "native":
-            if _native_steps is None:
-                raise ValueError("native backend is not built")
-            kernel.materialize()
-        elif backend != "python":
-            raise ValueError(f"unknown backend {backend!r}")
+    def __init__(self, kernel: DppKernel, eps: float = EPS):
         self.kernel = kernel
-        self.backend = backend
         self.eps = float(eps)
         n = kernel.n
         self.v_sq = kernel.diagonal().astype(np.float64)
@@ -175,31 +180,12 @@ class GreedyState:
         self.gains = np.zeros(n)
         self.exhausted = False
         self.t = 0
-        self._cis = None  # (cap, n) for python, (n, cap) for native
-
-    def _ensure_capacity(self, k: int) -> None:
-        cap = 0 if self._cis is None else (
-            self._cis.shape[0] if self.backend == "python" else self._cis.shape[1])
-        if k <= cap:
-            return
-        new_cap = min(self.kernel.n, max(k, 2 * cap, 16))
-        n = self.kernel.n
-        if self.backend == "python":
-            fresh = np.empty((new_cap, n))
-            if self.t:
-                fresh[: self.t] = self._cis[: self.t]
-        else:
-            fresh = np.empty((n, new_cap))
-            if self.t:
-                fresh[:, : self.t] = self._cis[:, : self.t]
-        self._cis = fresh
-
-    def coefficients(self, i: int) -> np.ndarray:
-        if self.t == 0:
-            return np.zeros(0)
-        if self.backend == "python":
-            return self._cis[: self.t, i].copy()
-        return self._cis[i, : self.t].copy()
+        # rows the panel may grow to: a full panel of a materialized kernel
+        # is flushed into A, a row-on-demand kernel's holds the whole walk
+        self._panel_limit = min(n, flush_rows(n)) if kernel.materialized else n
+        self._panel = np.empty((0, n))
+        self._kk = 0       # rows in the panel
+        self._schur = None  # A, lower triangle only; None while A is L
 
     def extend(self, k: int) -> None:
         """Grow the selection order to length k (no-op if already there)."""
@@ -209,15 +195,7 @@ class GreedyState:
         if k <= self.t:
             return
         if not self.exhausted:
-            self._ensure_capacity(k)
-            if self.backend == "native":
-                t_done, ex = _native_steps(
-                    self.kernel.materialize(), self._cis, self.v_sq, self.selected,
-                    self.order, self.gains, self.t, k, self.eps)
-            else:
-                t_done, ex = self._python_steps(self.t, k)
-            self.t = t_done
-            self.exhausted = bool(ex)
+            self.t, self.exhausted = self._steps(self.t, k)
         if self.exhausted and self.t < k:
             # kernel rank exhausted: pad by ascending index to honor the budget
             pad = np.flatnonzero(self.selected == 0)[: k - self.t]
@@ -228,40 +206,78 @@ class GreedyState:
                 self.v_sq[idx] = -np.inf
                 self.t += 1
 
-    def _python_steps(self, t_start: int, t_stop: int) -> tuple[int, bool]:
+    def _steps(self, t_start: int, t_stop: int) -> tuple[int, bool]:
+        """Run steps [t_start, t_stop); returns (steps done, exhausted)."""
         v = self.v_sq
-        cis = self._cis
-        kernel = self.kernel
         for t in range(t_start, t_stop):
             j = int(np.argmax(v))
             vj = v[j]
             if not vj > 0.0:
                 return t, True
             denom = np.sqrt(vj + self.eps)
-            row = kernel.row(j)
-            if t == 0:
-                eis = row / denom
+            if self._kk == self._panel.shape[0]:
+                self._make_room(t_stop - t)
+            kk = self._kk
+            panel = self._panel
+            e = panel[kk]
+            if kk == 0:
+                np.divide(self._row(j), denom, out=e)
             else:
-                eis = (row - cis[:t, j] @ cis[:t, :]) / denom
-            cis[t, :] = eis
-            v -= eis * eis
+                np.subtract(self._row(j), panel[:kk, j] @ panel[:kk], out=e)
+                e /= denom
+            self._kk = kk + 1
+            v -= e * e
             v[j] = -np.inf
             self.selected[j] = 1
             self.order[t] = j
             self.gains[t] = vj
         return t_stop, False
 
+    def _row(self, j: int) -> np.ndarray:
+        """Row j of A; from its lower triangle once A is a separate matrix."""
+        a = self._schur
+        if a is None:
+            return self.kernel.row(j)
+        return np.concatenate((a[j, :j], a[j:, j]))
 
-def greedy_map(kernel: DppKernel, k: int, eps: float = EPS,
-               backend: str | None = None) -> list[int]:
+    def _make_room(self, steps_left: int) -> None:
+        """Free a panel row for the next step: grow the panel geometrically
+        up to its limit, or flush a full one."""
+        cap = self._panel.shape[0]
+        if cap == self._panel_limit:
+            self._flush()
+            return
+        fresh = np.empty((min(self._panel_limit, max(self._kk + steps_left, 2 * cap, 16)),
+                          self.kernel.n))
+        fresh[: self._kk] = self._panel[: self._kk]
+        self._panel = fresh
+
+    def _flush(self) -> None:
+        """Set the lower triangle of A to A - P.T @ P and empty the panel P."""
+        n = self.kernel.n
+        panel = self._panel[: self._kk]
+        src = self.kernel.materialize() if self._schur is None else self._schur
+        if self._schur is None:
+            # only the lower triangle is ever written, so the pages of the
+            # upper one mostly stay unmapped
+            self._schur = np.empty((n, n))
+        buf = np.empty(FLUSH_BLOCK * n)
+        for i0 in range(0, n, FLUSH_BLOCK):
+            i1 = min(n, i0 + FLUSH_BLOCK)
+            prod = np.matmul(panel[:, i0:i1].T, panel[:, :i1],
+                             out=buf[: (i1 - i0) * i1].reshape(i1 - i0, i1))
+            np.subtract(src[i0:i1, :i1], prod, out=self._schur[i0:i1, :i1])
+        self._kk = 0
+
+
+def greedy_map(kernel: DppKernel, k: int, eps: float = EPS) -> list[int]:
     """Exactly k distinct indices in selection order."""
-    state = GreedyState(kernel, eps=eps, backend=backend)
+    state = GreedyState(kernel, eps=eps)
     state.extend(k)
     return [int(i) for i in state.order[:k]]
 
 
-def qcsp_select(h_v: np.ndarray, h_q, k: int,
-                eps: float = EPS, backend: str | None = None) -> list[int]:
+def qcsp_select(h_v: np.ndarray, h_q, k: int, eps: float = EPS) -> list[int]:
     """Relevance scoring against the pooled query, then greedy MAP.
 
     Without a query (h_q None) relevance is uniform and the selection is
@@ -269,4 +285,4 @@ def qcsp_select(h_v: np.ndarray, h_q, k: int,
     """
     h_v = np.asarray(h_v, dtype=np.float64)
     prep = prepare(h_v, h_q, gram=h_v.shape[0] <= MATERIALIZE_THRESHOLD)
-    return greedy_map(build_kernel(prep, prep.relevance), k, eps=eps, backend=backend)
+    return greedy_map(build_kernel(prep, prep.relevance), k, eps=eps)

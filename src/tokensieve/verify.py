@@ -199,8 +199,8 @@ def make_greedy_instance(rng: SplitMix64, d: int = 32):
     return qcsp.build_kernel(prep, prep.relevance), k
 
 
-def marginal_gain_errors(kernel, k: int, eps: float = qcsp.EPS,
-                         backend: str | None = None) -> tuple[list[float], list[float]]:
+def marginal_gain_errors(kernel, k: int,
+                         eps: float = qcsp.EPS) -> tuple[list[float], list[float]]:
     """Two per-step error families for the recorded greedy gains.
 
     First: |gain - det(L_{S+j})/det(L_S)| / (1 + ratio), skipping steps
@@ -213,7 +213,7 @@ def marginal_gain_errors(kernel, k: int, eps: float = qcsp.EPS,
     machine precision on every step. This is the strict anchor; any
     sign or indexing defect in the update shatters it.
     """
-    state = qcsp.GreedyState(kernel, eps=eps, backend=backend)
+    state = qcsp.GreedyState(kernel, eps=eps)
     state.extend(k)
     l = kernel.materialize()
     m = l + eps * np.eye(kernel.n)
@@ -236,12 +236,11 @@ def marginal_gain_errors(kernel, k: int, eps: float = qcsp.EPS,
     return mixed, shifted
 
 
-def check_greedy_suite(instances: int = 500, seed: int = 6,
-                       backends: tuple[str, ...] | None = None) -> list[CheckResult]:
+def check_greedy_suite(instances: int = 500, seed: int = 6) -> list[CheckResult]:
     """One pass over shared random instances:
 
     - marginal-gain: every recorded gain equals the determinant ratio
-      at unit-scale tolerance 1e-6, on every backend (asserted);
+      at unit-scale tolerance 1e-6 (asserted);
     - shifted-gain-identity: gain + eps equals the det ratio of the
       eps-shifted kernel within relative 1e-9 (asserted; exact modulo
       float rounding, see marginal_gain_errors);
@@ -250,8 +249,6 @@ def check_greedy_suite(instances: int = 500, seed: int = 6,
     - greedy-guarantee: regularized greedy reaches at least (1 - 1/e)
       of the exhaustive regularized optimum (asserted).
     """
-    if backends is None:
-        backends = qcsp.available_backends()
     rng = SplitMix64(seed)
     worst_gain_err = 0.0
     worst_shift_err = 0.0
@@ -259,12 +256,11 @@ def check_greedy_suite(instances: int = 500, seed: int = 6,
     worst_guarantee = np.inf
     for _ in range(instances):
         kernel, k = make_greedy_instance(rng)
-        for backend in backends:
-            mixed, shifted = marginal_gain_errors(kernel, k, backend=backend)
-            if mixed:
-                worst_gain_err = max(worst_gain_err, max(mixed))
-            if shifted:
-                worst_shift_err = max(worst_shift_err, max(shifted))
+        mixed, shifted = marginal_gain_errors(kernel, k)
+        if mixed:
+            worst_gain_err = max(worst_gain_err, max(mixed))
+        if shifted:
+            worst_shift_err = max(worst_shift_err, max(shifted))
 
         picked = qcsp.greedy_map(kernel, k)
         l = kernel.materialize()

@@ -150,7 +150,7 @@ def test_verify_small_run_passes(capsys):
 
 def test_verify_detects_corrupted_greedy(monkeypatch, capsys):
     from tokensieve import qcsp
-    orig = qcsp.GreedyState._python_steps
+    orig = qcsp.GreedyState._steps
 
     def corrupted(self, t_start, t_stop):
         done, exhausted = orig(self, t_start, t_stop)
@@ -158,7 +158,7 @@ def test_verify_detects_corrupted_greedy(monkeypatch, capsys):
             self.gains[t] *= 1.01
         return done, exhausted
 
-    monkeypatch.setattr(qcsp.GreedyState, "_python_steps", corrupted)
+    monkeypatch.setattr(qcsp.GreedyState, "_steps", corrupted)
     code = main(["verify", "--instances", "5"])
     out = capsys.readouterr().out
     assert code == 1
@@ -169,22 +169,13 @@ def test_bench_reports_median(capsys):
     assert main(["bench", "--n", "32", "--d", "8", "--keep", "4",
                  "--repeats", "1"]) == 0
     out = capsys.readouterr().out
-    assert "median=" in out and "backend=" in out
+    assert "median=" in out and "min=" in out
 
 
 def test_bench_degenerate_single_token(capsys):
     assert main(["bench", "--n", "1", "--d", "4", "--keep", "1",
                  "--repeats", "1"]) == 0
     capsys.readouterr()
-
-
-def test_bench_compare_lists_backends(capsys):
-    from tokensieve.qcsp import available_backends
-    assert main(["bench", "--n", "16", "--d", "4", "--keep", "2",
-                 "--repeats", "1", "--backend", "compare"]) == 0
-    out = capsys.readouterr().out
-    for backend in available_backends():
-        assert f"backend={backend}" in out
 
 
 def test_bench_invalid_sizes(capsys):

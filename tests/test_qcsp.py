@@ -3,13 +3,10 @@ import pytest
 
 from tokensieve import qcsp
 from tokensieve.qcsp import (DppKernel, GreedyState, _mirror_lower,
-                             available_backends, build_kernel, greedy_map,
-                             qcsp_select)
+                             build_kernel, greedy_map, qcsp_select)
 from tokensieve.rng import SplitMix64, gaussian_matrix
 from tokensieve.similarity import (l2_normalize_rows, mean_pool,
                                    min_max_normalize, relevance_scores)
-
-BACKENDS = available_backends()
 
 
 def random_kernel(seed, n=12, d=6):
@@ -85,8 +82,8 @@ def test_row_on_demand_kernel_matches_materialized():
         # past the kernel's rank the residual gains are rounding noise, so
         # the order is compared up to it
         k = min(d, int(np.count_nonzero(np.diag(l))))
-        expected = greedy_map(dense, k, backend="python")
-        assert greedy_map(lazy, k, backend="python") == expected, trial
+        expected = greedy_map(dense, k)
+        assert greedy_map(lazy, k) == expected, trial
         assert not lazy.materialized
 
 
@@ -97,28 +94,25 @@ def test_kernel_validates_relevance_range():
         build_kernel(np.eye(3), np.ones(2))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_greedy_identity_tie_break(backend):
+def test_greedy_identity_tie_break():
     k = build_kernel(np.eye(4), np.ones(4))
-    assert greedy_map(k, 1, backend=backend) == [0]
+    assert greedy_map(k, 1) == [0]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_greedy_prefers_orthogonal_pair(backend):
+def test_greedy_prefers_orthogonal_pair():
     # 0.6-0.8 is exactly unit norm in floats, so every diagonal is 1.0
     # and the first pick falls to the lowest index
     h = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
     k = build_kernel(h, np.ones(3))
-    picked = greedy_map(k, 2, backend=backend)
+    picked = greedy_map(k, 2)
     assert sorted(picked) == [0, 1]
     l = k.materialize()
     assert np.linalg.det(l[np.ix_(picked, picked)]) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_greedy_full_budget(backend):
+def test_greedy_full_budget():
     k = random_kernel(5, n=9)
-    picked = greedy_map(k, 9, backend=backend)
+    picked = greedy_map(k, 9)
     assert sorted(picked) == list(range(9))
 
 
@@ -128,20 +122,18 @@ def test_qcsp_select_relevance_wins():
     assert picked == [1]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_greedy_duplicate_tie_break(backend):
+def test_greedy_duplicate_tie_break():
     h = np.array([[1.0, 0.0]] * 3)
     k = build_kernel(h, np.ones(3))
-    assert greedy_map(k, 1, backend=backend) == [0]
+    assert greedy_map(k, 1) == [0]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_duplicate_deferred_to_last(backend):
+def test_duplicate_deferred_to_last():
     # a duplicate retains only the eps-scale residual, so the distinct
     # token goes second and the duplicate is still returned for k = n
     h = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     k = build_kernel(h, np.ones(3))
-    state = GreedyState(k, backend=backend)
+    state = GreedyState(k)
     state.extend(3)
     order = [int(i) for i in state.order[:3]]
     assert order == [0, 2, 1]
@@ -149,26 +141,16 @@ def test_duplicate_deferred_to_last(backend):
     assert not state.exhausted
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_exhaustion_pads_ascending(backend):
+def test_exhaustion_pads_ascending():
     # force the no-positive-gain branch: selection must still return
     # exactly k indices, padded in ascending index order
     k = random_kernel(4, n=5)
-    state = GreedyState(k, backend=backend)
+    state = GreedyState(k)
     state.v_sq[:] = 0.0
     state.extend(4)
     assert state.exhausted
     assert [int(i) for i in state.order[:4]] == [0, 1, 2, 3]
     assert all(state.gains[t] == 0.0 for t in range(4))
-
-
-def test_backends_agree_on_random_instances():
-    if len(BACKENDS) < 2:
-        pytest.skip("single backend build")
-    for seed in range(30):
-        k = random_kernel(seed, n=20, d=8)
-        assert greedy_map(k, 10, backend="native") == \
-            greedy_map(k, 10, backend="python")
 
 
 def test_prefix_consistency():
@@ -224,12 +206,93 @@ def test_gains_are_non_increasing():
     assert all(g[i] >= g[i + 1] - 1e-12 for i in range(7))
 
 
-def test_explicit_python_backend_available_everywhere():
-    k = random_kernel(1, n=6)
-    assert greedy_map(k, 3, backend="python") == greedy_map(k, 3)
+# ---------------------------------------------------------------- blocked walk
+
+def flush_instance(seed):
+    """n > d tokens with duplicated rows, zero rows and a zero-relevance row,
+    so walks run past the kernel's rank and end in padding."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 61))
+    d = int(rng.integers(2, 13))
+    h = rng.standard_normal((n, d))
+    h[rng.integers(0, n, size=4)] = h[rng.integers(0, n, size=4)]
+    h[rng.integers(0, n, size=3)] = 0.0
+    return build_kernel(h, min_max_normalize(rng.standard_normal(n))), d
 
 
-def test_unknown_backend_rejected():
-    k = random_kernel(1, n=6)
-    with pytest.raises(ValueError):
-        GreedyState(k, backend="fortran")
+def set_panel_rows(monkeypatch, rows):
+    monkeypatch.setattr(qcsp, "PANEL_MIN_ROWS", rows)
+    monkeypatch.setattr(qcsp, "PANEL_BYTES", 0)
+    # several GEMM blocks per flush, so only the lower triangle of A is valid
+    monkeypatch.setattr(qcsp, "FLUSH_BLOCK", 7)
+    assert qcsp.flush_rows(1000) == rows
+
+
+def walk(kernel, k, monkeypatch, rows):
+    set_panel_rows(monkeypatch, rows)
+    state = GreedyState(kernel)
+    state.extend(k)
+    return state
+
+
+def test_panel_size_is_about_one_l2():
+    assert qcsp.flush_rows(576) == 455
+    assert qcsp.flush_rows(196) == 1337
+    assert qcsp.flush_rows(2880) == qcsp.PANEL_MIN_ROWS == 128
+
+
+def test_flushed_walk_matches_unflushed_walk(monkeypatch):
+    for seed in range(40):
+        kernel, _ = flush_instance(seed)
+        n = kernel.n
+        ref = walk(kernel, n, monkeypatch, n)  # the panel holds the whole walk
+        for rows in (1, 2, 5):
+            state = walk(kernel, n, monkeypatch, rows)
+            assert np.array_equal(state.order, ref.order), (seed, rows)
+            assert state.exhausted == ref.exhausted
+            # past the rank the gains are eps-scale differences of O(1)
+            # numbers, so they are compared on the scale of the first gain
+            np.testing.assert_allclose(state.gains, ref.gains, rtol=0,
+                                       atol=1e-12 * ref.gains[0])
+
+
+def test_flushed_walk_is_resumable_mid_panel(monkeypatch):
+    for seed in range(10):
+        kernel, _ = flush_instance(seed)
+        n = kernel.n
+        whole = walk(kernel, n, monkeypatch, 4)
+        rounds = GreedyState(kernel)
+        for k in (1, 3, 6, 7, 13, n - 2, n):  # most end inside a panel
+            rounds.extend(k)
+        assert np.array_equal(rounds.order, whole.order)
+        assert np.array_equal(rounds.gains, whole.gains)
+        assert np.array_equal(rounds.v_sq, whole.v_sq)
+
+
+def test_flushed_walk_keeps_shifted_gain_identity(monkeypatch):
+    from tokensieve import verify
+    set_panel_rows(monkeypatch, 2)
+    for seed in range(20):
+        kernel, d = flush_instance(seed)
+        # a few eps-scale steps past the rank; far beyond it the oracle's
+        # determinants of L + eps*I underflow
+        _, shifted = verify.marginal_gain_errors(kernel, min(kernel.n, d + 4))
+        assert max(shifted) <= 1e-9, seed
+
+
+def test_flushed_walk_leaves_the_kernel_untouched(monkeypatch):
+    kernel, _ = flush_instance(3)
+    before = kernel.materialize().copy()
+    state = walk(kernel, kernel.n, monkeypatch, 2)
+    assert state.t == kernel.n
+    assert np.array_equal(kernel.materialize(), before)
+
+
+def test_row_on_demand_walk_never_flushes(monkeypatch):
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((30, 8))
+    r = min_max_normalize(rng.standard_normal(30))
+    lazy = build_kernel(h, r, materialize_threshold=29)
+    state = walk(lazy, 8, monkeypatch, 2)
+    assert not lazy.materialized
+    assert [int(i) for i in state.order[:8]] == greedy_map(build_kernel(h, r), 8)

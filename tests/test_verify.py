@@ -62,7 +62,7 @@ def test_marginal_gain_errors_shapes():
 
 def test_suite_flags_sabotaged_gains(monkeypatch):
     from tokensieve import qcsp
-    orig = qcsp.GreedyState._python_steps
+    orig = qcsp.GreedyState._steps
 
     def corrupted(self, t_start, t_stop):
         done, exhausted = orig(self, t_start, t_stop)
@@ -70,9 +70,8 @@ def test_suite_flags_sabotaged_gains(monkeypatch):
             self.gains[t] *= 1.02
         return done, exhausted
 
-    monkeypatch.setattr(qcsp.GreedyState, "_python_steps", corrupted)
-    results = verify.check_greedy_suite(seed=0, instances=3,
-                                        backends=("python",))
+    monkeypatch.setattr(qcsp.GreedyState, "_steps", corrupted)
+    results = verify.check_greedy_suite(seed=0, instances=3)
     by_name = {r.name: r for r in results}
     assert not by_name["marginal-gain"].passed
     assert not by_name["shifted-gain-identity"].passed
