@@ -13,7 +13,8 @@ from .fusion import (baseline_diversity_only, baseline_gsp_only,
 from .gsp import (DEFAULT_GAMMA, DEFAULT_TAU, BipartiteRedundancyGraph,
                   RedundancyScores, bipartite_split, build_graph, gsp_select,
                   redundancy_scores)
-from .qcsp import DppKernel, GreedyState, build_kernel, greedy_map, qcsp_select
+from .qcsp import (DppKernel, GreedyState, KernelConsumedError, build_kernel,
+                   greedy_map, qcsp_select)
 from .similarity import (InputError, Prepared, cosine_similarity_matrix,
                          l2_normalize_rows, mean_pool, min_max_normalize,
                          prepare, relevance_scores)
@@ -31,6 +32,7 @@ __all__ = [
     "GreedyState",
     "GridShape",
     "InputError",
+    "KernelConsumedError",
     "MatrixFormatError",
     "ModelProfile",
     "Prepared",

@@ -15,10 +15,12 @@ min(m - len(kept), g_unseen) steps per round.  The walk therefore ends
 at the m-th G-member and never passes it (if G holds fewer than m, it
 ends at the last G-member or at step m, whichever is later).  The
 per-step arithmetic does not depend on how the walk is split into
-rounds, so the kept set is that of the full-length order.  A walk of T
-steps costs about n^2*T/2 multiply-adds in GEMM plus a pass over the
-walk's coefficient panel, at most B*n doubles, per step (B as in
-qcsp.flush_rows); see qcsp for the cost model.
+rounds, so the kept set is that of the full-length order.  The walk
+folds its coefficient panel of B = qcsp.flush_rows(n) rows into the
+unselected block of the kernel every B steps: a flush that leaves f
+tokens selected costs about (n-f)^2*B/2 multiply-adds, and each step
+passes over at most B*(n-f) panel doubles.  The walk owns one n x n
+buffer, the kernel's, which it overwrites once it flushes; see qcsp.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Everything here exists to check the fast paths: exhaustive subset
 search for the max-determinant subset, the determinant-as-volume
 identity, Hadamard and Gershgorin bounds, the equicorrelation family
 with its closed-form spectrum, and the regularized greedy objective
-log det(I + L_S) that carries the (1 - 1/e) guarantee.
+log det(I + L_S) that carries the (1 - 1/e) guarantee, and an unblocked
+greedy MAP walk to check the blocked one against.
 
 Determinants go through LU with partial pivoting in 64-bit.  For tie
 purposes in the exhaustive search, determinants below 1e-12 count as
@@ -161,6 +162,36 @@ def greedy_regularized(l: np.ndarray, k: int) -> tuple[list[int], float]:
         selected.append(best_i)
         value = best_val
     return selected, float(value)
+
+
+def greedy_walk(l: np.ndarray, k: int, eps: float) -> tuple[list[int], np.ndarray]:
+    """Unblocked greedy MAP walk of k steps: the incremental Cholesky of
+    L + eps*I that keeps every coefficient row (Chen, Zhang & Zhou, 2018).
+
+    Step t picks the largest residual gain v_j (ties to the lower index)
+    and records it; then c_t = (L_j - C[:t, j] @ C[:t]) / sqrt(v_j + eps)
+    and v -= c_t^2.  Stops early, before the pick, once no gain is
+    positive.  Returns the order and the recorded gains.
+    """
+    l = np.asarray(l, dtype=np.float64)
+    n = l.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    v = np.diagonal(l).copy()
+    coeffs = np.zeros((k, n))
+    order: list[int] = []
+    gains = []
+    for t in range(k):
+        j = int(np.argmax(v))
+        if not v[j] > 0.0:
+            break
+        c = (l[j] - coeffs[:t, j] @ coeffs[:t]) / np.sqrt(v[j] + eps)
+        coeffs[t] = c
+        order.append(j)
+        gains.append(v[j])
+        v -= c * c
+        v[j] = -np.inf
+    return order, np.array(gains)
 
 
 def regularized_optimum(l: np.ndarray, k: int) -> tuple[tuple[int, ...], float]:

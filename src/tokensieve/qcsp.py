@@ -21,12 +21,16 @@ padded by ascending index so callers always get exactly k indices.
 
 The walk is a pivoted Cholesky of L + eps*I, run with deferred updates
 as LAPACK's dpstrf does: the <u_j, u_i> terms of the last few steps come
-from a panel of their coefficient rows, and a full panel is folded into
-a Schur-complement copy of L by GEMM (see GreedyState).  A walk of T
-steps then costs about n^2*T/2 multiply-adds in GEMM, plus a pass over
-the panel, at most B*n doubles with B = flush_rows(n), on each step; the
-unblocked walk streamed the whole t x n coefficient block on step t,
-n*T^2/2 doubles in all.
+from a panel of their coefficient rows, and a full panel of B =
+flush_rows(n) rows is folded into the Schur complement by GEMM (see
+GreedyState).  Each flush first swaps the tokens the panel selected to
+the front of the trailing block of unselected tokens, so a flush that
+leaves f tokens selected costs about (n-f)^2*B/2 multiply-adds, and each
+step reads and updates only the n-f positions of that block, plus a pass
+over the panel, at most B*(n-f) doubles.  The unblocked walk streamed
+the whole t x n coefficient block on step t, n*T^2/2 doubles in all.
+The walk owns one n x n buffer, L's: its first flush takes it over and
+overwrites it, after which the kernel's entries can no longer be read.
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ def flush_rows(n: int) -> int:
     return max(PANEL_MIN_ROWS, PANEL_BYTES // (8 * n))
 
 
+class KernelConsumedError(RuntimeError):
+    """The kernel's matrix was taken over by a greedy walk that overwrote it."""
+
+
 class DppKernel:
     """Relevance-reweighted similarity kernel, materialized or row-on-demand.
 
@@ -61,6 +69,10 @@ class DppKernel:
     place) when one is given; beyond that only the unit rows and the
     relevance are kept and rows are computed on demand, which is all
     greedy MAP needs.
+
+    A greedy walk that flushes takes the dense matrix over (see take) and
+    overwrites it; from then on materialize, row, entry and diagonal raise
+    KernelConsumedError, while n, unit and relevance stay readable.
     """
 
     def __init__(self, unit_rows: np.ndarray, relevance: np.ndarray,
@@ -72,6 +84,7 @@ class DppKernel:
         self.materialize_threshold = materialize_threshold
         self._gram = gram
         self._L = None
+        self._consumed = False
         if gram is not None or self.n <= materialize_threshold:
             self.materialize()
 
@@ -79,7 +92,14 @@ class DppKernel:
     def materialized(self) -> bool:
         return self._L is not None
 
+    def _readable(self) -> None:
+        if self._consumed:
+            raise KernelConsumedError(
+                "a greedy walk has overwritten this kernel's matrix; "
+                "copy materialize() before the walk to keep it")
+
     def materialize(self) -> np.ndarray:
+        self._readable()
         if self._L is None:
             gram = self.unit @ self.unit.T if self._gram is None else self._gram
             self._gram = None
@@ -91,17 +111,28 @@ class DppKernel:
             self._L = gram
         return self._L
 
+    def take(self) -> np.ndarray:
+        """Hand the dense matrix over to a caller that overwrites it; every
+        later read of the kernel's entries raises KernelConsumedError."""
+        l = self.materialize()
+        self._L = None
+        self._consumed = True
+        return l
+
     def row(self, j: int) -> np.ndarray:
-        if self._L is not None:
+        if self._L is not None:  # never set again once consumed
             return self._L[j]
+        self._readable()
         return (self.unit @ self.unit[j]) * self.relevance * self.relevance[j]
 
     def entry(self, i: int, j: int) -> float:
+        self._readable()
         if self._L is not None:
             return float(self._L[i, j])
         return float(self.unit[i] @ self.unit[j] * self.relevance[i] * self.relevance[j])
 
     def diagonal(self) -> np.ndarray:
+        self._readable()
         if self._L is not None:
             return np.diagonal(self._L).copy()
         r = self.relevance
@@ -154,20 +185,28 @@ def build_kernel(h_v: np.ndarray | Prepared, r_norm: np.ndarray,
 class GreedyState:
     """Resumable greedy MAP state; extend(k) is prefix-consistent.
 
-    v_sq holds residual gains (selected entries are parked at -inf), and
-    order/gains record each step's winner and its v^2 at selection time.
+    order/gains record each step's winner (a token index) and its v^2 at
+    selection time.  v_sq holds the residual gains by position, with
+    selected entries parked at -inf; positions are token indices until
+    the first flush, and perm maps them to token indices after it.
 
     The coefficient rows e of the steps since the last flush form the
     panel P.  Each step reads the winner's row of the working kernel A,
     subtracts P[:, j] @ P and scales by 1 / sqrt(v_j^2 + eps).  A is L
     until the first flush; a materialized kernel's panel is flushed once
-    it holds flush_rows(n) rows and another step is asked for: the lower
-    triangle of A becomes A - P.T @ P, the Schur complement of the
-    selection so far, in FLUSH_BLOCK-row GEMMs, and the panel is emptied.
-    A is a separate matrix made at the first flush, so L is never written
-    to.  Walks that never fill the panel do the same arithmetic as the
-    unblocked walk that keeps every coefficient row, bit for bit.  A
-    row-on-demand kernel never flushes and is never materialized.
+    it holds flush_rows(n) rows and another step is asked for.  A flush
+    swaps the panel's tokens to the front of the trailing block, as
+    dpstrf swaps each pivot to position t, so that positions [0, f) hold
+    order[:f], and sets the lower triangle of the unselected block
+    A[f:, f:] to A - P.T @ P, the Schur complement of the selection so
+    far, in FLUSH_BLOCK-row GEMMs; then it empties the panel.  Every later
+    step reads and updates only positions [f:], and the argmax breaks ties
+    on the lower token index through perm, as the unpermuted walk does.
+    A is L's own buffer, taken over from the kernel at the first flush
+    (see DppKernel.take).  Walks that never fill the panel make no swaps
+    and do the same arithmetic as the unblocked walk that keeps every
+    coefficient row, bit for bit.  A row-on-demand kernel never flushes
+    and is never materialized.
     """
 
     def __init__(self, kernel: DppKernel, eps: float = EPS):
@@ -180,12 +219,16 @@ class GreedyState:
         self.gains = np.zeros(n)
         self.exhausted = False
         self.t = 0
+        self.flushes = 0
         # rows the panel may grow to: a full panel of a materialized kernel
         # is flushed into A, a row-on-demand kernel's holds the whole walk
         self._panel_limit = min(n, flush_rows(n)) if kernel.materialized else n
-        self._panel = np.empty((0, n))
+        self._panel = np.empty((0, n))  # one column per position in [f:]
         self._kk = 0       # rows in the panel
-        self._schur = None  # A, lower triangle only; None while A is L
+        self._f = 0        # start of the trailing block
+        self._a = None     # A, lower triangle only; None while A is L
+        self._perm = None  # position -> token index, and its inverse;
+        self._ipos = None  # None while positions are token indices
 
     def extend(self, k: int) -> None:
         """Grow the selection order to length k (no-op if already there)."""
@@ -203,42 +246,63 @@ class GreedyState:
                 self.order[self.t] = idx
                 self.gains[self.t] = 0.0
                 self.selected[idx] = 1
-                self.v_sq[idx] = -np.inf
+                self.v_sq[idx if self._ipos is None else self._ipos[idx]] = -np.inf
                 self.t += 1
 
     def _steps(self, t_start: int, t_stop: int) -> tuple[int, bool]:
         """Run steps [t_start, t_stop); returns (steps done, exhausted)."""
         v = self.v_sq
+        f = self._f
+        tail = v[f:]
         for t in range(t_start, t_stop):
-            j = int(np.argmax(v))
-            vj = v[j]
+            p = f + int(np.argmax(tail))
+            if self._perm is not None:
+                p = self._lowest_index_tie(p)
+            vj = v[p]
             if not vj > 0.0:
                 return t, True
-            denom = np.sqrt(vj + self.eps)
+            j = p if self._perm is None else int(self._perm[p])
             if self._kk == self._panel.shape[0]:
                 self._make_room(t_stop - t)
+                if self._ipos is not None:
+                    # the flush moved the tokens and the trailing block
+                    p = int(self._ipos[j])
+                    f = self._f
+                    tail = v[f:]
+            denom = np.sqrt(vj + self.eps)
             kk = self._kk
             panel = self._panel
             e = panel[kk]
             if kk == 0:
-                np.divide(self._row(j), denom, out=e)
+                np.divide(self._row(p), denom, out=e)
             else:
-                np.subtract(self._row(j), panel[:kk, j] @ panel[:kk], out=e)
+                np.subtract(self._row(p), panel[:kk, p - f] @ panel[:kk], out=e)
                 e /= denom
             self._kk = kk + 1
-            v -= e * e
-            v[j] = -np.inf
+            tail -= e * e
+            v[p] = -np.inf
             self.selected[j] = 1
             self.order[t] = j
             self.gains[t] = vj
         return t_stop, False
 
-    def _row(self, j: int) -> np.ndarray:
-        """Row j of A; from its lower triangle once A is a separate matrix."""
-        a = self._schur
+    def _lowest_index_tie(self, p: int) -> int:
+        """Among the trailing positions whose gain ties position p's, the one
+        holding the lowest token index, as the unswapped walk would pick."""
+        f = self._f
+        tail = self.v_sq[f:]
+        ties = np.flatnonzero(tail == tail[p - f])
+        if ties.size > 1:
+            return f + int(ties[np.argmin(self._perm[f + ties])])
+        return p
+
+    def _row(self, p: int) -> np.ndarray:
+        """A's row at position p over the trailing block; from its lower
+        triangle once A has been flushed."""
+        a = self._a
         if a is None:
-            return self.kernel.row(j)
-        return np.concatenate((a[j, :j], a[j:, j]))
+            return self.kernel.row(p)
+        return np.concatenate((a[p, self._f:p], a[p:, p]))
 
     def _make_room(self, steps_left: int) -> None:
         """Free a panel row for the next step: grow the panel geometrically
@@ -248,26 +312,58 @@ class GreedyState:
             self._flush()
             return
         fresh = np.empty((min(self._panel_limit, max(self._kk + steps_left, 2 * cap, 16)),
-                          self.kernel.n))
+                          self._panel.shape[1]))
         fresh[: self._kk] = self._panel[: self._kk]
         self._panel = fresh
 
     def _flush(self) -> None:
-        """Set the lower triangle of A to A - P.T @ P and empty the panel P."""
+        """Swap the panel's tokens to the front of the trailing block, set the
+        lower triangle of the rest to A - P.T @ P and empty the panel P."""
         n = self.kernel.n
-        panel = self._panel[: self._kk]
-        src = self.kernel.materialize() if self._schur is None else self._schur
-        if self._schur is None:
-            # only the lower triangle is ever written, so the pages of the
-            # upper one mostly stay unmapped
-            self._schur = np.empty((n, n))
-        buf = np.empty(FLUSH_BLOCK * n)
-        for i0 in range(0, n, FLUSH_BLOCK):
+        f, kk = self._f, self._kk
+        if self._a is None:
+            self._a = self.kernel.take()
+            self._perm = np.arange(n)
+            self._ipos = np.arange(n)
+        a, perm, ipos, v = self._a, self._perm, self._ipos, self.v_sq
+        panel = self._panel[:kk]
+        # the panel's tokens were selected at steps f..f+kk-1; the s-th goes
+        # to position f+s and the token there takes its place
+        for s, j in enumerate(self.order[f: f + kk].tolist()):
+            dst, src = f + s, int(ipos[j])
+            if src == dst:
+                continue
+            other = int(perm[dst])
+            perm[dst], perm[src] = j, other
+            ipos[j], ipos[other] = dst, src
+            v[dst], v[src] = v[src], v[dst]
+            # nothing reads position dst or the ones before it again, so
+            # only the moved token's half of the symmetric swap is written
+            panel[:, src - f] = panel[:, dst - f]
+            _move_lower(a, dst, src)
+        f1 = f + kk
+        width = n - f1
+        buf = np.empty(FLUSH_BLOCK * width)
+        for i0 in range(f1, n, FLUSH_BLOCK):
             i1 = min(n, i0 + FLUSH_BLOCK)
-            prod = np.matmul(panel[:, i0:i1].T, panel[:, :i1],
-                             out=buf[: (i1 - i0) * i1].reshape(i1 - i0, i1))
-            np.subtract(src[i0:i1, :i1], prod, out=self._schur[i0:i1, :i1])
+            prod = np.matmul(panel[:, i0 - f:i1 - f].T, panel[:, kk:i1 - f],
+                             out=buf[: (i1 - i0) * (i1 - f1)].reshape(i1 - i0, i1 - f1))
+            block = a[i0:i1, f1:i1]
+            np.subtract(block, prod, out=block)
+        self._f = f1
         self._kk = 0
+        self.flushes += 1
+        # the emptied panel is reused with one column per remaining position
+        cap = self._panel.shape[0]
+        self._panel = self._panel.reshape(-1)[: cap * width].reshape(cap, width)
+
+
+def _move_lower(a: np.ndarray, lo: int, hi: int) -> None:
+    """Write position lo's entries of the symmetric matrix stored in a's lower
+    triangle over position hi's (lo < hi), against positions after lo."""
+    a[hi, hi] = a[lo, lo]
+    a[hi, lo + 1:hi] = a[lo + 1:hi, lo]
+    a[hi + 1:, hi] = a[hi + 1:, lo]
 
 
 def greedy_map(kernel: DppKernel, k: int, eps: float = EPS) -> list[int]:

@@ -22,6 +22,7 @@ from . import analysis, fusion, gsp, oracle, qcsp, similarity, synth
 from .rng import SplitMix64, gaussian_matrix
 
 GREEDY_GUARANTEE_FACTOR = 1.0 - 1.0 / math.e
+LOG_DET_FLOOR = math.log(1e-12)  # marginal-gain skips steps after a det below it
 
 
 @dataclass
@@ -212,27 +213,32 @@ def marginal_gain_errors(kernel, k: int,
     M = L + eps*I, so (gain + eps) must equal det(M_{S+j})/det(M_S) to
     machine precision on every step. This is the strict anchor; any
     sign or indexing defect in the update shatters it.
+
+    Ratios are taken as exp(logdet_{t} - logdet_{t-1}) from slogdet, so
+    long walks, whose determinants underflow, are checked as well.  L is
+    copied before the walk, which may take the kernel's matrix over.
     """
+    l = kernel.materialize().copy()
     state = qcsp.GreedyState(kernel, eps=eps)
     state.extend(k)
-    l = kernel.materialize()
     m = l + eps * np.eye(kernel.n)
     mixed, shifted = [], []
-    det_prev = 1.0
-    det_prev_m = 1.0
+    log_prev = 0.0
+    log_prev_m = 0.0
     for t in range(state.t):
         if state.gains[t] == 0.0 and state.exhausted:
             break
         s = [int(i) for i in state.order[: t + 1]]
-        det_cur = float(np.linalg.det(l[np.ix_(s, s)]))
-        det_cur_m = float(np.linalg.det(m[np.ix_(s, s)]))
-        if det_prev > 1e-12:
-            ratio = det_cur / det_prev
+        sign, log_cur = np.linalg.slogdet(l[np.ix_(s, s)])
+        sign_m, log_cur_m = np.linalg.slogdet(m[np.ix_(s, s)])
+        if log_prev > LOG_DET_FLOOR:
+            ratio = sign * math.exp(log_cur - log_prev)
             mixed.append(abs(state.gains[t] - ratio) / (1.0 + abs(ratio)))
-        ratio_m = det_cur_m / det_prev_m
+        ratio_m = sign_m * math.exp(log_cur_m - log_prev_m)
         shifted.append(abs(state.gains[t] + eps - ratio_m) / abs(ratio_m))
-        det_prev = det_cur
-        det_prev_m = det_cur_m
+        # a det at or below 0 ends the first family, as one under 1e-12 does
+        log_prev = log_cur if sign > 0 else -math.inf
+        log_prev_m = log_cur_m
     return mixed, shifted
 
 
@@ -283,6 +289,39 @@ def check_greedy_suite(instances: int = 500, seed: int = 6) -> list[CheckResult]
         CheckResult("greedy-guarantee", worst_guarantee >= -1e-12, instances,
                     worst_guarantee, 0.0, "min_slack"),
     ]
+
+
+def check_flushed_walk(instances: int = 3, seed: int = 15) -> CheckResult:
+    """The blocked walk against the unblocked one, at the sizes that flush.
+
+    Each instance has n in [900, 1000] Gaussian tokens of width d and a
+    query, and is walked with the shipped panel size flush_rows(n) for
+    k > 2 * flush_rows(n) steps, so it flushes at least twice, with
+    d < k, so it runs past the kernel's rank.  The order must equal
+    oracle.greedy_walk's exactly, and every gain must lie within 1e-12
+    of the first gain of it (worst = that error over the first gain).
+    """
+    rng = SplitMix64(seed)
+    worst = 0.0
+    for _ in range(instances):
+        n = 900 + rng.next_below(101)
+        k = 2 * qcsp.flush_rows(n) + 1 + rng.next_below(60)
+        d = k - 40 - rng.next_below(200)
+        h_v = gaussian_matrix(rng.next_u64() >> 1, n, d)
+        h_q = gaussian_matrix(rng.next_u64() >> 1, 1 + rng.next_below(4), d)
+        prep = similarity.prepare(h_v, h_q)
+        kernel = qcsp.build_kernel(prep, prep.relevance)
+        order, gains = oracle.greedy_walk(kernel.materialize(), k, qcsp.EPS)
+        state = qcsp.GreedyState(kernel)
+        state.extend(k)
+        if (state.flushes < 2 or state.exhausted or len(order) < k
+                or state.order[:k].tolist() != order):
+            worst = math.inf
+            break
+        err = float(np.max(np.abs(state.gains[:k] - gains))) / gains[0]
+        worst = max(worst, err)
+    return CheckResult("flushed-walk", worst <= 1e-12, instances, worst,
+                       1e-12, "max_gain_err")
 
 
 def check_prefix_consistency(instances: int = 100, seed: int = 7) -> CheckResult:
@@ -459,6 +498,7 @@ def run_all(seed: int = 0, instances: int = 200) -> list[CheckResult]:
     ]
     results.extend(check_greedy_suite(instances, seed + 6))
     results.extend([
+        check_flushed_walk(min(3, instances), seed + 15),
         check_prefix_consistency(small, seed + 7),
         check_psd_preservation(instances, seed + 8),
         check_determinant_expansion(instances, seed + 9),

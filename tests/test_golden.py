@@ -32,8 +32,20 @@ def _grid576():
     return h_v, h_q, 64
 
 
+def _clip12x196():
+    # 12 frames of 196 tokens, each the previous frame plus 0.15 noise, so
+    # most tokens have near-copies in the other frames: a walk of 1259 steps
+    # with 9 panel flushes, far past the kernel's rank d=256
+    frames = [gaussian_matrix(6, 196, 256)]
+    for f in range(1, 12):
+        frames.append(frames[-1] + 0.15 * gaussian_matrix(6 + f, 196, 256))
+    return np.vstack(frames), gaussian_matrix(18, 8, 256), 264
+
+
 # name: (instance, sha256 of [kept, stage_tags] as JSON, greedy walk length)
 GOLDEN = {
+    "clip2352": (_clip12x196,
+                 "d74568cb599e9a12e0a4980de8d8618d086a01e9dbeadebbf3939e53903ee786", 1259),
     "desk2880": (_desk_scale,
                  "5ec01e927bbcdcbe88fd1a4c229f8717efe30340e29597ba90c4ea62298ee7a4", 1375),
     "grid576": (_grid576,

@@ -242,12 +242,15 @@ def test_panel_size_is_about_one_l2():
 
 
 def test_flushed_walk_matches_unflushed_walk(monkeypatch):
+    # a flushing walk overwrites its kernel, so each walk gets a fresh one
     for seed in range(40):
         kernel, _ = flush_instance(seed)
         n = kernel.n
         ref = walk(kernel, n, monkeypatch, n)  # the panel holds the whole walk
+        assert ref.flushes == 0
         for rows in (1, 2, 5):
-            state = walk(kernel, n, monkeypatch, rows)
+            state = walk(flush_instance(seed)[0], n, monkeypatch, rows)
+            assert state.flushes > 0
             assert np.array_equal(state.order, ref.order), (seed, rows)
             assert state.exhausted == ref.exhausted
             # past the rank the gains are eps-scale differences of O(1)
@@ -261,7 +264,7 @@ def test_flushed_walk_is_resumable_mid_panel(monkeypatch):
         kernel, _ = flush_instance(seed)
         n = kernel.n
         whole = walk(kernel, n, monkeypatch, 4)
-        rounds = GreedyState(kernel)
+        rounds = GreedyState(flush_instance(seed)[0])
         for k in (1, 3, 6, 7, 13, n - 2, n):  # most end inside a panel
             rounds.extend(k)
         assert np.array_equal(rounds.order, whole.order)
@@ -272,20 +275,53 @@ def test_flushed_walk_is_resumable_mid_panel(monkeypatch):
 def test_flushed_walk_keeps_shifted_gain_identity(monkeypatch):
     from tokensieve import verify
     set_panel_rows(monkeypatch, 2)
-    for seed in range(20):
-        kernel, d = flush_instance(seed)
-        # a few eps-scale steps past the rank; far beyond it the oracle's
-        # determinants of L + eps*I underflow
-        _, shifted = verify.marginal_gain_errors(kernel, min(kernel.n, d + 4))
+    for seed in [*range(40), 136]:
+        kernel, _ = flush_instance(seed)
+        # to k = n, far past the rank; slogdet keeps the oracle's ratios
+        # exact where the determinants of L + eps*I underflow
+        _, shifted = verify.marginal_gain_errors(kernel, kernel.n)
         assert max(shifted) <= 1e-9, seed
 
 
-def test_flushed_walk_leaves_the_kernel_untouched(monkeypatch):
+def test_flushed_walk_consumes_the_kernel(monkeypatch):
+    kernel, _ = flush_instance(3)
+    n = kernel.n
+    state = walk(kernel, n, monkeypatch, 2)
+    assert state.t == n and state.flushes > 0
+    for read in (kernel.materialize, kernel.diagonal, lambda: kernel.row(0),
+                 lambda: kernel.entry(0, 1), lambda: GreedyState(kernel)):
+        with pytest.raises(qcsp.KernelConsumedError):
+            read()
+    # what the benchmark's tracer reads after a walk stays readable
+    assert kernel.n == n and kernel.unit.shape[0] == n
+    assert kernel.relevance.shape == (n,)
+
+
+def test_unflushed_walk_leaves_the_kernel_readable(monkeypatch):
     kernel, _ = flush_instance(3)
     before = kernel.materialize().copy()
-    state = walk(kernel, kernel.n, monkeypatch, 2)
-    assert state.t == kernel.n
+    state = walk(kernel, kernel.n, monkeypatch, kernel.n)
+    assert state.flushes == 0
     assert np.array_equal(kernel.materialize(), before)
+
+
+def test_tie_break_follows_token_index_after_a_flush(monkeypatch):
+    # tokens 0 and 3 are exact duplicates, orthogonal to tokens 5 and 4,
+    # which have the largest relevance and go first.  With a one-row panel
+    # the flush before step 1 swaps token 5 into position 0 and token 0
+    # into position 5, behind token 3.  At step 2 the two duplicates tie
+    # exactly, and the lower token index must win over the lower position.
+    h = np.array([[1.0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1],
+                  [1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]])
+    r = np.array([0.75, 0.5, 0.5, 0.75, 0.9, 1.0])
+    state = walk(build_kernel(h, r), 3, monkeypatch, 1)
+    assert state.flushes == 2
+    assert state._ipos[0] > state._ipos[3]
+    assert state.gains[2] == 0.75 ** 2
+    assert [int(i) for i in state.order[:3]] == [5, 4, 0]
+    unflushed = walk(build_kernel(h, r), 3, monkeypatch, 3)
+    assert unflushed.flushes == 0
+    assert np.array_equal(unflushed.order[:3], state.order[:3])
 
 
 def test_row_on_demand_walk_never_flushes(monkeypatch):

@@ -22,7 +22,7 @@ def test_expected_checks_present():
                  "shifted-gain-identity", "greedy-guarantee",
                  "prefix-consistency", "psd-preservation",
                  "bipartite-count", "fusion-contract", "flops-ratios",
-                 "entropy-direction"):
+                 "entropy-direction", "flushed-walk"):
         assert want in names, want
 
 
@@ -75,6 +75,13 @@ def test_suite_flags_sabotaged_gains(monkeypatch):
     by_name = {r.name: r for r in results}
     assert not by_name["marginal-gain"].passed
     assert not by_name["shifted-gain-identity"].passed
+
+
+def test_flushed_walk_check_flags_a_broken_flush(monkeypatch):
+    from tokensieve import qcsp
+    # a flush that leaves each moved token with its old position's entries
+    monkeypatch.setattr(qcsp, "_move_lower", lambda a, lo, hi: None)
+    assert not verify.check_flushed_walk(instances=1, seed=0).passed
 
 
 def test_checks_are_deterministic():
