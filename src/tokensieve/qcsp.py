@@ -1,14 +1,17 @@
 """Query-conditioned kernel construction and greedy MAP selection.
 
-The kernel is L = diag(r) S diag(r), entry (i, j) = S(i,j) * r_i * r_j,
+The kernel is L = diag(r) S diag(r), entry (i, j) = S(i,j) * (r_i * r_j),
 where S = U @ U.T is the Gram matrix of the l2-normalized token rows u
 and r is the normalized relevance (see similarity.prepare).  Built from
-a prepared instance, the kernel takes over the instance's Gram buffer,
-scales its lower triangle in place and mirrors it onto the upper one:
-no second n x n matrix and no scaled copy of the rows are made, and L
-is exactly symmetric.  Greedy MAP maintains, per candidate, the residual
-gain v_i^2 (the determinant ratio a selection would contribute) and a
-coefficient vector u_i via incremental Cholesky updates:
+a prepared instance, the kernel takes over the instance's Gram buffer
+and scales it in place in one pass over cache-sized row blocks: no
+second n x n matrix and no scaled copy of the rows are made.  S is
+exactly symmetric and r_i * r_j is the same product as r_j * r_i, so L
+is exactly symmetric with no mirror pass.
+
+Greedy MAP maintains, per candidate, the residual gain v_i^2 (the
+determinant ratio a selection would contribute) and a coefficient
+vector u_i via incremental Cholesky updates:
 
     j      = argmax over unselected i of v_i^2   (ties: lower index)
     e_i    = (L(j,i) - <u_j, u_i>) / sqrt(v_j^2 + eps)
@@ -29,11 +32,14 @@ leaves f tokens selected costs about (n-f)^2*B/2 multiply-adds, and each
 step reads and updates only the n-f positions of that block, plus a pass
 over the panel, at most B*(n-f) doubles.  The unblocked walk streamed
 the whole t x n coefficient block on step t, n*T^2/2 doubles in all.
-The walk owns one n x n buffer, L's: its first flush takes it over and
-overwrites it, after which the kernel's entries can no longer be read.
+The panel is allocated once, at min(n, B) rows.  The walk owns one
+n x n buffer, L's: its first flush takes it over and overwrites it,
+after which the kernel's entries can no longer be read.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -65,10 +71,12 @@ class DppKernel:
     L = diag(relevance) @ (unit_rows @ unit_rows.T) @ diag(relevance) is
     symmetric PSD by construction with diagonal relevance^2 (zero-embedding
     rows get diagonal 0).  Matrices up to materialize_threshold rows are
-    stored densely, in the buffer of `gram` (the unit-row Gram, scaled in
-    place) when one is given; beyond that only the unit rows and the
-    relevance are kept and rows are computed on demand, which is all
-    greedy MAP needs.
+    stored densely, in the buffer of `gram` (the unit-row Gram) when one
+    is given, scaled entrywise by r_i * r_j in one pass over row blocks;
+    the result is exactly symmetric because the Gram is and the two
+    products r_i * r_j and r_j * r_i are the same.  Beyond the threshold
+    only the unit rows and the relevance are kept and rows are computed
+    on demand, which is all greedy MAP needs.
 
     A greedy walk that flushes takes the dense matrix over (see take) and
     overwrites it; from then on materialize, row, entry and diagonal raise
@@ -103,11 +111,7 @@ class DppKernel:
         if self._L is None:
             gram = self.unit @ self.unit.T if self._gram is None else self._gram
             self._gram = None
-            _scale_lower(gram, self.relevance)
-            # scale first, then mirror: (S_ij r_i) r_j and (S_ji r_j) r_i
-            # differ in the last bit, so scaling both triangles would break
-            # exact symmetry
-            _mirror_lower(gram)
+            _scale_symmetric(gram, self.relevance)
             self._L = gram
         return self._L
 
@@ -139,33 +143,23 @@ class DppKernel:
         return np.einsum("ij,ij->i", self.unit, self.unit) * r * r
 
 
-_BLOCK = 128
+# the kernel is scaled over row blocks of about this many bytes
+SCALE_BLOCK_BYTES = 256 << 10
 
 
-def _scale_lower(a: np.ndarray, r: np.ndarray) -> None:
-    """Set a[i, j] = (a[i, j] * r_i) * r_j on and below the diagonal, in place,
-    over row blocks so each block is scaled while it is in cache."""
-    n = a.shape[0]
-    for i0 in range(0, n, _BLOCK):
-        i1 = min(n, i0 + _BLOCK)
-        rows = a[i0:i1, :i1]
-        rows *= r[i0:i1, None]
-        rows *= r[:i1]
-
-
-def _mirror_lower(a: np.ndarray) -> None:
-    """Copy the strict lower triangle of square `a` onto its upper one, in place.
-
-    Works over row blocks so no n x n temporary is made; the result is
-    np.array_equal to np.tril(a) + np.tril(a, -1).T.
-    """
-    n = a.shape[0]
-    for i0 in range(0, n, _BLOCK):
-        i1 = min(n, i0 + _BLOCK)
-        diag = a[i0:i1, i0:i1]
-        upper = np.triu_indices(i1 - i0, 1)
-        diag[upper] = diag.T[upper]
-        a[i0:i1, i1:] = a[i1:, i0:i1].T
+def _scale_symmetric(s: np.ndarray, r: np.ndarray) -> None:
+    """Set s[i, j] = s[i, j] * (r_i * r_j) in place, in one pass over row
+    blocks that are scaled while they are in cache.  r_i * r_j and r_j * r_i
+    are the same product, so an exactly symmetric s stays exactly symmetric."""
+    n = s.shape[0]
+    step = max(1, SCALE_BLOCK_BYTES // (8 * max(n, 1)))
+    outer = np.empty((min(n, step), n))
+    for i0 in range(0, n, step):
+        i1 = min(n, i0 + step)
+        rr = outer[: i1 - i0]
+        np.multiply(r[i0:i1, None], r, out=rr)
+        rows = s[i0:i1]
+        rows *= rr
 
 
 def build_kernel(h_v: np.ndarray | Prepared, r_norm: np.ndarray,
@@ -193,8 +187,10 @@ class GreedyState:
     The coefficient rows e of the steps since the last flush form the
     panel P.  Each step reads the winner's row of the working kernel A,
     subtracts P[:, j] @ P and scales by 1 / sqrt(v_j^2 + eps).  A is L
-    until the first flush; a materialized kernel's panel is flushed once
-    it holds flush_rows(n) rows and another step is asked for.  A flush
+    until the first flush.  A materialized kernel's panel is allocated
+    once, at min(n, flush_rows(n)) rows, and is flushed once it is full
+    and another step is asked for; a row-on-demand kernel's panel grows
+    geometrically to hold the whole walk.  A flush
     swaps the panel's tokens to the front of the trailing block, as
     dpstrf swaps each pivot to position t, so that positions [0, f) hold
     order[:f], and sets the lower triangle of the unselected block
@@ -220,10 +216,17 @@ class GreedyState:
         self.exhausted = False
         self.t = 0
         self.flushes = 0
-        # rows the panel may grow to: a full panel of a materialized kernel
-        # is flushed into A, a row-on-demand kernel's holds the whole walk
-        self._panel_limit = min(n, flush_rows(n)) if kernel.materialized else n
-        self._panel = np.empty((0, n))  # one column per position in [f:]
+        # a materialized kernel's panel is allocated once, at the rows it
+        # holds before it is flushed into A; a row-on-demand kernel's grows
+        # to hold the whole walk, so no n x n block is allocated up front;
+        # either has one column per position in [f:]
+        if kernel.materialized:
+            self._panel_limit = min(n, flush_rows(n))
+            self._panel = np.empty((self._panel_limit, n))
+        else:
+            self._panel_limit = n
+            self._panel = np.empty((0, n))
+        self._sq = np.empty(n)  # e * e of the current step, by position
         self._kk = 0       # rows in the panel
         self._f = 0        # start of the trailing block
         self._a = None     # A, lower triangle only; None while A is L
@@ -251,39 +254,42 @@ class GreedyState:
 
     def _steps(self, t_start: int, t_stop: int) -> tuple[int, bool]:
         """Run steps [t_start, t_stop); returns (steps done, exhausted)."""
-        v = self.v_sq
-        f = self._f
-        tail = v[f:]
+        v, order, gains, selected = self.v_sq, self.order, self.gains, self.selected
+        perm, f, kk, panel = self._perm, self._f, self._kk, self._panel
+        eps = self.eps
+        tail, sq = v[f:], self._sq[f:]
         for t in range(t_start, t_stop):
-            p = f + int(np.argmax(tail))
-            if self._perm is not None:
+            p = f + int(tail.argmax())
+            if perm is not None:
                 p = self._lowest_index_tie(p)
             vj = v[p]
             if not vj > 0.0:
+                self._kk = kk
                 return t, True
-            j = p if self._perm is None else int(self._perm[p])
-            if self._kk == self._panel.shape[0]:
+            j = p if perm is None else int(perm[p])
+            if kk == panel.shape[0]:
+                self._kk = kk
                 self._make_room(t_stop - t)
-                if self._ipos is not None:
+                kk, panel, perm = self._kk, self._panel, self._perm
+                if perm is not None:
                     # the flush moved the tokens and the trailing block
-                    p = int(self._ipos[j])
-                    f = self._f
-                    tail = v[f:]
-            denom = np.sqrt(vj + self.eps)
-            kk = self._kk
-            panel = self._panel
+                    p, f = int(self._ipos[j]), self._f
+                    tail, sq = v[f:], self._sq[f:]
+            denom = math.sqrt(vj + eps)
             e = panel[kk]
             if kk == 0:
                 np.divide(self._row(p), denom, out=e)
             else:
                 np.subtract(self._row(p), panel[:kk, p - f] @ panel[:kk], out=e)
                 e /= denom
-            self._kk = kk + 1
-            tail -= e * e
+            kk += 1
+            np.multiply(e, e, out=sq)
+            tail -= sq
             v[p] = -np.inf
-            self.selected[j] = 1
-            self.order[t] = j
-            self.gains[t] = vj
+            selected[j] = 1
+            order[t] = j
+            gains[t] = vj
+        self._kk = kk
         return t_stop, False
 
     def _lowest_index_tie(self, p: int) -> int:
@@ -291,8 +297,10 @@ class GreedyState:
         holding the lowest token index, as the unswapped walk would pick."""
         f = self._f
         tail = self.v_sq[f:]
-        ties = np.flatnonzero(tail == tail[p - f])
-        if ties.size > 1:
+        hits = tail == tail[p - f]
+        # ties are rare: count them before building their index array
+        if np.count_nonzero(hits) > 1:
+            ties = np.flatnonzero(hits)
             return f + int(ties[np.argmin(self._perm[f + ties])])
         return p
 
@@ -305,8 +313,8 @@ class GreedyState:
         return np.concatenate((a[p, self._f:p], a[p:, p]))
 
     def _make_room(self, steps_left: int) -> None:
-        """Free a panel row for the next step: grow the panel geometrically
-        up to its limit, or flush a full one."""
+        """Free a panel row for the next step: flush a full panel, or grow a
+        row-on-demand kernel's geometrically up to its limit."""
         cap = self._panel.shape[0]
         if cap == self._panel_limit:
             self._flush()

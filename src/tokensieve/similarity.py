@@ -30,22 +30,41 @@ class InputError(ValueError):
     or a query whose width differs from the tokens')."""
 
 
+# l2_normalize_rows works over row blocks of about this many bytes, so each
+# block is squared, summed and divided while it is in cache
+NORMALIZE_BLOCK_BYTES = 512 << 10
+
+
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     """Scale each row to unit Euclidean norm; zero rows stay zero.
 
-    A row whose squared norm overflows, or underflows to 0 although the
-    row is nonzero, is divided by its max-abs first, so [1e200] * 4 and
-    [1e-200] * 4 both become unit rows; every other row is divided by its
-    norm directly.  A row holding a NaN or an infinity comes out all NaN.
+    Works over row blocks of about NORMALIZE_BLOCK_BYTES: each block is
+    squared into one reused buffer, summed per row with np.add.reduce,
+    and divided into a preallocated output, so no n x d temporary is
+    made.  Every ordinary row is bit for bit m_i / np.linalg.norm(m_i) of
+    a C-ordered m, whatever m's own memory layout.  A row whose squared
+    norm overflows, or underflows to 0 although the row is nonzero, is
+    divided by its max-abs first, so [1e200] * 4 and [1e-200] * 4 both
+    become unit rows.  A row holding a NaN or an infinity comes out all
+    NaN.
     """
     m = np.asarray(m, dtype=np.float64)
+    n, d = m.shape
+    out = np.empty((n, d))
+    norms = np.empty(n)
+    step = max(1, NORMALIZE_BLOCK_BYTES // (8 * max(d, 1)))
+    square = np.empty((min(n, step), d))
     # the rows that overflow, underflow or hold a NaN are redone below
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        norms = np.linalg.norm(m, axis=1, keepdims=True)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        out = m / safe
+        for i0 in range(0, n, step):
+            i1 = min(n, i0 + step)
+            rows, sq, norm = m[i0:i1], square[: i1 - i0], norms[i0:i1]
+            np.multiply(rows, rows, out=sq)
+            np.add.reduce(sq, axis=1, out=norm)
+            np.sqrt(norm, out=norm)
+            np.divide(rows, np.where(norm > 0.0, norm, 1.0)[:, None], out=out[i0:i1])
         # zero rows land here too and are left as they are (max-abs 0)
-        odd = np.flatnonzero(~((norms[:, 0] > 0.0) & (norms[:, 0] < np.inf)))
+        odd = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
         if odd.size:
             rows = m[odd]
             scale = np.abs(rows).max(axis=1, keepdims=True, initial=0.0)

@@ -42,12 +42,25 @@ def _clip12x196():
     return np.vstack(frames), gaussian_matrix(18, 8, 256), 264
 
 
+def _frame196():
+    # one 14x14 video frame: 6 directions, each repeated in 12 noisy copies
+    # (cosine ~0.8), followed by 124 independent rows; a walk of 95 steps
+    # in 13 extend rounds that never fills the panel
+    base = gaussian_matrix(20, 6, 1024)
+    h_v = np.vstack([np.repeat(base, 12, axis=0), gaussian_matrix(21, 124, 1024)])
+    h_v[:72] += 0.5 * gaussian_matrix(22, 72, 1024)
+    h_q = base[1] + gaussian_matrix(23, 8, 1024)
+    return h_v, h_q, 22
+
+
 # name: (instance, sha256 of [kept, stage_tags] as JSON, greedy walk length)
 GOLDEN = {
     "clip2352": (_clip12x196,
                  "d74568cb599e9a12e0a4980de8d8618d086a01e9dbeadebbf3939e53903ee786", 1259),
     "desk2880": (_desk_scale,
                  "5ec01e927bbcdcbe88fd1a4c229f8717efe30340e29597ba90c4ea62298ee7a4", 1375),
+    "frame196": (_frame196,
+                 "ee742e2fc9e1deb7ecd023910dc007012b5efc5ac56327a4a40aa5bd235ff329", 95),
     "grid576": (_grid576,
                 "792b0d0b7233e94888543ab38b0ec716f865b424d640b2636ce1595acf0c3d92", 209),
 }

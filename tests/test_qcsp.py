@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from tokensieve import qcsp
-from tokensieve.qcsp import (DppKernel, GreedyState, _mirror_lower,
-                             build_kernel, greedy_map, qcsp_select)
+from tokensieve.qcsp import (DppKernel, GreedyState, build_kernel, greedy_map,
+                             qcsp_select)
 from tokensieve.rng import SplitMix64, gaussian_matrix
 from tokensieve.similarity import (l2_normalize_rows, mean_pool,
-                                   min_max_normalize, relevance_scores)
+                                   min_max_normalize, prepare, relevance_scores)
 
 
 def random_kernel(seed, n=12, d=6):
@@ -47,20 +47,23 @@ def test_kernel_entry_row_diag_consistency():
 
 
 def test_materialized_kernel_is_exactly_symmetric():
-    # n spans several mirror blocks and is not a multiple of the block size
-    h = gaussian_matrix(8, 600, 32)
-    r = np.linspace(0.0, 1.0, 600)
-    l = build_kernel(h, r).materialize()
+    # n spans several scaling blocks and is not a multiple of the block rows
+    n = 600
+    rows = qcsp.SCALE_BLOCK_BYTES // (8 * n)
+    assert 1 < rows < n // 2 and n % rows
+    h = gaussian_matrix(8, n, 32)
+    r = np.linspace(0.0, 1.0, n)
     unit = l2_normalize_rows(h)
-    raw = unit @ unit.T * r[:, None] * r
-    _mirror_lower(raw)
+    l = build_kernel(h, r).materialize()
     assert np.array_equal(l, l.T)
-    assert np.array_equal(l, raw)
-    # a matrix far from symmetric shows the mirror copies lower onto upper
-    a = gaussian_matrix(9, 600, 600)
-    expected = np.tril(a) + np.tril(a, -1).T
-    _mirror_lower(a)
-    assert np.array_equal(a, expected)
+    assert np.array_equal(l, (unit @ unit.T) * (r[:, None] * r))
+    # the same from a prepared instance, whose Gram buffer the kernel scales
+    prep = prepare(h, gaussian_matrix(9, 3, 32))
+    s = prep.gram.copy()
+    r = prep.relevance
+    l = build_kernel(prep, r).materialize()
+    assert np.array_equal(l, l.T)
+    assert np.array_equal(l, s * (r[:, None] * r))
 
 
 def test_row_on_demand_kernel_matches_materialized():
@@ -272,6 +275,30 @@ def test_flushed_walk_is_resumable_mid_panel(monkeypatch):
         assert np.array_equal(rounds.v_sq, whole.v_sq)
 
 
+@pytest.mark.parametrize("panel_rows", [None, 3])
+def test_walk_in_short_rounds_matches_one_extend(panel_rows, monkeypatch):
+    # rounds of 1-7 steps, as the fused scan asks for them; with a 3-row
+    # panel most rounds start or end inside a panel, between flushes
+    if panel_rows is not None:
+        monkeypatch.setattr(qcsp, "flush_rows", lambda n: panel_rows)
+        monkeypatch.setattr(qcsp, "FLUSH_BLOCK", 7)
+    rng = np.random.default_rng(17)
+    for seed in range(12):
+        kernel, _ = flush_instance(seed)
+        n = kernel.n
+        whole = GreedyState(kernel)
+        whole.extend(n)
+        rounds = GreedyState(flush_instance(seed)[0])
+        t = 0
+        while t < n:
+            t = min(n, t + int(rng.integers(1, 8)))
+            rounds.extend(t)
+        assert (rounds.flushes > 0) == (panel_rows is not None), seed
+        assert rounds.flushes == whole.flushes
+        assert np.array_equal(rounds.order, whole.order), seed
+        assert np.array_equal(rounds.gains, whole.gains), seed
+
+
 def test_flushed_walk_keeps_shifted_gain_identity(monkeypatch):
     from tokensieve import verify
     set_panel_rows(monkeypatch, 2)
@@ -331,4 +358,20 @@ def test_row_on_demand_walk_never_flushes(monkeypatch):
     lazy = build_kernel(h, r, materialize_threshold=29)
     state = walk(lazy, 8, monkeypatch, 2)
     assert not lazy.materialized
+    # its panel grows with the walk; no n x n block is allocated up front
+    assert state._panel.shape[0] < lazy.n
     assert [int(i) for i in state.order[:8]] == greedy_map(build_kernel(h, r), 8)
+
+
+def test_materialized_panel_is_allocated_once(monkeypatch):
+    for rows in (None, 3):  # a walk that never flushes and a flushing one
+        kernel, _ = flush_instance(4)
+        if rows is not None:
+            set_panel_rows(monkeypatch, rows)
+        n = kernel.n
+        state = GreedyState(kernel)
+        buf = state._panel
+        assert buf.shape == (min(n, qcsp.flush_rows(n)), n)
+        state.extend(n)
+        assert (state.flushes > 0) == (rows is not None)
+        assert np.shares_memory(state._panel, buf)

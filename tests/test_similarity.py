@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tokensieve import similarity
 from tokensieve.rng import gaussian_matrix
 from tokensieve.similarity import (InputError, cosine_similarity_matrix,
                                    l2_normalize_rows, mean_pool,
@@ -34,12 +35,33 @@ def test_normalize_survives_overflow_and_underflow():
     np.testing.assert_allclose(tiny[1], [0.316227766, 0.0, 0.948683298, 0.0])
 
 
-def test_normalize_keeps_ordinary_rows_bit_for_bit():
-    h = gaussian_matrix(3, 50, 17)
-    h[7] = 0.0
+def norm_path(h):
     norms = np.linalg.norm(h, axis=1, keepdims=True)
-    expected = h / np.where(norms > 0.0, norms, 1.0)
-    np.testing.assert_array_equal(l2_normalize_rows(h), expected)
+    return h / np.where(norms > 0.0, norms, 1.0)
+
+
+def test_normalize_keeps_ordinary_rows_bit_for_bit(monkeypatch):
+    for n, d, block_bytes in [
+        (50, 17, None),         # one block
+        (150, 4096, None),      # 9 blocks of 16 rows plus 6
+        (50, 17, 3 * 8 * 17),   # 16 blocks of 3 rows plus 2
+    ]:
+        if block_bytes is not None:
+            monkeypatch.setattr(similarity, "NORMALIZE_BLOCK_BYTES", block_bytes)
+        h = gaussian_matrix(3, n, d)
+        h[7] = 0.0
+        expected = norm_path(h)
+        np.testing.assert_array_equal(l2_normalize_rows(h), expected)
+        # an overflowing row in a later block goes the max-abs way; the zero
+        # row and every ordinary row stay as the norm path has them
+        h[n - 3] = 1e200
+        out = l2_normalize_rows(h)
+        np.testing.assert_array_equal(out[n - 3], 1.0 / np.sqrt(d))
+        rest = np.arange(n) != n - 3
+        np.testing.assert_array_equal(out[rest], expected[rest])
+        assert not out[7].any()
+        # the rows are reduced the same way whatever the input's layout
+        np.testing.assert_array_equal(l2_normalize_rows(np.asfortranarray(h)), out)
 
 
 def test_normalize_turns_non_finite_rows_into_nan_rows():
