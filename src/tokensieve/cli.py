@@ -6,9 +6,10 @@ Subcommands: prune (run a selection mode over a token file), score
 diagnostics).
 
 Exit codes: 0 success, 1 runtime, data or property failure (I/O errors,
-input that breaks the data contract such as non-finite values or a
-query/token width mismatch, failed verification), 2 usage errors (bad
-flags or parameter values).
+input that breaks the data contract such as non-finite values, a
+query/token width mismatch, or, in the modes that run the greedy walk,
+more tokens than a kernel of similarity.MAX_GRAM_BYTES holds; failed
+verification), 2 usage errors (bad flags or parameter values).
 """
 
 from __future__ import annotations

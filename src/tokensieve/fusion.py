@@ -21,6 +21,8 @@ unselected block of the kernel every B steps: a flush that leaves f
 tokens selected costs about (n-f)^2*B/2 multiply-adds, and each step
 passes over at most B*(n-f) panel doubles.  The walk owns one n x n
 buffer, the kernel's, which it overwrites once it flushes; see qcsp.
+A selection needs that 8*n^2-byte buffer, so `script_select` raises
+similarity.InputError when it would exceed similarity.MAX_GRAM_BYTES.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gsp import DEFAULT_GAMMA, DEFAULT_TAU, gsp_select
-from .qcsp import EPS, MATERIALIZE_THRESHOLD, GreedyState, build_kernel, qcsp_select
+from .qcsp import EPS, GreedyState, build_kernel, qcsp_select
 from .rng import SplitMix64
 # mean_pool, min_max_normalize and relevance_scores are no longer called here;
 # they stay importable from this module because the benchmark's tracer
@@ -52,7 +54,7 @@ def script_select(h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
 
     # one normalization, relevance and Gram for both stages; GSP reads the
     # Gram before the kernel scales it into L in place
-    prep = prepare(h_v, h_q, gram=n <= MATERIALIZE_THRESHOLD)
+    prep = prepare(h_v, h_q)
     g_members = set(gsp_select(prep, tau, gamma, gsp_keep).kept)
     state = GreedyState(build_kernel(prep, prep.relevance), eps=eps)
 

@@ -34,7 +34,9 @@ over the panel, at most B*(n-f) doubles.  The unblocked walk streamed
 the whole t x n coefficient block on step t, n*T^2/2 doubles in all.
 The panel is allocated once, at min(n, B) rows.  The walk owns one
 n x n buffer, L's: its first flush takes it over and overwrites it,
-after which the kernel's entries can no longer be read.
+after which the kernel's entries can no longer be read.  That buffer is
+the Gram's, 8*n^2 bytes, and similarity.prepare refuses an instance
+whose Gram would exceed similarity.MAX_GRAM_BYTES.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ import numpy as np
 from .similarity import Prepared, l2_normalize_rows, prepare  # noqa: F401
 
 EPS = 1e-6
-MATERIALIZE_THRESHOLD = 4096
 # the walk's panel holds max(PANEL_MIN_ROWS, PANEL_BYTES / (8 n)) coefficient
 # rows, about one L2 cache; a flush runs its GEMM in FLUSH_BLOCK-row blocks
 PANEL_BYTES = 2 << 20
@@ -66,53 +67,32 @@ class KernelConsumedError(RuntimeError):
 
 
 class DppKernel:
-    """Relevance-reweighted similarity kernel, materialized or row-on-demand.
+    """Relevance-reweighted similarity kernel, stored densely.
 
     L = diag(relevance) @ (unit_rows @ unit_rows.T) @ diag(relevance) is
     symmetric PSD by construction with diagonal relevance^2 (zero-embedding
-    rows get diagonal 0).  Matrices up to materialize_threshold rows are
-    stored densely, in the buffer of `gram` (the unit-row Gram) when one
-    is given, scaled entrywise by r_i * r_j in one pass over row blocks;
-    the result is exactly symmetric because the Gram is and the two
-    products r_i * r_j and r_j * r_i are the same.  Beyond the threshold
-    only the unit rows and the relevance are kept and rows are computed
-    on demand, which is all greedy MAP needs.
+    rows get diagonal 0).  It is stored in the buffer of `gram` (the
+    unit-row Gram), scaled entrywise by r_i * r_j in one pass over row
+    blocks; the result is exactly symmetric because the Gram is and the
+    two products r_i * r_j and r_j * r_i are the same.
 
-    A greedy walk that flushes takes the dense matrix over (see take) and
-    overwrites it; from then on materialize, row, entry and diagonal raise
+    A greedy walk that flushes takes the matrix over (see take) and
+    overwrites it; from then on materialize and diagonal raise
     KernelConsumedError, while n, unit and relevance stay readable.
     """
 
-    def __init__(self, unit_rows: np.ndarray, relevance: np.ndarray,
-                 materialize_threshold: int = MATERIALIZE_THRESHOLD,
-                 gram: np.ndarray | None = None):
+    def __init__(self, unit_rows: np.ndarray, relevance: np.ndarray, gram: np.ndarray):
         self.unit = unit_rows
         self.relevance = relevance
         self.n = unit_rows.shape[0]
-        self.materialize_threshold = materialize_threshold
-        self._gram = gram
-        self._L = None
-        self._consumed = False
-        if gram is not None or self.n <= materialize_threshold:
-            self.materialize()
+        _scale_symmetric(gram, relevance)
+        self._L = gram  # None once taken
 
-    @property
-    def materialized(self) -> bool:
-        return self._L is not None
-
-    def _readable(self) -> None:
-        if self._consumed:
+    def materialize(self) -> np.ndarray:
+        if self._L is None:
             raise KernelConsumedError(
                 "a greedy walk has overwritten this kernel's matrix; "
                 "copy materialize() before the walk to keep it")
-
-    def materialize(self) -> np.ndarray:
-        self._readable()
-        if self._L is None:
-            gram = self.unit @ self.unit.T if self._gram is None else self._gram
-            self._gram = None
-            _scale_symmetric(gram, self.relevance)
-            self._L = gram
         return self._L
 
     def take(self) -> np.ndarray:
@@ -120,27 +100,10 @@ class DppKernel:
         later read of the kernel's entries raises KernelConsumedError."""
         l = self.materialize()
         self._L = None
-        self._consumed = True
         return l
 
-    def row(self, j: int) -> np.ndarray:
-        if self._L is not None:  # never set again once consumed
-            return self._L[j]
-        self._readable()
-        return (self.unit @ self.unit[j]) * self.relevance * self.relevance[j]
-
-    def entry(self, i: int, j: int) -> float:
-        self._readable()
-        if self._L is not None:
-            return float(self._L[i, j])
-        return float(self.unit[i] @ self.unit[j] * self.relevance[i] * self.relevance[j])
-
     def diagonal(self) -> np.ndarray:
-        self._readable()
-        if self._L is not None:
-            return np.diagonal(self._L).copy()
-        r = self.relevance
-        return np.einsum("ij,ij->i", self.unit, self.unit) * r * r
+        return np.diagonal(self.materialize()).copy()
 
 
 # the kernel is scaled over row blocks of about this many bytes
@@ -162,18 +125,20 @@ def _scale_symmetric(s: np.ndarray, r: np.ndarray) -> None:
         rows *= rr
 
 
-def build_kernel(h_v: np.ndarray | Prepared, r_norm: np.ndarray,
-                 materialize_threshold: int = MATERIALIZE_THRESHOLD) -> DppKernel:
+def build_kernel(h_v: np.ndarray | Prepared, r_norm: np.ndarray) -> DppKernel:
     """The kernel of token rows (or a prepared instance) and a normalized
-    relevance; a materialized kernel takes over the instance's Gram."""
-    prep = h_v if isinstance(h_v, Prepared) else prepare(h_v, gram=False)
+    relevance; it takes over the instance's Gram and scales it into L."""
+    prep = h_v if isinstance(h_v, Prepared) else prepare(h_v)
     r = np.asarray(r_norm, dtype=np.float64)
     if r.ndim != 1 or prep.n != r.shape[0]:
         raise ValueError(f"shape mismatch: tokens {prep.unit.shape}, relevance {r.shape}")
     if r.size and (r.min() < -1e-12 or r.max() > 1.0 + 1e-12):
         raise ValueError("normalized relevance must lie in [0, 1]")
-    gram = prep.take_gram() if prep.n <= materialize_threshold else None
-    return DppKernel(prep.unit, r, materialize_threshold, gram)
+    gram = prep.take_gram()
+    if gram is None:
+        raise ValueError("the prepared instance holds no Gram: it was prepared with "
+                         "gram=False, or an earlier kernel took it")
+    return DppKernel(prep.unit, r, gram)
 
 
 class GreedyState:
@@ -187,10 +152,9 @@ class GreedyState:
     The coefficient rows e of the steps since the last flush form the
     panel P.  Each step reads the winner's row of the working kernel A,
     subtracts P[:, j] @ P and scales by 1 / sqrt(v_j^2 + eps).  A is L
-    until the first flush.  A materialized kernel's panel is allocated
-    once, at min(n, flush_rows(n)) rows, and is flushed once it is full
-    and another step is asked for; a row-on-demand kernel's panel grows
-    geometrically to hold the whole walk.  A flush
+    until the first flush.  The panel is allocated once, at
+    min(n, flush_rows(n)) rows, and is flushed once it is full and
+    another step is asked for.  A flush
     swaps the panel's tokens to the front of the trailing block, as
     dpstrf swaps each pivot to position t, so that positions [0, f) hold
     order[:f], and sets the lower triangle of the unselected block
@@ -199,39 +163,35 @@ class GreedyState:
     step reads and updates only positions [f:], and the argmax breaks ties
     on the lower token index through perm, as the unpermuted walk does.
     A is L's own buffer, taken over from the kernel at the first flush
-    (see DppKernel.take).  Walks that never fill the panel make no swaps
-    and do the same arithmetic as the unblocked walk that keeps every
-    coefficient row, bit for bit.  A row-on-demand kernel never flushes
-    and is never materialized.
+    (see DppKernel.take), so a kernel carries one walk: extend raises
+    KernelConsumedError on a state whose kernel another walk has taken
+    over.  Walks that never fill the panel make no swaps and do the same
+    arithmetic as the unblocked walk that keeps every coefficient row,
+    bit for bit.
     """
 
     def __init__(self, kernel: DppKernel, eps: float = EPS):
         self.kernel = kernel
         self.eps = float(eps)
         n = kernel.n
-        self.v_sq = kernel.diagonal().astype(np.float64)
+        self.v_sq = kernel.diagonal()
         self.selected = np.zeros(n, dtype=np.uint8)
         self.order = np.full(n, -1, dtype=np.int64)
         self.gains = np.zeros(n)
         self.exhausted = False
         self.t = 0
         self.flushes = 0
-        # a materialized kernel's panel is allocated once, at the rows it
-        # holds before it is flushed into A; a row-on-demand kernel's grows
-        # to hold the whole walk, so no n x n block is allocated up front;
-        # either has one column per position in [f:]
-        if kernel.materialized:
-            self._panel_limit = min(n, flush_rows(n))
-            self._panel = np.empty((self._panel_limit, n))
-        else:
-            self._panel_limit = n
-            self._panel = np.empty((0, n))
+        # the panel holds the rows of the steps since the last flush, with
+        # one column per position in [f:]
+        self._panel = np.empty((min(n, flush_rows(n)), n))
         self._sq = np.empty(n)  # e * e of the current step, by position
         self._kk = 0       # rows in the panel
         self._f = 0        # start of the trailing block
-        self._a = None     # A, lower triangle only; None while A is L
+        # A: L until the first flush, then L's buffer holding the trailing
+        # block's lower triangle
+        self._a = kernel.materialize()
         self._perm = None  # position -> token index, and its inverse;
-        self._ipos = None  # None while positions are token indices
+        self._ipos = None  # None until the first flush
 
     def extend(self, k: int) -> None:
         """Grow the selection order to length k (no-op if already there)."""
@@ -240,6 +200,8 @@ class GreedyState:
             raise ValueError(f"k must lie in [1, {n}], got {k}")
         if k <= self.t:
             return
+        if self._perm is None:
+            self.kernel.materialize()  # raises once another walk has taken A over
         if not self.exhausted:
             self.t, self.exhausted = self._steps(self.t, k)
         if self.exhausted and self.t < k:
@@ -255,7 +217,7 @@ class GreedyState:
     def _steps(self, t_start: int, t_stop: int) -> tuple[int, bool]:
         """Run steps [t_start, t_stop); returns (steps done, exhausted)."""
         v, order, gains, selected = self.v_sq, self.order, self.gains, self.selected
-        perm, f, kk, panel = self._perm, self._f, self._kk, self._panel
+        a, perm, f, kk, panel = self._a, self._perm, self._f, self._kk, self._panel
         eps = self.eps
         tail, sq = v[f:], self._sq[f:]
         for t in range(t_start, t_stop):
@@ -269,18 +231,20 @@ class GreedyState:
             j = p if perm is None else int(perm[p])
             if kk == panel.shape[0]:
                 self._kk = kk
-                self._make_room(t_stop - t)
-                kk, panel, perm = self._kk, self._panel, self._perm
-                if perm is not None:
-                    # the flush moved the tokens and the trailing block
-                    p, f = int(self._ipos[j]), self._f
-                    tail, sq = v[f:], self._sq[f:]
+                self._flush()
+                kk, panel, perm = 0, self._panel, self._perm
+                # the flush moved the tokens and the trailing block
+                p, f = int(self._ipos[j]), self._f
+                tail, sq = v[f:], self._sq[f:]
             denom = math.sqrt(vj + eps)
             e = panel[kk]
+            # A's row at position p over the trailing block; once A has been
+            # flushed only its lower triangle is valid
+            row = a[p] if perm is None else np.concatenate((a[p, f:p], a[p:, p]))
             if kk == 0:
-                np.divide(self._row(p), denom, out=e)
+                np.divide(row, denom, out=e)
             else:
-                np.subtract(self._row(p), panel[:kk, p - f] @ panel[:kk], out=e)
+                np.subtract(row, panel[:kk, p - f] @ panel[:kk], out=e)
                 e /= denom
             kk += 1
             np.multiply(e, e, out=sq)
@@ -304,33 +268,13 @@ class GreedyState:
             return f + int(ties[np.argmin(self._perm[f + ties])])
         return p
 
-    def _row(self, p: int) -> np.ndarray:
-        """A's row at position p over the trailing block; from its lower
-        triangle once A has been flushed."""
-        a = self._a
-        if a is None:
-            return self.kernel.row(p)
-        return np.concatenate((a[p, self._f:p], a[p:, p]))
-
-    def _make_room(self, steps_left: int) -> None:
-        """Free a panel row for the next step: flush a full panel, or grow a
-        row-on-demand kernel's geometrically up to its limit."""
-        cap = self._panel.shape[0]
-        if cap == self._panel_limit:
-            self._flush()
-            return
-        fresh = np.empty((min(self._panel_limit, max(self._kk + steps_left, 2 * cap, 16)),
-                          self._panel.shape[1]))
-        fresh[: self._kk] = self._panel[: self._kk]
-        self._panel = fresh
-
     def _flush(self) -> None:
         """Swap the panel's tokens to the front of the trailing block, set the
         lower triangle of the rest to A - P.T @ P and empty the panel P."""
         n = self.kernel.n
         f, kk = self._f, self._kk
-        if self._a is None:
-            self._a = self.kernel.take()
+        if self._perm is None:
+            self.kernel.take()  # A is the kernel's buffer; the flush overwrites it
             self._perm = np.arange(n)
             self._ipos = np.arange(n)
         a, perm, ipos, v = self._a, self._perm, self._ipos, self.v_sq
@@ -387,6 +331,5 @@ def qcsp_select(h_v: np.ndarray, h_q, k: int, eps: float = EPS) -> list[int]:
     Without a query (h_q None) relevance is uniform and the selection is
     pure diversity.
     """
-    h_v = np.asarray(h_v, dtype=np.float64)
-    prep = prepare(h_v, h_q, gram=h_v.shape[0] <= MATERIALIZE_THRESHOLD)
+    prep = prepare(h_v, h_q)
     return greedy_map(build_kernel(prep, prep.relevance), k, eps=eps)

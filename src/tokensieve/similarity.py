@@ -12,14 +12,17 @@ normalized into (0, 1], and optionally the unit-row Gram S = U @ U.T.
 GSP reads its even x odd cosine block from S and the kernel builder
 turns S into L = diag(r) S diag(r) in place.
 
-Input contract: token and query values are finite and the query has the
-tokens' width.  `prepare` raises `InputError` (a ValueError) otherwise;
-it finds a non-finite token from the normalized rows, so the check costs
-O(n) on top of the normalization.
+Input contract: token and query values are finite, the query has the
+tokens' width, and the Gram, when one is asked for, fits in
+MAX_GRAM_BYTES (8*n^2 bytes, so n <= 16384).  `prepare` raises
+`InputError` (a ValueError) otherwise; it checks the size before it
+normalizes anything, and it finds a non-finite token from the normalized
+rows, so that check costs O(n) on top of the normalization.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +30,13 @@ import numpy as np
 
 class InputError(ValueError):
     """Tokens or a query that break the input contract (non-finite values,
-    or a query whose width differs from the tokens')."""
+    a query whose width differs from the tokens', or more tokens than a
+    Gram of MAX_GRAM_BYTES holds)."""
+
+
+# the largest unit-row Gram prepare builds; the kernel and the greedy walk
+# run in its buffer, so this bounds a selection's n x n memory
+MAX_GRAM_BYTES = 2 << 30
 
 
 # l2_normalize_rows works over row blocks of about this many bytes, so each
@@ -150,12 +159,18 @@ class Prepared:
 def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
     """Normalize the token rows and the pooled query once; score relevance.
 
-    Raises InputError for a non-finite token or query value and for a
-    query whose width differs from the tokens'.
+    Raises InputError for a non-finite token or query value, for a query
+    whose width differs from the tokens', and, with gram, for an n whose
+    8*n^2-byte Gram exceeds MAX_GRAM_BYTES.
     """
     h_v = np.asarray(h_v, dtype=np.float64)
     if h_v.ndim != 2:
         raise ValueError(f"tokens must be a 2-d array, got shape {h_v.shape}")
+    n = h_v.shape[0]
+    if gram and 8 * n * n > MAX_GRAM_BYTES:
+        raise InputError(f"{n} tokens need a {8 * n * n / 2**30:.2f} GiB similarity "
+                         f"matrix, over the {MAX_GRAM_BYTES / 2**30:g} GiB limit "
+                         f"(at most {math.isqrt(MAX_GRAM_BYTES // 8)} tokens)")
     unit = l2_normalize_rows(h_v)
     # a row holding a NaN or an infinity comes out all NaN, so one column
     # shows them all (with d = 0 there is nothing to check)
@@ -164,7 +179,7 @@ def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
         if bad.size:
             raise InputError(f"token row {bad[0]} holds a non-finite value")
     relevance_raw = None
-    relevance = np.ones(h_v.shape[0])
+    relevance = np.ones(n)
     if h_q is not None:
         mu = mean_pool(h_q)
         if mu.shape[0] != h_v.shape[1]:

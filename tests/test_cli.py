@@ -101,6 +101,22 @@ def test_prune_query_width_mismatch_exits_1(toks, tmp_path, capsys):
     assert "width" in capsys.readouterr().err
 
 
+def test_gram_size_limit_exits_1_where_a_gram_is_built(toks, query, tmp_path,
+                                                      monkeypatch, capsys):
+    from tokensieve import similarity
+    monkeypatch.setattr(similarity, "MAX_GRAM_BYTES", 8 * 9 * 9 - 1)  # toks: n = 9
+    out = str(tmp_path / "x.json")
+    for mode in ("script", "qcsp", "diversity"):
+        assert main(["prune", "--tokens", toks, "--query", query, "--keep", "3",
+                     "--mode", mode, "--out", out]) == 1, mode
+        assert "9 tokens" in capsys.readouterr().err
+    for mode in ("gsp", "topk", "random"):
+        assert main(["prune", "--tokens", toks, "--query", query, "--keep", "3",
+                     "--mode", mode, "--out", out]) == 0, mode
+    assert main(["score", "--tokens", toks, "--query", query,
+                 "--out", str(tmp_path / "s.csv")]) == 0
+
+
 def test_prune_topk_requires_query(toks, tmp_path, capsys):
     code = main(["prune", "--tokens", toks, "--keep", "2", "--mode", "topk",
                  "--out", str(tmp_path / "x.json")])

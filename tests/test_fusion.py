@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
+from tokensieve import oracle
 from tokensieve.fusion import (baseline_diversity_only, baseline_gsp_only,
                                baseline_random, baseline_topk_relevance,
                                script_select)
 from tokensieve.gsp import gsp_select
-from tokensieve.qcsp import GreedyState, build_kernel, greedy_map, qcsp_select
+from tokensieve.qcsp import EPS, GreedyState, build_kernel, greedy_map, qcsp_select
 from tokensieve.rng import SplitMix64, gaussian_matrix
 from tokensieve.similarity import (InputError, l2_normalize_rows, mean_pool,
                                    min_max_normalize, relevance_scores)
 
 
 def reference_script(h_v, h_q, m, tau=0.3, gamma=5.0, gsp_keep=None):
-    """Direct transcription of the fusion rule, no lazy chunking."""
+    """Direct transcription of the fusion rule, no lazy chunking, over the
+    oracle's unblocked walk rather than the program's own."""
     n = len(h_v)
     if gsp_keep is None:
         gsp_keep = min(n, 2 * m)
@@ -21,7 +23,10 @@ def reference_script(h_v, h_q, m, tau=0.3, gamma=5.0, gsp_keep=None):
         r = np.ones(n)
     else:
         r = min_max_normalize(relevance_scores(h_v, mean_pool(h_q)))
-    order = greedy_map(build_kernel(h_v, r), n)
+    walked, _ = oracle.greedy_walk(build_kernel(h_v, r).materialize(), n, EPS)
+    # the walk stops where the kernel's rank runs out; the unwalked tokens
+    # follow in ascending order, as the program pads its budget
+    order = walked + sorted(set(range(n)) - set(walked))
     kept = [i for i in order if i in g][:m]
     tags = ["intersection"] * len(kept)
     fill = [i for i in order if i not in kept][: m - len(kept)]

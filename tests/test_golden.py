@@ -42,6 +42,16 @@ def _clip12x196():
     return np.vstack(frames), gaussian_matrix(18, 8, 256), 264
 
 
+def _clip24x196():
+    # 24 frames built as in _clip12x196, n = 4704: a walk of 2319 steps
+    # with 18 panel flushes.  Its hash was taken while selections above
+    # n = 4096 ran a separate unflushed walk, so the dense walk must match it
+    frames = [gaussian_matrix(30, 196, 256)]
+    for f in range(1, 24):
+        frames.append(frames[-1] + 0.15 * gaussian_matrix(30 + f, 196, 256))
+    return np.vstack(frames), gaussian_matrix(54, 8, 256), 528
+
+
 def _frame196():
     # one 14x14 video frame: 6 directions, each repeated in 12 noisy copies
     # (cosine ~0.8), followed by 124 independent rows; a walk of 95 steps
@@ -57,6 +67,8 @@ def _frame196():
 GOLDEN = {
     "clip2352": (_clip12x196,
                  "d74568cb599e9a12e0a4980de8d8618d086a01e9dbeadebbf3939e53903ee786", 1259),
+    "clip4704": (_clip24x196,
+                 "9ab046ad23ca507a719166f699fd3bbdc0cb19663563744256ce5bd38f0bfa31", 2319),
     "desk2880": (_desk_scale,
                  "5ec01e927bbcdcbe88fd1a4c229f8717efe30340e29597ba90c4ea62298ee7a4", 1375),
     "frame196": (_frame196,

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tokensieve import qcsp
-from tokensieve.qcsp import (DppKernel, GreedyState, build_kernel, greedy_map,
-                             qcsp_select)
+from tokensieve.qcsp import GreedyState, build_kernel, greedy_map, qcsp_select
 from tokensieve.rng import SplitMix64, gaussian_matrix
 from tokensieve.similarity import (l2_normalize_rows, mean_pool,
                                    min_max_normalize, prepare, relevance_scores)
@@ -41,9 +40,6 @@ def test_kernel_entry_row_diag_consistency():
     k = random_kernel(0)
     l = k.materialize()
     np.testing.assert_allclose(k.diagonal(), np.diag(l))
-    for j in (0, 5, 11):
-        np.testing.assert_allclose(k.row(j), l[j])
-        assert k.entry(3, j) == pytest.approx(l[3, j])
 
 
 def test_materialized_kernel_is_exactly_symmetric():
@@ -66,28 +62,15 @@ def test_materialized_kernel_is_exactly_symmetric():
     assert np.array_equal(l, s * (r[:, None] * r))
 
 
-def test_row_on_demand_kernel_matches_materialized():
-    rng = np.random.default_rng(21)
-    for trial in range(10):
-        n = int(rng.integers(6, 70))
-        d = int(rng.integers(2, 40))  # n > d in most trials
-        h = rng.standard_normal((n, d))
-        h[rng.integers(0, n, size=2)] = 0.0  # zero rows
-        r = min_max_normalize(rng.standard_normal(n))
-        dense = build_kernel(h, r)
-        lazy = build_kernel(h, r, materialize_threshold=n - 1)
-        assert dense.materialized and not lazy.materialized
-        l = dense.materialize()
-        np.testing.assert_allclose(lazy.diagonal(), np.diag(l), rtol=1e-13, atol=1e-16)
-        for j in range(n):
-            np.testing.assert_allclose(lazy.row(j), l[j], rtol=1e-12, atol=1e-15)
-        assert lazy.entry(1, n - 1) == pytest.approx(l[1, n - 1], rel=1e-12, abs=1e-15)
-        # past the kernel's rank the residual gains are rounding noise, so
-        # the order is compared up to it
-        k = min(d, int(np.count_nonzero(np.diag(l))))
-        expected = greedy_map(dense, k)
-        assert greedy_map(lazy, k) == expected, trial
-        assert not lazy.materialized
+def test_kernel_needs_the_prepared_gram():
+    h = gaussian_matrix(10, 8, 4)
+    prep = prepare(h)
+    build_kernel(prep, prep.relevance)
+    # the first kernel took the Gram over
+    with pytest.raises(ValueError, match="no Gram"):
+        build_kernel(prep, prep.relevance)
+    with pytest.raises(ValueError, match="no Gram"):
+        build_kernel(prepare(h, gram=False), np.ones(8))
 
 
 def test_kernel_validates_relevance_range():
@@ -313,10 +296,11 @@ def test_flushed_walk_keeps_shifted_gain_identity(monkeypatch):
 def test_flushed_walk_consumes_the_kernel(monkeypatch):
     kernel, _ = flush_instance(3)
     n = kernel.n
+    idle = GreedyState(kernel)
     state = walk(kernel, n, monkeypatch, 2)
     assert state.t == n and state.flushes > 0
-    for read in (kernel.materialize, kernel.diagonal, lambda: kernel.row(0),
-                 lambda: kernel.entry(0, 1), lambda: GreedyState(kernel)):
+    for read in (kernel.materialize, kernel.diagonal, lambda: GreedyState(kernel),
+                 lambda: idle.extend(1)):
         with pytest.raises(qcsp.KernelConsumedError):
             read()
     # what the benchmark's tracer reads after a walk stays readable
@@ -349,18 +333,6 @@ def test_tie_break_follows_token_index_after_a_flush(monkeypatch):
     unflushed = walk(build_kernel(h, r), 3, monkeypatch, 3)
     assert unflushed.flushes == 0
     assert np.array_equal(unflushed.order[:3], state.order[:3])
-
-
-def test_row_on_demand_walk_never_flushes(monkeypatch):
-    rng = np.random.default_rng(5)
-    h = rng.standard_normal((30, 8))
-    r = min_max_normalize(rng.standard_normal(30))
-    lazy = build_kernel(h, r, materialize_threshold=29)
-    state = walk(lazy, 8, monkeypatch, 2)
-    assert not lazy.materialized
-    # its panel grows with the walk; no n x n block is allocated up front
-    assert state._panel.shape[0] < lazy.n
-    assert [int(i) for i in state.order[:8]] == greedy_map(build_kernel(h, r), 8)
 
 
 def test_materialized_panel_is_allocated_once(monkeypatch):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from tokensieve import similarity
+from tokensieve.fusion import script_select
+from tokensieve.qcsp import build_kernel, qcsp_select
 from tokensieve.rng import gaussian_matrix
 from tokensieve.similarity import (InputError, cosine_similarity_matrix,
                                    l2_normalize_rows, mean_pool,
@@ -103,6 +105,28 @@ def test_prepare_rejects_inputs_that_break_the_contract():
     with pytest.raises(InputError, match="width"):
         prepare(h, gaussian_matrix(7, 2, 6))
     assert issubclass(InputError, ValueError)
+
+
+def test_gram_size_limit_is_checked_before_any_work(monkeypatch):
+    n = 9
+    h = gaussian_matrix(13, n, 5)
+    q = gaussian_matrix(14, 2, 5)
+    monkeypatch.setattr(similarity, "MAX_GRAM_BYTES", 8 * n * n - 1)
+
+    def must_not_run(m):
+        raise AssertionError("rows normalized before the size check")
+
+    monkeypatch.setattr(similarity, "l2_normalize_rows", must_not_run)
+    for select in (lambda: prepare(h), lambda: prepare(h, q),
+                   lambda: script_select(h, q, 3), lambda: qcsp_select(h, q, 3),
+                   lambda: build_kernel(h, np.ones(n))):
+        with pytest.raises(InputError, match=f"{n} tokens"):
+            select()
+    monkeypatch.setattr(similarity, "l2_normalize_rows", l2_normalize_rows)
+    # without a Gram there is nothing to bound
+    assert prepare(h, q, gram=False).gram is None
+    monkeypatch.setattr(similarity, "MAX_GRAM_BYTES", 8 * n * n)
+    assert prepare(h).gram.shape == (n, n)
 
 
 def test_cosine_identity_rows():
