@@ -40,8 +40,7 @@ from .tensor_io import Selection
 
 
 def script_select(h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
-                  gamma: float = DEFAULT_GAMMA, gsp_keep: int | None = None,
-                  eps: float = EPS) -> Selection:
+                  gamma: float = DEFAULT_GAMMA, gsp_keep: int | None = None) -> Selection:
     """Budget-m fused selection; kept order follows the greedy-order scan."""
     h_v = np.asarray(h_v, dtype=np.float64)
     n = h_v.shape[0]
@@ -56,7 +55,7 @@ def script_select(h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
     # Gram before the kernel scales it into L in place
     prep = prepare(h_v, h_q)
     g_members = set(gsp_select(prep, tau, gamma, gsp_keep).kept)
-    state = GreedyState(build_kernel(prep, prep.relevance), eps=eps)
+    state = GreedyState(build_kernel(prep, prep.relevance))
 
     kept: list[int] = []
     g_unseen = len(g_members)
@@ -88,7 +87,7 @@ def script_select(h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
         n_original=n,
         stage_tags=tags,
         params={"mode": "script", "m": m, "tau": tau, "gamma": gamma,
-                "gsp_keep": gsp_keep, "eps": eps},
+                "gsp_keep": gsp_keep, "eps": EPS},
     )
 
 

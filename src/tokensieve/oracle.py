@@ -26,20 +26,13 @@ UNIT_DIAG_TOL = 1e-9
 PSD_TOL = 1e-8
 
 
-def _as_kernel_matrix(kernel) -> np.ndarray:
-    # accepts a DppKernel-like object (materialize()) or an explicit matrix
-    if hasattr(kernel, "materialize"):
-        return np.asarray(kernel.materialize(), dtype=np.float64)
-    return np.asarray(kernel, dtype=np.float64)
-
-
-def brute_force_map(kernel, k: int) -> tuple[tuple[int, ...], float]:
+def brute_force_map(l: np.ndarray, k: int) -> tuple[tuple[int, ...], float]:
     """Exhaustive argmax of det(L_S) over all size-k subsets.
 
     Returns the lexicographically smallest argmax and its determinant.
     Guarded to C(n, k) <= 1e6 subsets so it always terminates in tests.
     """
-    l = _as_kernel_matrix(kernel)
+    l = np.asarray(l, dtype=np.float64)
     n = l.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")

@@ -25,18 +25,21 @@ padded by ascending index so callers always get exactly k indices.
 The walk is a pivoted Cholesky of L + eps*I, run with deferred updates
 as LAPACK's dpstrf does: the <u_j, u_i> terms of the last few steps come
 from a panel of their coefficient rows, and a full panel of B =
-flush_rows(n) rows is folded into the Schur complement by GEMM (see
-GreedyState).  Each flush first swaps the tokens the panel selected to
-the front of the trailing block of unselected tokens, so a flush that
-leaves f tokens selected costs about (n-f)^2*B/2 multiply-adds, and each
-step reads and updates only the n-f positions of that block, plus a pass
-over the panel, at most B*(n-f) doubles.  The unblocked walk streamed
-the whole t x n coefficient block on step t, n*T^2/2 doubles in all.
-The panel is allocated once, at min(n, B) rows.  The walk owns one
-n x n buffer, L's: its first flush takes it over and overwrites it,
-after which the kernel's entries can no longer be read.  That buffer is
-the Gram's, 8*n^2 bytes, and similarity.prepare refuses an instance
-whose Gram would exceed similarity.MAX_GRAM_BYTES.
+flush_rows(n) rows is folded into the Schur complement by GEMM at the
+start of the next step (see GreedyState).  The residual gains, the
+panel's columns and the working matrix are indexed by position, through
+a position -> token map that starts as the identity.  Each flush swaps
+the tokens the panel selected to the front of the trailing block of
+unselected positions [f:], so a flush that leaves f tokens selected
+costs about (n-f)^2*B/2 multiply-adds, and each step reads and updates
+only the n-f positions of that block, plus a pass over the panel, at
+most B*(n-f) doubles.  The unblocked walk streamed the whole t x n
+coefficient block on step t, n*T^2/2 doubles in all.  The panel is
+allocated once, at min(n, B) rows of n columns.  The walk owns one n x n
+buffer, L's: its first flush takes it over and overwrites it, after
+which the kernel's entries can no longer be read.  That buffer is the
+Gram's, 8*n^2 bytes, and similarity.prepare refuses an instance whose
+Gram would exceed similarity.MAX_GRAM_BYTES.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ FLUSH_BLOCK = 256
 
 def flush_rows(n: int) -> int:
     """Coefficient rows the panel of an n-token walk holds before a flush."""
-    return max(PANEL_MIN_ROWS, PANEL_BYTES // (8 * n))
+    return max(PANEL_MIN_ROWS, PANEL_BYTES // (8 * max(n, 1)))
 
 
 class KernelConsumedError(RuntimeError):
@@ -145,34 +148,38 @@ class GreedyState:
     """Resumable greedy MAP state; extend(k) is prefix-consistent.
 
     order/gains record each step's winner (a token index) and its v^2 at
-    selection time.  v_sq holds the residual gains by position, with
-    selected entries parked at -inf; positions are token indices until
-    the first flush, and perm maps them to token indices after it.
+    selection time, and selected flags the chosen token indices.  v_sq,
+    the panel's columns and A are indexed by position: perm maps a
+    position to the token index it holds and ipos is its inverse, both the
+    identity until the first flush.  v_sq holds the residual gains, with
+    selected positions parked at -inf.
 
     The coefficient rows e of the steps since the last flush form the
-    panel P.  Each step reads the winner's row of the working kernel A,
-    subtracts P[:, j] @ P and scales by 1 / sqrt(v_j^2 + eps).  A is L
-    until the first flush.  The panel is allocated once, at
-    min(n, flush_rows(n)) rows, and is flushed once it is full and
-    another step is asked for.  A flush
-    swaps the panel's tokens to the front of the trailing block, as
+    panel P, one column per position, allocated once at
+    min(n, flush_rows(n)) rows.  Each step reads the winner's row of the
+    working kernel A over the trailing block [f:], subtracts
+    P[:, p] @ P[:, f:] and scales by 1 / sqrt(v_j^2 + eps); with an empty
+    panel the product is zero and the row is only scaled.  A full panel is
+    flushed at the start of the next step that runs, before its argmax.  A
+    flush swaps the panel's tokens to the front of the trailing block, as
     dpstrf swaps each pivot to position t, so that positions [0, f) hold
     order[:f], and sets the lower triangle of the unselected block
     A[f:, f:] to A - P.T @ P, the Schur complement of the selection so
-    far, in FLUSH_BLOCK-row GEMMs; then it empties the panel.  Every later
-    step reads and updates only positions [f:], and the argmax breaks ties
-    on the lower token index through perm, as the unpermuted walk does.
-    A is L's own buffer, taken over from the kernel at the first flush
-    (see DppKernel.take), so a kernel carries one walk: extend raises
-    KernelConsumedError on a state whose kernel another walk has taken
-    over.  Walks that never fill the panel make no swaps and do the same
-    arithmetic as the unblocked walk that keeps every coefficient row,
-    bit for bit.
+    far, in FLUSH_BLOCK-row GEMMs; then it empties the panel.
+
+    f == 0 means no flush yet: A is L, its rows are read whole and the
+    argmax already breaks ties on the lower token index.  After a flush
+    only A's lower triangle is valid, and ties are broken on the token
+    index through perm.  A is L's own buffer, taken over from the kernel
+    at the first flush (see DppKernel.take), so a kernel carries one walk:
+    extend raises KernelConsumedError on a state whose kernel another walk
+    has taken over.  Walks that never fill the panel make no swaps and do
+    the same arithmetic as the unblocked walk that keeps every coefficient
+    row, bit for bit.
     """
 
-    def __init__(self, kernel: DppKernel, eps: float = EPS):
+    def __init__(self, kernel: DppKernel):
         self.kernel = kernel
-        self.eps = float(eps)
         n = kernel.n
         self.v_sq = kernel.diagonal()
         self.selected = np.zeros(n, dtype=np.uint8)
@@ -181,17 +188,13 @@ class GreedyState:
         self.exhausted = False
         self.t = 0
         self.flushes = 0
-        # the panel holds the rows of the steps since the last flush, with
-        # one column per position in [f:]
         self._panel = np.empty((min(n, flush_rows(n)), n))
         self._sq = np.empty(n)  # e * e of the current step, by position
-        self._kk = 0       # rows in the panel
-        self._f = 0        # start of the trailing block
-        # A: L until the first flush, then L's buffer holding the trailing
-        # block's lower triangle
+        self._kk = 0  # rows in the panel
+        self._f = 0   # start of the trailing block; 0 until the first flush
         self._a = kernel.materialize()
-        self._perm = None  # position -> token index, and its inverse;
-        self._ipos = None  # None until the first flush
+        self._perm = np.arange(n)  # position -> token index
+        self._ipos = np.arange(n)  # token index -> position
 
     def extend(self, k: int) -> None:
         """Grow the selection order to length k (no-op if already there)."""
@@ -200,52 +203,44 @@ class GreedyState:
             raise ValueError(f"k must lie in [1, {n}], got {k}")
         if k <= self.t:
             return
-        if self._perm is None:
+        if self._f == 0:
             self.kernel.materialize()  # raises once another walk has taken A over
         if not self.exhausted:
             self.t, self.exhausted = self._steps(self.t, k)
         if self.exhausted and self.t < k:
             # kernel rank exhausted: pad by ascending index to honor the budget
             pad = np.flatnonzero(self.selected == 0)[: k - self.t]
-            for idx in pad:
-                self.order[self.t] = idx
-                self.gains[self.t] = 0.0
-                self.selected[idx] = 1
-                self.v_sq[idx if self._ipos is None else self._ipos[idx]] = -np.inf
-                self.t += 1
+            self.order[self.t: k] = pad
+            self.gains[self.t: k] = 0.0
+            self.selected[pad] = 1
+            self.v_sq[self._ipos[pad]] = -np.inf
+            self.t = k
 
     def _steps(self, t_start: int, t_stop: int) -> tuple[int, bool]:
         """Run steps [t_start, t_stop); returns (steps done, exhausted)."""
         v, order, gains, selected = self.v_sq, self.order, self.gains, self.selected
-        a, perm, f, kk, panel = self._a, self._perm, self._f, self._kk, self._panel
-        eps = self.eps
+        a, perm, panel, kk, f = self._a, self._perm, self._panel, self._kk, self._f
         tail, sq = v[f:], self._sq[f:]
         for t in range(t_start, t_stop):
+            if kk == panel.shape[0]:
+                self._kk = kk
+                self._flush()
+                kk, f = 0, self._f
+                tail, sq = v[f:], self._sq[f:]
             p = f + int(tail.argmax())
-            if perm is not None:
+            if f:
                 p = self._lowest_index_tie(p)
             vj = v[p]
             if not vj > 0.0:
                 self._kk = kk
                 return t, True
-            j = p if perm is None else int(perm[p])
-            if kk == panel.shape[0]:
-                self._kk = kk
-                self._flush()
-                kk, panel, perm = 0, self._panel, self._perm
-                # the flush moved the tokens and the trailing block
-                p, f = int(self._ipos[j]), self._f
-                tail, sq = v[f:], self._sq[f:]
-            denom = math.sqrt(vj + eps)
-            e = panel[kk]
+            j = int(perm[p])
             # A's row at position p over the trailing block; once A has been
             # flushed only its lower triangle is valid
-            row = a[p] if perm is None else np.concatenate((a[p, f:p], a[p:, p]))
-            if kk == 0:
-                np.divide(row, denom, out=e)
-            else:
-                np.subtract(row, panel[:kk, p - f] @ panel[:kk], out=e)
-                e /= denom
+            row = np.concatenate((a[p, f:p], a[p:, p])) if f else a[p]
+            e = panel[kk, f:]
+            np.subtract(row, panel[:kk, p] @ panel[:kk, f:], out=e)
+            e /= math.sqrt(vj + EPS)
             kk += 1
             np.multiply(e, e, out=sq)
             tail -= sq
@@ -259,9 +254,8 @@ class GreedyState:
     def _lowest_index_tie(self, p: int) -> int:
         """Among the trailing positions whose gain ties position p's, the one
         holding the lowest token index, as the unswapped walk would pick."""
-        f = self._f
-        tail = self.v_sq[f:]
-        hits = tail == tail[p - f]
+        v, f = self.v_sq, self._f
+        hits = v[f:] == v[p]
         # ties are rare: count them before building their index array
         if np.count_nonzero(hits) > 1:
             ties = np.flatnonzero(hits)
@@ -273,16 +267,14 @@ class GreedyState:
         lower triangle of the rest to A - P.T @ P and empty the panel P."""
         n = self.kernel.n
         f, kk = self._f, self._kk
-        if self._perm is None:
+        if f == 0:
             self.kernel.take()  # A is the kernel's buffer; the flush overwrites it
-            self._perm = np.arange(n)
-            self._ipos = np.arange(n)
         a, perm, ipos, v = self._a, self._perm, self._ipos, self.v_sq
         panel = self._panel[:kk]
-        # the panel's tokens were selected at steps f..f+kk-1; the s-th goes
-        # to position f+s and the token there takes its place
-        for s, j in enumerate(self.order[f: f + kk].tolist()):
-            dst, src = f + s, int(ipos[j])
+        # the panel's tokens were selected at steps f..f+kk-1; the one of
+        # step dst goes to position dst and the token there takes its place
+        for dst, j in enumerate(self.order[f: f + kk].tolist(), start=f):
+            src = int(ipos[j])
             if src == dst:
                 continue
             other = int(perm[dst])
@@ -291,23 +283,19 @@ class GreedyState:
             v[dst], v[src] = v[src], v[dst]
             # nothing reads position dst or the ones before it again, so
             # only the moved token's half of the symmetric swap is written
-            panel[:, src - f] = panel[:, dst - f]
+            panel[:, src] = panel[:, dst]
             _move_lower(a, dst, src)
         f1 = f + kk
-        width = n - f1
-        buf = np.empty(FLUSH_BLOCK * width)
+        buf = np.empty(FLUSH_BLOCK * (n - f1))
         for i0 in range(f1, n, FLUSH_BLOCK):
             i1 = min(n, i0 + FLUSH_BLOCK)
-            prod = np.matmul(panel[:, i0 - f:i1 - f].T, panel[:, kk:i1 - f],
+            prod = np.matmul(panel[:, i0:i1].T, panel[:, f1:i1],
                              out=buf[: (i1 - i0) * (i1 - f1)].reshape(i1 - i0, i1 - f1))
             block = a[i0:i1, f1:i1]
             np.subtract(block, prod, out=block)
         self._f = f1
         self._kk = 0
         self.flushes += 1
-        # the emptied panel is reused with one column per remaining position
-        cap = self._panel.shape[0]
-        self._panel = self._panel.reshape(-1)[: cap * width].reshape(cap, width)
 
 
 def _move_lower(a: np.ndarray, lo: int, hi: int) -> None:
@@ -318,18 +306,18 @@ def _move_lower(a: np.ndarray, lo: int, hi: int) -> None:
     a[hi + 1:, hi] = a[hi + 1:, lo]
 
 
-def greedy_map(kernel: DppKernel, k: int, eps: float = EPS) -> list[int]:
+def greedy_map(kernel: DppKernel, k: int) -> list[int]:
     """Exactly k distinct indices in selection order."""
-    state = GreedyState(kernel, eps=eps)
+    state = GreedyState(kernel)
     state.extend(k)
     return [int(i) for i in state.order[:k]]
 
 
-def qcsp_select(h_v: np.ndarray, h_q, k: int, eps: float = EPS) -> list[int]:
+def qcsp_select(h_v: np.ndarray, h_q, k: int) -> list[int]:
     """Relevance scoring against the pooled query, then greedy MAP.
 
     Without a query (h_q None) relevance is uniform and the selection is
     pure diversity.
     """
     prep = prepare(h_v, h_q)
-    return greedy_map(build_kernel(prep, prep.relevance), k, eps=eps)
+    return greedy_map(build_kernel(prep, prep.relevance), k)

@@ -200,8 +200,7 @@ def make_greedy_instance(rng: SplitMix64, d: int = 32):
     return qcsp.build_kernel(prep, prep.relevance), k
 
 
-def marginal_gain_errors(kernel, k: int,
-                         eps: float = qcsp.EPS) -> tuple[list[float], list[float]]:
+def marginal_gain_errors(kernel, k: int) -> tuple[list[float], list[float]]:
     """Two per-step error families for the recorded greedy gains.
 
     First: |gain - det(L_{S+j})/det(L_S)| / (1 + ratio), skipping steps
@@ -219,9 +218,9 @@ def marginal_gain_errors(kernel, k: int,
     copied before the walk, which may take the kernel's matrix over.
     """
     l = kernel.materialize().copy()
-    state = qcsp.GreedyState(kernel, eps=eps)
+    state = qcsp.GreedyState(kernel)
     state.extend(k)
-    m = l + eps * np.eye(kernel.n)
+    m = l + qcsp.EPS * np.eye(kernel.n)
     mixed, shifted = [], []
     log_prev = 0.0
     log_prev_m = 0.0
@@ -235,11 +234,16 @@ def marginal_gain_errors(kernel, k: int,
             ratio = sign * math.exp(log_cur - log_prev)
             mixed.append(abs(state.gains[t] - ratio) / (1.0 + abs(ratio)))
         ratio_m = sign_m * math.exp(log_cur_m - log_prev_m)
-        shifted.append(abs(state.gains[t] + eps - ratio_m) / abs(ratio_m))
+        shifted.append(_shifted_error(state.gains[t], ratio_m))
         # a det at or below 0 ends the first family, as one under 1e-12 does
         log_prev = log_cur if sign > 0 else -math.inf
         log_prev_m = log_cur_m
     return mixed, shifted
+
+
+def _shifted_error(gain: float, ratio: float) -> float:
+    """Relative error of gain + eps against det(M_{S+j}) / det(M_S)."""
+    return abs(gain + qcsp.EPS - ratio) / abs(ratio)
 
 
 def check_greedy_suite(instances: int = 500, seed: int = 6) -> list[CheckResult]:
@@ -291,18 +295,24 @@ def check_greedy_suite(instances: int = 500, seed: int = 6) -> list[CheckResult]
     ]
 
 
-def check_flushed_walk(instances: int = 3, seed: int = 15) -> CheckResult:
-    """The blocked walk against the unblocked one, at the sizes that flush.
+def check_flushed_walk(instances: int = 3, seed: int = 15) -> list[CheckResult]:
+    """The blocked walk at the sizes that flush, in two asserted checks:
 
-    Each instance has n in [900, 1000] Gaussian tokens of width d and a
-    query, and is walked with the shipped panel size flush_rows(n) for
-    k > 2 * flush_rows(n) steps, so it flushes at least twice, with
-    d < k, so it runs past the kernel's rank.  The order must equal
-    oracle.greedy_walk's exactly, and every gain must lie within 1e-12
-    of the first gain of it (worst = that error over the first gain).
+    - flushed-walk: against the unblocked walk.  Each instance has n in
+      [900, 1000] Gaussian tokens of width d and a query, and is walked
+      with the shipped panel size B = flush_rows(n) for k > 2B steps, so
+      it flushes at least twice, with d < k, so it runs past the kernel's
+      rank.  The order must equal oracle.greedy_walk's exactly, and every
+      gain must lie within 1e-12 of the first gain of it (worst = that
+      error over the first gain).
+    - flushed-shifted-gain: against determinants.  At steps 1, B, B+1,
+      2B, 2B+1, d, d+1 and k-1 (steps count from 0, and k >= 2B+1), on
+      both sides of each flush and of the rank, gain + eps must equal
+      the slogdet ratio of L + eps*I within relative 1e-9, the
+      shifted-gain-identity tolerance.
     """
     rng = SplitMix64(seed)
-    worst = 0.0
+    worst = worst_shifted = 0.0
     for _ in range(instances):
         n = 900 + rng.next_below(101)
         k = 2 * qcsp.flush_rows(n) + 1 + rng.next_below(60)
@@ -311,17 +321,30 @@ def check_flushed_walk(instances: int = 3, seed: int = 15) -> CheckResult:
         h_q = gaussian_matrix(rng.next_u64() >> 1, 1 + rng.next_below(4), d)
         prep = similarity.prepare(h_v, h_q)
         kernel = qcsp.build_kernel(prep, prep.relevance)
-        order, gains = oracle.greedy_walk(kernel.materialize(), k, qcsp.EPS)
+        l = kernel.materialize()
+        order, gains = oracle.greedy_walk(l, k, qcsp.EPS)
+        m = l + qcsp.EPS * np.eye(n)  # a new matrix: the walk overwrites l
         state = qcsp.GreedyState(kernel)
         state.extend(k)
         if (state.flushes < 2 or state.exhausted or len(order) < k
                 or state.order[:k].tolist() != order):
-            worst = math.inf
+            worst = worst_shifted = math.inf
             break
         err = float(np.max(np.abs(state.gains[:k] - gains))) / gains[0]
         worst = max(worst, err)
-    return CheckResult("flushed-walk", worst <= 1e-12, instances, worst,
-                       1e-12, "max_gain_err")
+        b = qcsp.flush_rows(n)
+        # k may be 2B + 1, and then step 2B + 1 is not walked
+        for t in {1, b, b + 1, 2 * b, 2 * b + 1, d, d + 1, k - 1} - {k}:
+            _, log_prev = np.linalg.slogdet(m[np.ix_(order[:t], order[:t])])
+            sign, log_cur = np.linalg.slogdet(m[np.ix_(order[:t + 1], order[:t + 1])])
+            ratio = sign * math.exp(log_cur - log_prev)
+            worst_shifted = max(worst_shifted, _shifted_error(state.gains[t], ratio))
+    return [
+        CheckResult("flushed-walk", worst <= 1e-12, instances, worst,
+                    1e-12, "max_gain_err"),
+        CheckResult("flushed-shifted-gain", worst_shifted <= 1e-9, instances,
+                    worst_shifted, 1e-9, "max_rel_err"),
+    ]
 
 
 def check_prefix_consistency(instances: int = 100, seed: int = 7) -> CheckResult:
@@ -497,8 +520,8 @@ def run_all(seed: int = 0, instances: int = 200) -> list[CheckResult]:
         check_negative_correlation_witness(),
     ]
     results.extend(check_greedy_suite(instances, seed + 6))
+    results.extend(check_flushed_walk(min(3, instances), seed + 15))
     results.extend([
-        check_flushed_walk(min(3, instances), seed + 15),
         check_prefix_consistency(small, seed + 7),
         check_psd_preservation(instances, seed + 8),
         check_determinant_expansion(instances, seed + 9),

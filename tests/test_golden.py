@@ -8,6 +8,10 @@ fails here, however small the numerical change behind it.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,3 +100,17 @@ def test_golden_selection(name, monkeypatch):
     monkeypatch.setattr(qcsp.GreedyState, "extend", recording)
     sel = fusion.script_select(h_v, h_q, m)
     assert (selection_digest(sel.kept, sel.stage_tags), max(lengths)) == (digest, walk)
+
+
+def test_golden_selections_hold_with_two_blas_threads():
+    # the flushing cases, rerun in a child process whose BLAS uses two
+    # threads; naming the parametrized node ids keeps the child from
+    # running this test again
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=str(root / "src"))
+    ids = [f"tests/test_golden.py::test_golden_selection[{name}]"
+           for name in ("clip2352", "clip4704", "desk2880")]
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr

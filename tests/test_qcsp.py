@@ -157,6 +157,11 @@ def test_extend_is_incremental():
     assert state.t == 10
 
 
+def test_empty_input_raises_the_budget_error():
+    with pytest.raises(ValueError, match=r"k must lie in \[1, 0\]"):
+        qcsp_select(np.zeros((0, 3)), None, 1)
+
+
 def test_extend_validates_budget():
     k = random_kernel(2, n=5)
     state = GreedyState(k)
@@ -347,3 +352,38 @@ def test_materialized_panel_is_allocated_once(monkeypatch):
         state.extend(n)
         assert (state.flushes > 0) == (rows is not None)
         assert np.shares_memory(state._panel, buf)
+
+
+def test_positions_track_the_selection(monkeypatch):
+    # after every walk: perm and ipos are inverse permutations, positions
+    # [0, f) hold the tokens selected up to the last flush in step order,
+    # and no unselected token sits before f
+    for rows in (1, 2, 5):
+        for seed in range(40):
+            kernel, _ = flush_instance(seed)
+            n = kernel.n
+            state = walk(kernel, n, monkeypatch, rows)
+            perm, f = state._perm, state._f
+            assert state.flushes > 0 and f > 0
+            assert np.array_equal(perm[state._ipos], np.arange(n)), (seed, rows)
+            assert np.array_equal(perm[:f], state.order[:f]), (seed, rows)
+            assert state.selected[perm[:f]].all()
+            assert np.all(state.v_sq[:f] == -np.inf)
+
+
+def test_full_panel_is_flushed_only_when_another_step_runs(monkeypatch):
+    rows = 3
+    kernel = random_kernel(3, n=14, d=6)
+    before = kernel.materialize().copy()
+    state = walk(kernel, rows, monkeypatch, rows)
+    assert state.t == rows and state.flushes == 0 and not state.exhausted
+    assert np.array_equal(kernel.materialize(), before)
+    state.extend(rows + 1)
+    assert state.flushes == 1
+    with pytest.raises(qcsp.KernelConsumedError):
+        kernel.materialize()
+    # the same steps as a walk whose panel never fills
+    ref = walk(random_kernel(3, n=14, d=6), rows + 1, monkeypatch, 14)
+    assert ref.flushes == 0
+    assert np.array_equal(state.order[:rows + 1], ref.order[:rows + 1])
+    assert np.array_equal(state.gains[:rows + 1], ref.gains[:rows + 1])

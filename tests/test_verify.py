@@ -22,7 +22,7 @@ def test_expected_checks_present():
                  "shifted-gain-identity", "greedy-guarantee",
                  "prefix-consistency", "psd-preservation",
                  "bipartite-count", "fusion-contract", "flops-ratios",
-                 "entropy-direction", "flushed-walk"):
+                 "entropy-direction", "flushed-walk", "flushed-shifted-gain"):
         assert want in names, want
 
 
@@ -81,7 +81,26 @@ def test_flushed_walk_check_flags_a_broken_flush(monkeypatch):
     from tokensieve import qcsp
     # a flush that leaves each moved token with its old position's entries
     monkeypatch.setattr(qcsp, "_move_lower", lambda a, lo, hi: None)
-    assert not verify.check_flushed_walk(instances=1, seed=0).passed
+    by_name = {r.name: r for r in verify.check_flushed_walk(instances=1, seed=0)}
+    assert not by_name["flushed-walk"].passed
+
+
+def test_flushed_shifted_gain_flags_gains_off_after_a_flush(monkeypatch):
+    from tokensieve import qcsp
+    orig = qcsp.GreedyState._steps
+
+    def corrupted(self, t_start, t_stop):
+        # the gains of every step after the first flush, 1e-8 off
+        done, exhausted = orig(self, t_start, t_stop)
+        for t in range(max(t_start, qcsp.flush_rows(self.kernel.n)), done):
+            self.gains[t] *= 1.0 + 1e-8
+        return done, exhausted
+
+    by_name = {r.name: r for r in verify.check_flushed_walk(instances=1, seed=0)}
+    assert by_name["flushed-shifted-gain"].passed
+    monkeypatch.setattr(qcsp.GreedyState, "_steps", corrupted)
+    by_name = {r.name: r for r in verify.check_flushed_walk(instances=1, seed=0)}
+    assert not by_name["flushed-shifted-gain"].passed
 
 
 def test_checks_are_deterministic():
