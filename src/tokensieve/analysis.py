@@ -1,10 +1,10 @@
 """Embedding-level diagnostics on token grids, and a FLOPs estimator.
 
 Tokens are assumed to lie on a height x width grid in row-major order,
-token i at (i // width, i % width).  Local entropy measures how much a
-token's 3x3 Moore neighborhood varies along its principal direction;
-flat image regions give near-zero entropy, textured regions approach
-log(number of bins).
+token i at (i // width, i % width).  Local entropy bins the projections
+of a token's 3x3 Moore neighborhood onto its exact first principal
+direction, one SVD per neighborhood; a neighborhood flat to rounding
+scores 0, textured regions approach log(number of bins).
 """
 
 from __future__ import annotations
@@ -13,14 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import normal_stream
-from .similarity import cosine_similarity_matrix
+from .similarity import l2_normalize_rows
 
 ENTROPY_BINS = 20
 ENTROPY_EPS = 1e-8
-_POWER_ITERS = 100
-_POWER_TOL = 1e-10
-_POWER_SEED = 0x1D5EED
 
 
 @dataclass(frozen=True)
@@ -54,59 +50,37 @@ def _moore_neighborhood(row: int, col: int, grid: GridShape) -> list[int]:
     return cells
 
 
-def _principal_direction(x: np.ndarray) -> np.ndarray:
-    """First principal component of the rows of x by power iteration.
-
-    Deterministic start vector; iterates v <- X^T X v (without forming
-    the covariance) up to 100 rounds or until the direction moves less
-    than 1e-10.  A zero-variance neighborhood returns the start vector
-    unchanged, projecting everything to a single value.
-    """
-    d = x.shape[1]
-    # fixed-seed pseudo-random start; overlap with the leading component
-    # is nonzero with probability 1
-    v = normal_stream(_POWER_SEED, d)
-    v /= np.linalg.norm(v)
-    for _ in range(_POWER_ITERS):
-        w = x.T @ (x @ v)
-        norm = np.linalg.norm(w)
-        if norm <= 1e-300:
-            return v
-        w /= norm
-        # sign-align so the tolerance test sees direction, not orientation
-        if w @ v < 0:
-            w = -w
-        if np.linalg.norm(w - v) <= _POWER_TOL:
-            return w
-        v = w
-    return v
-
-
 def local_entropy_map(h_v: np.ndarray, grid: GridShape) -> np.ndarray:
-    """Per-token entropy of binned neighborhood projections (Moore, hop 1)."""
+    """Per-token entropy of binned neighborhood projections (Moore, hop 1).
+
+    The projections onto the first principal direction of a k x d
+    neighborhood are u[:, 0] * s[0] of the SVD of its centered rows.  A
+    neighborhood is flat when s[0] <= max(k, d) * eps * ||hood|| (numpy's
+    matrix_rank tolerance on the uncentered rows): what is left after
+    centering is rounding, and the entropy is 0.
+    """
     h_v = np.asarray(h_v, dtype=np.float64)
     grid.check(h_v.shape[0])
-    out = np.empty(h_v.shape[0])
+    eps = np.finfo(np.float64).eps
+    out = np.zeros(h_v.shape[0])
     for row in range(grid.height):
         for col in range(grid.width):
             tok = row * grid.width + col
             hood = h_v[_moore_neighborhood(row, col, grid)]
-            centered = hood - hood.mean(axis=0)
-            proj = centered @ _principal_direction(centered)
+            u, s, _ = np.linalg.svd(hood - hood.mean(axis=0), full_matrices=False)
+            if s[0] <= max(hood.shape) * eps * np.linalg.norm(hood):
+                continue
+            proj = u[:, 0] * s[0]
+            # min-max binning is not symmetric under negation, so the sign is
+            # fixed: the largest-magnitude projection is positive
+            proj *= np.sign(proj[np.argmax(np.abs(proj))])
             lo, hi = proj.min(), proj.max()
-            if hi > lo:
-                bins = np.minimum(
-                    ((proj - lo) / (hi - lo) * ENTROPY_BINS).astype(np.int64),
-                    ENTROPY_BINS - 1)
-            else:
-                bins = np.zeros(len(proj), dtype=np.int64)
-            counts = np.bincount(bins, minlength=ENTROPY_BINS)
-            # empty bins carry no mass and stay out of the sum; the
-            # single-bin case must come out at ~1e-8, not ~20*eps*|log eps|
+            bins = np.minimum(((proj - lo) / (hi - lo) * ENTROPY_BINS).astype(np.int64),
+                              ENTROPY_BINS - 1)
+            counts = np.bincount(bins)
+            # the min and the max fill two bins, so every p < 1 and the sum is > 0
             p = counts[counts > 0] / len(proj) + ENTROPY_EPS
-            # single occupied bin gives -(1+eps)log(1+eps) ~ -1e-8; keep
-            # the nonnegativity contract
-            out[tok] = max(0.0, -float(np.sum(p * np.log(p))))
+            out[tok] = -float(np.sum(p * np.log(p)))
     return out
 
 
@@ -114,13 +88,13 @@ def mean_neighbor_similarity(h_v: np.ndarray, grid: GridShape) -> np.ndarray:
     """Per-token mean cosine to its Moore neighbors (center excluded)."""
     h_v = np.asarray(h_v, dtype=np.float64)
     grid.check(h_v.shape[0])
+    unit = l2_normalize_rows(h_v)
     out = np.empty(h_v.shape[0])
     for row in range(grid.height):
         for col in range(grid.width):
             tok = row * grid.width + col
             others = [i for i in _moore_neighborhood(row, col, grid) if i != tok]
-            sims = cosine_similarity_matrix(h_v[tok][None, :], h_v[others])
-            out[tok] = float(sims.mean())
+            out[tok] = float((unit[others] @ unit[tok]).mean())
     return out
 
 
@@ -132,7 +106,8 @@ def similarity_by_distance_profile(h_v: np.ndarray, grid: GridShape,
     grid.check(n)
     if max_dist < 1:
         raise ValueError("max_dist must be >= 1")
-    sims = cosine_similarity_matrix(h_v, h_v)
+    unit = l2_normalize_rows(h_v)
+    sims = unit @ unit.T
     rows = np.arange(n) // grid.width
     cols = np.arange(n) % grid.width
     dist = np.abs(rows[:, None] - rows[None, :]) + np.abs(cols[:, None] - cols[None, :])

@@ -123,8 +123,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.n < 1 or args.d < 1 or not 1 <= args.keep <= args.n:
-        raise ValueError(f"invalid bench sizes n={args.n} d={args.d} keep={args.keep}")
+    if args.n < 1 or args.d < 1 or not 1 <= args.keep <= args.n or args.repeats < 1:
+        raise ValueError(f"invalid bench sizes n={args.n} d={args.d} keep={args.keep} "
+                         f"repeats={args.repeats}")
     h_v = gaussian_matrix(args.seed, args.n, args.d)
     h_q = gaussian_matrix(args.seed + 1, 8, args.d)
     print(f"bench mode={args.mode} n={args.n} d={args.d} keep={args.keep} "
@@ -167,7 +168,7 @@ def cmd_analyze(args) -> int:
     h_v = _load(args.tokens)
     grid = analysis.GridShape(args.grid_h, args.grid_w)
     entropy = analysis.local_entropy_map(h_v, grid)
-    max_dist = args.max_dist or (grid.height + grid.width - 2)
+    max_dist = (grid.height + grid.width - 2) if args.max_dist is None else args.max_dist
     profile = analysis.similarity_by_distance_profile(h_v, grid, max_dist)
 
     entropy_csv = "index,entropy\n" + "".join(

@@ -160,7 +160,8 @@ class GreedyState:
     working kernel A over the trailing block [f:], subtracts
     P[:, p] @ P[:, f:] and scales by 1 / sqrt(v_j^2 + eps); with an empty
     panel the product is zero and the row is only scaled.  A full panel is
-    flushed at the start of the next step that runs, before its argmax.  A
+    flushed at the start of the next step that runs, before its argmax,
+    if a positive gain is left; otherwise the walk is exhausted.  A
     flush swaps the panel's tokens to the front of the trailing block, as
     dpstrf swaps each pivot to position t, so that positions [0, f) hold
     order[:f], and sets the lower triangle of the unselected block
@@ -224,6 +225,9 @@ class GreedyState:
         for t in range(t_start, t_stop):
             if kk == panel.shape[0]:
                 self._kk = kk
+                # a walk whose gains ran out has no use for the flush
+                if not tail.max() > 0.0:
+                    return t, True
                 self._flush()
                 kk, f = 0, self._f
                 tail, sq = v[f:], self._sq[f:]

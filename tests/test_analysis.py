@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from tokensieve.analysis import (GridShape, ModelProfile, flops_estimate,
-                                 local_entropy_map, mean_neighbor_similarity,
+from tokensieve import synth
+from tokensieve.analysis import (GridShape, ModelProfile, _moore_neighborhood,
+                                 flops_estimate, local_entropy_map,
+                                 mean_neighbor_similarity,
                                  similarity_by_distance_profile)
 from tokensieve.rng import gaussian_matrix
 
@@ -37,6 +39,53 @@ def test_entropy_upper_bound():
         e = local_entropy_map(h, GridShape(6, 8))
         assert (e <= np.log(20) + 1e-6).all()
         assert (e >= 0.0).all()
+
+
+def binned_entropy(proj, bins=20, eps=1e-8):
+    """Entropy of a projection in equal min-max bins (reference)."""
+    idx = np.floor((proj - proj.min()) / np.ptp(proj) * bins).astype(int)
+    counts = np.bincount(np.minimum(idx, bins - 1))
+    p = counts[counts > 0] / len(proj) + eps
+    return -float(np.sum(p * np.log(p)))
+
+
+def test_entropy_projects_onto_the_exact_first_principal_direction():
+    # reference direction: the top eigenvector of each neighborhood's
+    # centered k x k Gram, sign-fixed by the same rule
+    grid = GridShape(24, 24)
+    h = gaussian_matrix(0, 576, 1024)
+    e = local_entropy_map(h, grid)
+    for row in range(grid.height):
+        for col in range(grid.width):
+            hood = h[_moore_neighborhood(row, col, grid)]
+            c = hood - hood.mean(axis=0)
+            w, v = np.linalg.eigh(c @ c.T)
+            proj = v[:, -1] * np.sqrt(w[-1])
+            proj *= np.sign(proj[np.argmax(np.abs(proj))])
+            tok = row * grid.width + col
+            assert abs(e[tok] - binned_entropy(proj)) <= 1e-9, tok
+
+
+def test_flat_neighborhoods_score_zero():
+    # rows repeated exactly: centering leaves only rounding, which must not
+    # be spread over the bins
+    grid = GridShape(12, 12)
+    flat_hoods = 0
+    for seed in range(14, 34):
+        h = synth.two_region_grid(12, 12, 48, seed)
+        e = local_entropy_map(h, grid)
+        for tok in range(144):
+            hood = h[_moore_neighborhood(tok // 12, tok % 12, grid)]
+            if (hood == hood[0]).all():
+                flat_hoods += 1
+                assert e[tok] <= 1e-6, (seed, tok)
+    assert flat_hoods == 20 * 60
+
+
+def test_entropy_is_invariant_under_negation():
+    grid = GridShape(24, 24)
+    h = gaussian_matrix(0, 576, 1024)
+    assert np.array_equal(local_entropy_map(-h, grid), local_entropy_map(h, grid))
 
 
 def test_mean_neighbor_similarity_constant_grid():

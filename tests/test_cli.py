@@ -164,6 +164,13 @@ def test_verify_small_run_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_needs_an_instance(capsys):
+    # 0 divided by zero and a negative count ran checks on no instance
+    for count in ("0", "-3"):
+        assert main(["verify", "--instances", count]) == 2
+    assert "instances must be >= 1" in capsys.readouterr().err
+
+
 def test_verify_detects_corrupted_greedy(monkeypatch, capsys):
     from tokensieve import qcsp
     orig = qcsp.GreedyState._steps
@@ -197,7 +204,9 @@ def test_bench_degenerate_single_token(capsys):
 def test_bench_invalid_sizes(capsys):
     assert main(["bench", "--n", "0", "--d", "4", "--keep", "1"]) == 2
     assert main(["bench", "--n", "4", "--d", "4", "--keep", "9"]) == 2
-    capsys.readouterr()
+    assert main(["bench", "--n", "4", "--d", "4", "--keep", "1",
+                 "--repeats", "0"]) == 2
+    assert "repeats=0" in capsys.readouterr().err
 
 
 def test_synth_equicorrelated_gram(tmp_path, capsys):
@@ -262,6 +271,14 @@ def test_analyze_stdout_default(toks, capsys):
                  "--grid-w", "3"]) == 0
     out = capsys.readouterr().out
     assert "index,entropy" in out and "distance,mean_similarity" in out
+
+
+def test_analyze_max_dist_below_one_exits_2(toks, capsys):
+    # 0 is a value, not "unset": it must not fall back to the default
+    for dist in ("0", "-1"):
+        assert main(["analyze", "--tokens", toks, "--grid-h", "3", "--grid-w", "3",
+                     "--max-dist", dist]) == 2
+    capsys.readouterr()
 
 
 def test_console_script_help():

@@ -1,7 +1,11 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tokensieve import oracle
+from tokensieve import fusion, gsp, oracle, qcsp, similarity
 from tokensieve.fusion import (baseline_diversity_only, baseline_gsp_only,
                                baseline_random, baseline_topk_relevance,
                                script_select)
@@ -201,3 +205,30 @@ def test_selectors_reject_non_finite_input():
         script_select(h_v, h_q, 6)
     with pytest.raises(InputError, match="width"):
         script_select(h_v, h_q[:, :7], 6)
+
+
+def test_benchmark_tracer_wraps_names_the_program_keeps(monkeypatch):
+    # the benchmark's tracer wraps layer functions by name (including the
+    # re-exports kept in fusion and qcsp, and reads DppKernel.unit), so a
+    # change that drops one of them breaks the benchmark, not the selection
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+
+    h_v, h_q = gaussian_matrix(5, 196, 32), gaussian_matrix(6, 4, 32)
+    untraced = script_select(h_v, h_q, 22).kept
+    owners = (similarity, gsp, qcsp, fusion, qcsp.GreedyState)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer()
+    tracer.begin_op(0)
+    tracer.install(similarity, gsp, qcsp, fusion)
+    try:
+        traced = fusion.script_select(h_v, h_q, 22).kept
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert len(tracer.walks) == 1
+    assert [dict(vars(owner)) for owner in owners] == before

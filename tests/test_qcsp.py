@@ -387,3 +387,15 @@ def test_full_panel_is_flushed_only_when_another_step_runs(monkeypatch):
     assert ref.flushes == 0
     assert np.array_equal(state.order[:rows + 1], ref.order[:rows + 1])
     assert np.array_equal(state.gains[:rows + 1], ref.gains[:rows + 1])
+
+
+def test_walk_flushes_only_before_a_positive_gain(monkeypatch):
+    # a full panel is flushed only when the step after it picks a token, so
+    # a walk of T positive gains makes one flush per B steps before step T
+    for rows in (1, 2, 3, 4, 5, 7):
+        for seed in range(40):
+            kernel, _ = flush_instance(seed)
+            state = walk(kernel, kernel.n, monkeypatch, rows)
+            t = int(np.count_nonzero(state.gains > 0.0))
+            assert state.exhausted, (seed, rows)
+            assert state.flushes == max(0, (t - 1) // rows), (seed, rows)
