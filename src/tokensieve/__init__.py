@@ -8,8 +8,8 @@ similarity kernel. `script_select` fuses both under a fixed budget.
 from .analysis import (GridShape, ModelProfile, flops_estimate,
                        local_entropy_map, mean_neighbor_similarity,
                        similarity_by_distance_profile)
-from .fusion import (baseline_diversity_only, baseline_gsp_only,
-                     baseline_random, baseline_topk_relevance, script_select)
+from .fusion import (baseline_diversity_only, baseline_random,
+                     baseline_topk_relevance, script_select)
 from .gsp import (DEFAULT_GAMMA, DEFAULT_TAU, BipartiteRedundancyGraph,
                   RedundancyScores, bipartite_split, build_graph, gsp_select,
                   redundancy_scores)
@@ -40,7 +40,6 @@ __all__ = [
     "Selection",
     "SelectionFormatError",
     "baseline_diversity_only",
-    "baseline_gsp_only",
     "baseline_random",
     "baseline_topk_relevance",
     "bipartite_split",

@@ -85,16 +85,21 @@ def local_entropy_map(h_v: np.ndarray, grid: GridShape) -> np.ndarray:
 
 
 def mean_neighbor_similarity(h_v: np.ndarray, grid: GridShape) -> np.ndarray:
-    """Per-token mean cosine to its Moore neighbors (center excluded)."""
+    """Per-token mean cosine to its Moore neighbors (center excluded).
+
+    A token with no neighbors (the one token of a 1x1 grid) scores NaN, as
+    the distance profile does for a distance with no pairs.
+    """
     h_v = np.asarray(h_v, dtype=np.float64)
     grid.check(h_v.shape[0])
     unit = l2_normalize_rows(h_v)
-    out = np.empty(h_v.shape[0])
+    out = np.full(h_v.shape[0], np.nan)
     for row in range(grid.height):
         for col in range(grid.width):
             tok = row * grid.width + col
             others = [i for i in _moore_neighborhood(row, col, grid) if i != tok]
-            out[tok] = float((unit[others] @ unit[tok]).mean())
+            if others:
+                out[tok] = float((unit[others] @ unit[tok]).mean())
     return out
 
 

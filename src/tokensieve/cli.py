@@ -28,13 +28,6 @@ from .similarity import InputError, prepare
 from .tensor_io import (MatrixFormatError, Selection, SelectionFormatError,
                         read_matrix, write_matrix, write_selection)
 
-def _matrix_format(path: str) -> str:
-    return "csv" if str(path).endswith(".csv") else "emb1"
-
-
-def _load(path: str) -> np.ndarray:
-    return read_matrix(path, _matrix_format(path))
-
 
 def _budget(args, n: int) -> int:
     if args.keep is not None:
@@ -74,8 +67,8 @@ MODES = tuple(SELECTORS)
 
 
 def cmd_prune(args) -> int:
-    h_v = _load(args.tokens)
-    h_q = _load(args.query) if args.query else None
+    h_v = read_matrix(args.tokens)
+    h_q = read_matrix(args.query) if args.query else None
     n = h_v.shape[0]
     m = _budget(args, n)
     start = time.perf_counter()
@@ -90,9 +83,9 @@ def cmd_prune(args) -> int:
 
 
 def cmd_score(args) -> int:
-    h_v = _load(args.tokens)
+    h_v = read_matrix(args.tokens)
     n = h_v.shape[0]
-    prep = prepare(h_v, _load(args.query) if args.query else None, gram=False)
+    prep = prepare(h_v, read_matrix(args.query) if args.query else None, gram=False)
     scores = gsp.redundancy_scores(gsp.build_graph(prep, args.tau, args.gamma))
     if args.query:
         raw_col = ["%.9g" % v for v in prep.relevance_raw]
@@ -159,16 +152,17 @@ def cmd_synth(args) -> int:
         m = synth.equicorrelated_tokens(args.n, args.d, args.rho)
     else:
         raise ValueError(f"unknown pattern {args.pattern}")
-    write_matrix(m, args.out, _matrix_format(args.out))
+    write_matrix(m, args.out)
     print(f"pattern={args.pattern} rows={m.shape[0]} cols={m.shape[1]} out={args.out}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    h_v = _load(args.tokens)
+    h_v = read_matrix(args.tokens)
     grid = analysis.GridShape(args.grid_h, args.grid_w)
     entropy = analysis.local_entropy_map(h_v, grid)
-    max_dist = (grid.height + grid.width - 2) if args.max_dist is None else args.max_dist
+    # a 1x1 grid has no pairs at any distance; its profile is one NaN row
+    max_dist = max(1, grid.height + grid.width - 2) if args.max_dist is None else args.max_dist
     profile = analysis.similarity_by_distance_profile(h_v, grid, max_dist)
 
     entropy_csv = "index,entropy\n" + "".join(

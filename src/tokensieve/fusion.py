@@ -120,8 +120,3 @@ def baseline_diversity_only(h_v: np.ndarray, m: int) -> Selection:
         raise ValueError(f"budget must lie in [1, {n}], got {m}")
     kept = qcsp_select(h_v, None, m)
     return Selection(kept, n, ["baseline"] * m, {"mode": "diversity", "m": m})
-
-
-def baseline_gsp_only(h_v: np.ndarray, m: int, tau: float = DEFAULT_TAU,
-                      gamma: float = DEFAULT_GAMMA) -> Selection:
-    return gsp_select(h_v, tau, gamma, keep=m)

@@ -73,9 +73,7 @@ def build_graph(h_v: np.ndarray | Prepared, tau: float = DEFAULT_TAU,
         raise ValueError(f"gamma must be positive, got {gamma}")
     prep = h_v if isinstance(h_v, Prepared) else prepare(h_v, gram=False)
     src, dst = bipartite_split(prep.n)
-    if len(dst) == 0:
-        cross = np.zeros((len(src), 0))
-    elif prep.gram is not None:
+    if prep.gram is not None:
         cross = prep.gram[0::2, 1::2]
     else:
         cross = prep.unit[0::2] @ prep.unit[1::2].T

@@ -81,12 +81,11 @@ class DppKernel:
 
     A greedy walk that flushes takes the matrix over (see take) and
     overwrites it; from then on materialize and diagonal raise
-    KernelConsumedError, while n, unit and relevance stay readable.
+    KernelConsumedError, while n and unit stay readable.
     """
 
     def __init__(self, unit_rows: np.ndarray, relevance: np.ndarray, gram: np.ndarray):
         self.unit = unit_rows
-        self.relevance = relevance
         self.n = unit_rows.shape[0]
         _scale_symmetric(gram, relevance)
         self._L = gram  # None once taken
@@ -148,11 +147,13 @@ class GreedyState:
     """Resumable greedy MAP state; extend(k) is prefix-consistent.
 
     order/gains record each step's winner (a token index) and its v^2 at
-    selection time, and selected flags the chosen token indices.  v_sq,
-    the panel's columns and A are indexed by position: perm maps a
-    position to the token index it holds and ipos is its inverse, both the
-    identity until the first flush.  v_sq holds the residual gains, with
-    selected positions parked at -inf.
+    selection time.  v_sq, the panel's columns and A are indexed by
+    position: perm maps a position to the token index it holds and ipos is
+    its inverse, both the identity until the first flush.  v_sq holds the
+    residual gains, with selected positions parked at -inf; that is the
+    walk's only record of which tokens it has selected.  An unselected
+    gain is finite: it starts at diag(L) >= 0 and only ever has e^2
+    subtracted.
 
     The coefficient rows e of the steps since the last flush form the
     panel P, one column per position, allocated once at
@@ -183,7 +184,6 @@ class GreedyState:
         self.kernel = kernel
         n = kernel.n
         self.v_sq = kernel.diagonal()
-        self.selected = np.zeros(n, dtype=np.uint8)
         self.order = np.full(n, -1, dtype=np.int64)
         self.gains = np.zeros(n)
         self.exhausted = False
@@ -210,16 +210,15 @@ class GreedyState:
             self.t, self.exhausted = self._steps(self.t, k)
         if self.exhausted and self.t < k:
             # kernel rank exhausted: pad by ascending index to honor the budget
-            pad = np.flatnonzero(self.selected == 0)[: k - self.t]
+            pad = np.sort(self._perm[self.v_sq != -np.inf])[: k - self.t]
             self.order[self.t: k] = pad
             self.gains[self.t: k] = 0.0
-            self.selected[pad] = 1
             self.v_sq[self._ipos[pad]] = -np.inf
             self.t = k
 
     def _steps(self, t_start: int, t_stop: int) -> tuple[int, bool]:
         """Run steps [t_start, t_stop); returns (steps done, exhausted)."""
-        v, order, gains, selected = self.v_sq, self.order, self.gains, self.selected
+        v, order, gains = self.v_sq, self.order, self.gains
         a, perm, panel, kk, f = self._a, self._perm, self._panel, self._kk, self._f
         tail, sq = v[f:], self._sq[f:]
         for t in range(t_start, t_stop):
@@ -249,7 +248,6 @@ class GreedyState:
             np.multiply(e, e, out=sq)
             tail -= sq
             v[p] = -np.inf
-            selected[j] = 1
             order[t] = j
             gains[t] = vj
         self._kk = kk

@@ -9,6 +9,8 @@ Matrix container format (EMB1):
 Storage is 32-bit; every computation downstream runs in 64-bit.  CSV is
 accepted for small hand-written fixtures: decimal reals, one row per
 line, written with 9 significant digits (lossless for binary32 values).
+read_matrix and write_matrix pick the format from the path: CSV when it
+ends in ".csv", EMB1 otherwise.
 
 Selection results are JSON documents carrying the ordered index list,
 the original token count, the budget, per-index stage tags, and the
@@ -50,31 +52,30 @@ def validate_matrix(data: np.ndarray) -> np.ndarray:
     return data
 
 
-def read_matrix(path, format: str = "emb1") -> np.ndarray:
-    """Load a matrix as float32; raises MatrixFormatError on any violation."""
-    if format == "emb1":
-        data = _read_emb1(path)
-    elif format == "csv":
-        data = _read_csv(path)
-    else:
-        raise ValueError(f"unknown matrix format {format!r}")
+def read_matrix(path) -> np.ndarray:
+    """Load a matrix as float32, as CSV if the path ends in ".csv" and as
+    EMB1 otherwise; raises MatrixFormatError on any violation."""
+    data = _read_csv(path) if _is_csv(path) else _read_emb1(path)
     return validate_matrix(data)
 
 
-def write_matrix(m: np.ndarray, path, format: str = "emb1") -> None:
+def write_matrix(m: np.ndarray, path) -> None:
+    """Write a matrix as CSV if the path ends in ".csv" and as EMB1 otherwise."""
     m = validate_matrix(np.asarray(m, dtype=np.float32))
-    if format == "emb1":
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<II", m.shape[0], m.shape[1]))
-            f.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
-    elif format == "csv":
+    if _is_csv(path):
         with open(path, "w") as f:
             for row in m:
                 f.write(",".join("%.9g" % v for v in row))
                 f.write("\n")
     else:
-        raise ValueError(f"unknown matrix format {format!r}")
+        with open(path, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", m.shape[0], m.shape[1]))
+            f.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
+
+
+def _is_csv(path) -> bool:
+    return str(path).endswith(".csv")
 
 
 def _read_emb1(path) -> np.ndarray:
@@ -94,24 +95,28 @@ def _read_emb1(path) -> np.ndarray:
 
 
 def _read_csv(path) -> np.ndarray:
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: not a text file ({exc})") from None
     rows = []
     width = None
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise MatrixFormatError(f"{path}:{lineno}: unparseable value ({exc})") from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise MatrixFormatError(
-                    f"{path}:{lineno}: row has {len(values)} values, expected {width}"
-                )
-            rows.append(values)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            values = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise MatrixFormatError(f"{path}:{lineno}: unparseable value ({exc})") from None
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise MatrixFormatError(
+                f"{path}:{lineno}: row has {len(values)} values, expected {width}"
+            )
+        rows.append(values)
     if not rows:
         raise MatrixFormatError(f"{path}: empty matrix")
     return np.asarray(rows, dtype=np.float32)

@@ -97,9 +97,7 @@ def check_hadamard_rank_deficient(instances: int = 50, seed: int = 3) -> CheckRe
     for _ in range(instances):
         d = 2 + rng.next_below(5)
         k = d + 1 + rng.next_below(3)
-        v = gaussian_matrix(rng.next_u64() >> 1, d, k)
-        v /= np.linalg.norm(v, axis=0, keepdims=True)
-        worst = max(worst, abs(float(np.linalg.det(v.T @ v))))
+        worst = max(worst, abs(float(np.linalg.det(_random_unit_gram(rng, k, d)))))
     return CheckResult("hadamard-rank-deficient", worst <= 1e-10, instances, worst,
                        1e-10, "max_abs_det")
 

@@ -94,6 +94,11 @@ def test_mean_neighbor_similarity_constant_grid():
     np.testing.assert_allclose(s, 1.0)
 
 
+def test_mean_neighbor_similarity_lone_token_is_nan():
+    # no neighbors: NaN by rule, with no empty-mean warning
+    assert np.isnan(mean_neighbor_similarity(np.ones((1, 4)), GridShape(1, 1))).all()
+
+
 def test_profile_identical_tokens():
     h = np.tile(np.array([1.0, 1.0]), (16, 1))
     prof = similarity_by_distance_profile(h, GridShape(4, 4), 6)

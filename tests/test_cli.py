@@ -281,6 +281,23 @@ def test_analyze_max_dist_below_one_exits_2(toks, capsys):
     capsys.readouterr()
 
 
+def test_analyze_one_cell_grid_defaults_max_dist_to_one(tmp_path, capsys):
+    p = tmp_path / "one.emb1"
+    write_matrix(gaussian_matrix(3, 1, 5), p)
+    assert main(["analyze", "--tokens", str(p), "--grid-h", "1", "--grid-w", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith("distance,mean_similarity\n1,nan")
+
+
+def test_prune_undecodable_csv_exits_1_naming_the_file(tmp_path, capsys):
+    p = tmp_path / "bin.csv"
+    p.write_bytes(b"\xff\xfe\x00garbage")
+    code = main(["prune", "--tokens", str(p), "--keep", "1",
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert "bin.csv" in capsys.readouterr().err
+
+
 def test_console_script_help():
     exe = shutil.which("tokensieve")
     if exe is None:

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from tokensieve import fusion, gsp, oracle, qcsp, similarity
-from tokensieve.fusion import (baseline_diversity_only, baseline_gsp_only,
-                               baseline_random, baseline_topk_relevance,
-                               script_select)
+from tokensieve.fusion import (baseline_diversity_only, baseline_random,
+                               baseline_topk_relevance, script_select)
 from tokensieve.gsp import gsp_select
 from tokensieve.qcsp import EPS, GreedyState, build_kernel, greedy_map, qcsp_select
 from tokensieve.rng import SplitMix64, gaussian_matrix
@@ -182,9 +181,14 @@ def test_diversity_baseline():
     assert sorted(baseline_diversity_only(h, 3).kept) == [0, 1, 2]
 
 
-def test_gsp_baseline_delegates():
-    h_v = gaussian_matrix(5, 14, 6)
-    assert baseline_gsp_only(h_v, 6).kept == gsp_select(h_v, keep=6).kept
+def test_baselines_reject_budgets_outside_one_to_n():
+    h_v, h_q = gaussian_matrix(5, 14, 6), gaussian_matrix(6, 2, 6)
+    for m in (0, 15):
+        for select in (lambda: baseline_random(14, m, 0),
+                       lambda: baseline_topk_relevance(h_v, h_q, m),
+                       lambda: baseline_diversity_only(h_v, m)):
+            with pytest.raises(ValueError, match="budget must lie in"):
+                select()
 
 
 def test_selectors_reject_non_finite_input():

@@ -6,8 +6,8 @@ import pytest
 from tokensieve.rng import gaussian_matrix
 from tokensieve.tensor_io import (MatrixFormatError, Selection,
                                   SelectionFormatError, read_matrix,
-                                  read_selection, write_matrix,
-                                  write_selection)
+                                  read_selection, validate_matrix,
+                                  write_matrix, write_selection)
 
 
 def emb1_bytes(rows, cols, values):
@@ -58,7 +58,7 @@ def test_single_cell_file_layout(tmp_path):
 
 def test_csv_identity(tmp_path):
     p = tmp_path / "m.csv"
-    write_matrix(np.eye(3, dtype=np.float32), p, format="csv")
+    write_matrix(np.eye(3, dtype=np.float32), p)
     lines = p.read_text().strip().splitlines()
     assert lines == ["1,0,0", "0,1,0", "0,0,1"]
 
@@ -67,16 +67,38 @@ def test_csv_round_trip(tmp_path):
     p = tmp_path / "m.csv"
     for i in range(20):
         m = gaussian_matrix(100 + i, 4, 5).astype(np.float32)
-        write_matrix(m, p, format="csv")
+        write_matrix(m, p)
         # 9 significant digits round-trip float32 exactly
-        np.testing.assert_array_equal(read_matrix(p, format="csv"), m)
+        np.testing.assert_array_equal(read_matrix(p), m)
 
 
 def test_csv_ragged_rows(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1,2,3\n4,5\n")
     with pytest.raises(MatrixFormatError):
-        read_matrix(p, format="csv")
+        read_matrix(p)
+
+
+def test_write_matrix_picks_csv_from_the_path(tmp_path):
+    p = tmp_path / "x.csv"
+    m = gaussian_matrix(7, 3, 4).astype(np.float32)
+    write_matrix(m, p)
+    assert p.read_text().splitlines() == [",".join("%.9g" % v for v in row) for row in m]
+    back = read_matrix(p)
+    assert back.dtype == np.float32 and back.tobytes() == m.tobytes()
+
+
+def test_csv_undecodable_bytes_name_the_file(tmp_path):
+    p = tmp_path / "bin.csv"
+    p.write_bytes(b"\xff\xfe\x00garbage")
+    with pytest.raises(MatrixFormatError, match=r"bin\.csv: not a text file"):
+        read_matrix(p)
+
+
+def test_validate_matrix_rejects_bad_shapes():
+    for bad in (np.ones(3), np.ones((0, 3))):
+        with pytest.raises(MatrixFormatError):
+            validate_matrix(bad)
 
 
 def test_non_finite_rejected(tmp_path):
@@ -127,3 +149,21 @@ def test_selection_rejects_out_of_range():
 def test_selection_rejects_unknown_tag():
     with pytest.raises(SelectionFormatError):
         Selection([0], 4, ["mystery"], {}).validate()
+
+
+def test_selection_rejects_tag_count_mismatch():
+    with pytest.raises(SelectionFormatError, match="equal length"):
+        Selection([0, 1], 4, ["gsp-only"], {}).validate()
+
+
+@pytest.mark.parametrize("text, match", [
+    ("{not json", "not a valid selection document"),
+    ('{"n_original": 4, "stage_tags": []}', "missing or malformed field"),
+    ('{"n_original": 4, "budget": 2, "kept": [1], "stage_tags": ["gsp-only"]}',
+     "budget field disagrees"),
+])
+def test_read_selection_rejects_bad_documents(tmp_path, text, match):
+    p = tmp_path / "s.json"
+    p.write_text(text)
+    with pytest.raises(SelectionFormatError, match=match):
+        read_selection(p)
