@@ -2,14 +2,14 @@
 
 Two complementary stages: a bipartite redundancy filter over the token
 set, and a greedy determinant-maximizing pass over a relevance-scaled
-similarity kernel. `script_select` fuses both under a fixed budget.
+similarity kernel. `script_select` fuses both under a fixed budget;
+`select` runs any of MODES, the fusion, a stage alone or a baseline.
 """
 
 from .analysis import (GridShape, ModelProfile, flops_estimate,
                        local_entropy_map, mean_neighbor_similarity,
                        similarity_by_distance_profile)
-from .fusion import (baseline_diversity_only, baseline_random,
-                     baseline_topk_relevance, script_select)
+from .fusion import MODES, script_select, select
 from .gsp import (DEFAULT_GAMMA, DEFAULT_TAU, BipartiteRedundancyGraph,
                   RedundancyScores, bipartite_split, build_graph, gsp_select,
                   redundancy_scores)
@@ -33,15 +33,13 @@ __all__ = [
     "GridShape",
     "InputError",
     "KernelConsumedError",
+    "MODES",
     "MatrixFormatError",
     "ModelProfile",
     "Prepared",
     "RedundancyScores",
     "Selection",
     "SelectionFormatError",
-    "baseline_diversity_only",
-    "baseline_random",
-    "baseline_topk_relevance",
     "bipartite_split",
     "build_graph",
     "build_kernel",
@@ -61,6 +59,7 @@ __all__ = [
     "redundancy_scores",
     "relevance_scores",
     "script_select",
+    "select",
     "similarity_by_distance_profile",
     "write_matrix",
     "write_selection",

@@ -21,12 +21,12 @@ import time
 
 import numpy as np
 
-from . import analysis, fusion, gsp, qcsp, synth, verify
+from . import analysis, fusion, gsp, synth, verify
 from .gsp import DEFAULT_GAMMA, DEFAULT_TAU
 from .rng import gaussian_matrix
 from .similarity import InputError, prepare
-from .tensor_io import (MatrixFormatError, Selection, SelectionFormatError,
-                        read_matrix, write_matrix, write_selection)
+from .tensor_io import (MatrixFormatError, SelectionFormatError, read_matrix,
+                        write_matrix, write_selection)
 
 
 def _budget(args, n: int) -> int:
@@ -42,41 +42,15 @@ def _budget(args, n: int) -> int:
     return m
 
 
-def _qcsp_only(h_v, h_q, m: int, args) -> Selection:
-    return Selection(qcsp.qcsp_select(h_v, h_q, m), len(h_v), ["qcsp-only"] * m,
-                     {"mode": "qcsp", "m": m})
-
-
-def _topk(h_v, h_q, m: int, args) -> Selection:
-    if h_q is None:
-        raise ValueError("--mode topk needs --query")
-    return fusion.baseline_topk_relevance(h_v, h_q, m)
-
-
-# mode -> selector(h_v, h_q, m, args); --gsp-keep left unset means min(n, 2m)
-SELECTORS = {
-    "script": lambda h_v, h_q, m, args: fusion.script_select(
-        h_v, h_q, m, args.tau, args.gamma, args.gsp_keep),
-    "gsp": lambda h_v, h_q, m, args: gsp.gsp_select(h_v, args.tau, args.gamma, keep=m),
-    "qcsp": _qcsp_only,
-    "random": lambda h_v, h_q, m, args: fusion.baseline_random(len(h_v), m, args.seed),
-    "topk": _topk,
-    "diversity": lambda h_v, h_q, m, args: fusion.baseline_diversity_only(h_v, m),
-}
-MODES = tuple(SELECTORS)
-
-
 def cmd_prune(args) -> int:
     h_v = read_matrix(args.tokens)
     h_q = read_matrix(args.query) if args.query else None
     n = h_v.shape[0]
     m = _budget(args, n)
     start = time.perf_counter()
-    selection = SELECTORS[args.mode](h_v, h_q, m, args)
+    selection = fusion.select(args.mode, h_v, h_q, m, args.tau, args.gamma,
+                              args.gsp_keep, args.seed)
     elapsed = time.perf_counter() - start
-    selection.params.setdefault("tau", args.tau)
-    selection.params.setdefault("gamma", args.gamma)
-    selection.params["seed"] = args.seed
     write_selection(selection, args.out)
     print(f"n={n} m={m} mode={args.mode} elapsed={elapsed:.4f}s out={args.out}")
     return 0
@@ -123,11 +97,11 @@ def cmd_bench(args) -> int:
     h_q = gaussian_matrix(args.seed + 1, 8, args.d)
     print(f"bench mode={args.mode} n={args.n} d={args.d} keep={args.keep} "
           f"repeats={args.repeats}")
-    select = SELECTORS[args.mode]
     times = []
     for _ in range(args.repeats):
         start = time.perf_counter()
-        select(h_v, h_q, args.keep, args)
+        fusion.select(args.mode, h_v, h_q, args.keep, args.tau, args.gamma,
+                      args.gsp_keep, args.seed)
         times.append(time.perf_counter() - start)
     print(f"median={np.median(times):.4f}s min={min(times):.4f}s")
     return 0
@@ -180,9 +154,17 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _add_common_selection_flags(p):
+def _add_graph_flags(p):
     p.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+
+
+def _add_selection_flags(p):
+    """The flags of fusion.select; --gsp-keep left unset means min(n, 2m)."""
+    p.add_argument("--mode", choices=fusion.MODES, default="script")
+    _add_graph_flags(p)
+    p.add_argument("--gsp-keep", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,17 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--keep", type=int, default=None)
     group.add_argument("--ratio", type=float, default=None)
-    p.add_argument("--mode", choices=MODES, default="script")
-    _add_common_selection_flags(p)
-    p.add_argument("--gsp-keep", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_selection_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("score", help="per-token redundancy/relevance CSV")
     p.add_argument("--tokens", required=True)
     p.add_argument("--query", default=None)
-    _add_common_selection_flags(p)
+    _add_graph_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_score)
 
@@ -221,10 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--keep", type=int, required=True)
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--mode", choices=MODES, default="script")
-    _add_common_selection_flags(p)
-    p.add_argument("--gsp-keep", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_selection_flags(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="write a synthetic embedding file")

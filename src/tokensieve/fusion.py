@@ -1,5 +1,6 @@
 """Intersection fusion of the redundancy-pruned and query-conditioned
-selections, plus the ablation baselines.
+selections, and `select`, which builds the Selection document of every
+mode: the fusion, its two stages alone, and the ablation baselines.
 
 The fused rule: take the redundancy-filtered candidate set G, walk the
 full greedy MAP order, and keep each G-member encountered until the
@@ -54,7 +55,7 @@ def script_select(h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
     # one normalization, relevance and Gram for both stages; GSP reads the
     # Gram before the kernel scales it into L in place
     prep = prepare(h_v, h_q)
-    g_members = set(gsp_select(prep, tau, gamma, gsp_keep).kept)
+    g_members = set(gsp_select(prep, tau, gamma, gsp_keep))
     state = GreedyState(build_kernel(prep, prep.relevance))
 
     kept: list[int] = []
@@ -91,32 +92,46 @@ def script_select(h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
     )
 
 
-def baseline_random(n: int, m: int, seed: int) -> Selection:
+MODES = ("script", "gsp", "qcsp", "random", "topk", "diversity")
+
+
+def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
+           gamma: float = DEFAULT_GAMMA, gsp_keep: int | None = None,
+           seed: int = 0) -> Selection:
+    """Budget-m selection by `mode`, one of MODES.
+
+    The document's params hold the mode, m and only the inputs that mode
+    reads: script tau, gamma, gsp_keep and eps; gsp tau and gamma; qcsp
+    and diversity eps; random seed; topk nothing more.
+    """
+    if mode == "script":
+        return script_select(h_v, h_q, m, tau, gamma, gsp_keep)
+    n = len(h_v)
     if not 1 <= m <= n:
         raise ValueError(f"budget must lie in [1, {n}], got {m}")
-    kept = SplitMix64(seed).sample_without_replacement(n, m)
-    return Selection(kept, n, ["baseline"] * m, {"mode": "random", "m": m, "seed": seed})
-
-
-def baseline_topk_relevance(h_v: np.ndarray, h_q: np.ndarray, m: int) -> Selection:
-    """Top-m tokens by raw relevance, descending; ties to lower index."""
-    h_v = np.asarray(h_v, dtype=np.float64)
-    n = h_v.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError(f"budget must lie in [1, {n}], got {m}")
-    if h_q is None:
-        raise ValueError("top-k relevance needs a query")
-    raw = prepare(h_v, h_q, gram=False).relevance_raw
-    ranked = np.argsort(-raw, kind="stable")
-    return Selection([int(i) for i in ranked[:m]], n, ["baseline"] * m,
-                     {"mode": "topk", "m": m})
-
-
-def baseline_diversity_only(h_v: np.ndarray, m: int) -> Selection:
-    """Greedy MAP with uniform relevance: diversity with no query signal."""
-    h_v = np.asarray(h_v, dtype=np.float64)
-    n = h_v.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError(f"budget must lie in [1, {n}], got {m}")
-    kept = qcsp_select(h_v, None, m)
-    return Selection(kept, n, ["baseline"] * m, {"mode": "diversity", "m": m})
+    params = {"mode": mode, "m": m}
+    tag = "baseline"
+    if mode == "gsp":
+        kept = gsp_select(h_v, tau, gamma, m)
+        tag = "gsp-only"
+        params.update(tau=tau, gamma=gamma)
+    elif mode == "qcsp":
+        kept = qcsp_select(h_v, h_q, m)
+        tag = "qcsp-only"
+        params["eps"] = EPS
+    elif mode == "diversity":
+        # the walk with uniform relevance: diversity with no query signal
+        kept = qcsp_select(h_v, None, m)
+        params["eps"] = EPS
+    elif mode == "random":
+        kept = SplitMix64(seed).sample_without_replacement(n, m)
+        params["seed"] = seed
+    elif mode == "topk":
+        if h_q is None:
+            raise ValueError("mode topk needs a query")
+        # top-m by raw relevance, descending; ties to the lower index
+        raw = prepare(h_v, h_q, gram=False).relevance_raw
+        kept = np.argsort(-raw, kind="stable")[:m].tolist()
+    else:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    return Selection(kept, n, [tag] * m, params)

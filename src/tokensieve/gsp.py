@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .similarity import Prepared, prepare
-from .tensor_io import Selection
 
 DEFAULT_TAU = 0.3
 DEFAULT_GAMMA = 5.0
@@ -108,8 +107,8 @@ def redundancy_scores(g: BipartiteRedundancyGraph) -> RedundancyScores:
 
 
 def gsp_select(h_v: np.ndarray | Prepared, tau: float = DEFAULT_TAU,
-               gamma: float = DEFAULT_GAMMA, keep: int = None) -> Selection:
-    """Keep the `keep` lowest-redundancy tokens; ascending index order.
+               gamma: float = DEFAULT_GAMMA, keep: int = None) -> list[int]:
+    """The indices of the `keep` lowest-redundancy tokens, ascending.
 
     Ties in score break toward the lower original index.
     """
@@ -119,10 +118,4 @@ def gsp_select(h_v: np.ndarray | Prepared, tau: float = DEFAULT_TAU,
     scores = redundancy_scores(build_graph(h_v, tau, gamma)).score
     # stable mergesort on score preserves index order within ties
     ranked = np.argsort(scores, kind="stable")
-    kept = np.sort(ranked[:keep])
-    return Selection(
-        kept=[int(i) for i in kept],
-        n_original=n,
-        stage_tags=["gsp-only"] * keep,
-        params={"tau": tau, "gamma": gamma, "keep": keep},
-    )
+    return np.sort(ranked[:keep]).tolist()

@@ -163,9 +163,18 @@ def write_selection(s: Selection, path) -> None:
         "stage_tags": list(s.stage_tags),
         "params": s.params,
     }
+    # serialized before the file is opened, so a document that cannot be
+    # written leaves an existing file as it was
+    text = json.dumps(doc, indent=1, default=_json_scalar) + "\n"
     with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+        f.write(text)
+
+
+def _json_scalar(x):
+    """numpy scalars (an np.int64 budget, say) as the Python values they hold."""
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def read_selection(path) -> Selection:
@@ -176,13 +185,17 @@ def read_selection(path) -> Selection:
             raise SelectionFormatError(f"{path}: not a valid selection document ({exc})") from None
     try:
         s = Selection(
-            kept=[int(i) for i in doc["kept"]],
-            n_original=int(doc["n_original"]),
+            kept=list(doc["kept"]),
+            n_original=doc["n_original"],
             stage_tags=list(doc["stage_tags"]),
             params=dict(doc.get("params", {})),
         )
+        budget = doc.get("budget", s.budget)
     except (KeyError, TypeError) as exc:
         raise SelectionFormatError(f"{path}: missing or malformed field ({exc})") from None
-    if s.budget != int(doc.get("budget", s.budget)):
+    # JSON integers only: 1.7, "3" and true are not indices
+    if not all(type(x) is int for x in (s.n_original, budget, *s.kept)):
+        raise SelectionFormatError(f"{path}: kept, n_original and budget must be integers")
+    if s.budget != budget:
         raise SelectionFormatError(f"{path}: budget field disagrees with kept length")
     return s.validate()

@@ -141,7 +141,7 @@ def test_c10_ablation_ordering():
             fusion.script_select(h_v, h_q, PLANT_Q).kept, planted))
         qcsp_r.append(_recall(qcsp.greedy_map(kernel, PLANT_Q), planted))
         random_r.append(_recall(
-            fusion.baseline_random(PLANT_N, PLANT_Q, seed=seed).kept, planted))
+            fusion.select("random", h_v, None, PLANT_Q, seed=seed).kept, planted))
     ms, mq, mr = (float(np.mean(x)) for x in (script_r, qcsp_r, random_r))
     passed = ms >= mq >= mr and mr < mq and mr < ms
     _emit(10, "ablation-ordering", passed,

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from tokensieve import oracle
+from tokensieve import fusion, oracle
 from tokensieve.cli import main
 from tokensieve.rng import gaussian_matrix
 from tokensieve.tensor_io import read_matrix, read_selection, write_matrix
@@ -80,6 +80,27 @@ def test_prune_modes_and_tags(toks, query, tmp_path):
         assert len(sel.kept) == 4
         if tag:
             assert sel.stage_tags == [tag] * 4
+
+
+@pytest.mark.parametrize("mode, extra, tag", [
+    ("script", {"tau": 0.3, "gamma": 5.0, "gsp_keep": 8, "eps": 1e-6}, None),
+    ("gsp", {"tau": 0.3, "gamma": 5.0}, "gsp-only"),
+    ("qcsp", {"eps": 1e-6}, "qcsp-only"),
+    ("random", {"seed": 7}, "baseline"),
+    ("topk", {}, "baseline"),
+    ("diversity", {"eps": 1e-6}, "baseline"),
+])
+def test_prune_records_what_each_mode_reads(toks, query, tmp_path, mode, extra, tag):
+    # params hold the mode, m and only the inputs the mode reads, and the
+    # written document is the one fusion.select builds
+    out = str(tmp_path / "sel.json")
+    assert main(["prune", "--tokens", toks, "--query", query, "--keep", "4",
+                 "--mode", mode, "--seed", "7", "--out", out]) == 0
+    sel = read_selection(out)
+    assert sel.params == {"mode": mode, "m": 4, **extra}
+    if tag:
+        assert sel.stage_tags == [tag] * 4
+    assert sel == fusion.select(mode, read_matrix(toks), read_matrix(query), 4, seed=7)
 
 
 def test_prune_qcsp_without_query_is_diversity_only(toks, tmp_path):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from tokensieve import fusion, gsp, oracle, qcsp, similarity
-from tokensieve.fusion import (baseline_diversity_only, baseline_random,
-                               baseline_topk_relevance, script_select)
+from tokensieve.fusion import script_select, select
 from tokensieve.gsp import gsp_select
 from tokensieve.qcsp import EPS, GreedyState, build_kernel, greedy_map, qcsp_select
 from tokensieve.rng import SplitMix64, gaussian_matrix
@@ -21,7 +20,7 @@ def reference_script(h_v, h_q, m, tau=0.3, gamma=5.0, gsp_keep=None):
     n = len(h_v)
     if gsp_keep is None:
         gsp_keep = min(n, 2 * m)
-    g = set(gsp_select(h_v, tau, gamma, keep=gsp_keep).kept)
+    g = set(gsp_select(h_v, tau, gamma, keep=gsp_keep))
     if h_q is None:
         r = np.ones(n)
     else:
@@ -81,7 +80,7 @@ def test_walk_stops_at_mth_intersection_member(monkeypatch):
     sel = script_select(h_v, h_q, m)
     monkeypatch.undo()
 
-    g = set(gsp_select(h_v, keep=2 * m).kept)
+    g = set(gsp_select(h_v, keep=2 * m))
     r = min_max_normalize(relevance_scores(h_v, mean_pool(h_q)))
     order = greedy_map(build_kernel(h_v, r), n)
     positions = [t for t, idx in enumerate(order) if idx in g]
@@ -95,7 +94,7 @@ def test_intersection_prefix_case():
     e = np.eye(4)
     h_v = np.stack([e[0], e[1], e[2], e[3], e[3], e[3]])
     q = np.array([[0.44, 0.0, 0.9, 0.0]])
-    g = set(gsp_select(h_v, keep=3).kept)
+    g = set(gsp_select(h_v, keep=3))
     assert g == {0, 1, 2}
     sel = script_select(h_v, q, 2, gsp_keep=3)
     assert sel.kept == [2, 0]
@@ -107,7 +106,7 @@ def test_fill_after_sparse_intersection():
     # ahead of it: intersection member first, then fill from the front
     h_v = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     q = np.array([[1.0, 0.0]])
-    g = set(gsp_select(h_v, keep=1).kept)
+    g = set(gsp_select(h_v, keep=1))
     assert g == {3}
     order = greedy_map(
         build_kernel(h_v, min_max_normalize(relevance_scores(h_v, q[0]))), 4)
@@ -153,42 +152,41 @@ def test_gsp_keep_validation():
 
 
 def test_random_baseline():
-    sel = baseline_random(1000, 100, 0)
+    h_v = np.zeros((1000, 1))
+    sel = select("random", h_v, None, 100)
     assert len(sel.kept) == 100 and len(set(sel.kept)) == 100
-    assert baseline_random(1000, 100, 0).kept == sel.kept
+    assert select("random", h_v, None, 100).kept == sel.kept
     differing = sum(
-        baseline_random(1000, 100, 2 * s).kept
-        != baseline_random(1000, 100, 2 * s + 1).kept
+        select("random", h_v, None, 100, seed=2 * s).kept
+        != select("random", h_v, None, 100, seed=2 * s + 1).kept
         for s in range(10))
     assert differing == 10
-    assert sorted(baseline_random(6, 6, 3).kept) == list(range(6))
+    assert sorted(select("random", np.zeros((6, 1)), None, 6, seed=3).kept) == list(range(6))
 
 
 def test_topk_baseline():
     h_v = l2_normalize_rows(gaussian_matrix(4, 12, 6))
     q = h_v[7][None, :]
-    assert baseline_topk_relevance(h_v, q, 1).kept == [7]
+    assert select("topk", h_v, q, 1).kept == [7]
     dup = np.array([[1.0, 0.0]] * 5)
-    assert baseline_topk_relevance(dup, np.array([[1.0, 0.0]]), 2).kept == [0, 1]
-    assert sorted(baseline_topk_relevance(h_v, q, 12).kept) == list(range(12))
+    assert select("topk", dup, np.array([[1.0, 0.0]]), 2).kept == [0, 1]
+    assert sorted(select("topk", h_v, q, 12).kept) == list(range(12))
 
 
 def test_diversity_baseline():
-    assert baseline_diversity_only(np.eye(5), 3).kept == [0, 1, 2]
+    assert select("diversity", np.eye(5), None, 3).kept == [0, 1, 2]
     # exactly unit-norm mix row keeps the tie-break on the lowest index
     h = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-    assert sorted(baseline_diversity_only(h, 2).kept) == [0, 1]
-    assert sorted(baseline_diversity_only(h, 3).kept) == [0, 1, 2]
+    assert sorted(select("diversity", h, None, 2).kept) == [0, 1]
+    assert sorted(select("diversity", h, None, 3).kept) == [0, 1, 2]
 
 
 def test_baselines_reject_budgets_outside_one_to_n():
     h_v, h_q = gaussian_matrix(5, 14, 6), gaussian_matrix(6, 2, 6)
     for m in (0, 15):
-        for select in (lambda: baseline_random(14, m, 0),
-                       lambda: baseline_topk_relevance(h_v, h_q, m),
-                       lambda: baseline_diversity_only(h_v, m)):
+        for mode in ("random", "topk", "diversity"):
             with pytest.raises(ValueError, match="budget must lie in"):
-                select()
+                select(mode, h_v, h_q, m)
 
 
 def test_selectors_reject_non_finite_input():
@@ -196,13 +194,13 @@ def test_selectors_reject_non_finite_input():
     h_v = rng.standard_normal((40, 8))
     h_q = rng.standard_normal((4, 8))
     h_v[5, 3] = np.nan
-    for select in (lambda: script_select(h_v, h_q, 6),
-                   lambda: qcsp_select(h_v, h_q, 6),
-                   lambda: gsp_select(h_v, keep=6),
-                   lambda: baseline_diversity_only(h_v, 6),
-                   lambda: baseline_topk_relevance(h_v, h_q, 6)):
+    for run in (lambda: script_select(h_v, h_q, 6),
+                lambda: qcsp_select(h_v, h_q, 6),
+                lambda: gsp_select(h_v, keep=6),
+                lambda: select("diversity", h_v, None, 6),
+                lambda: select("topk", h_v, h_q, 6)):
         with pytest.raises(InputError, match="token row 5"):
-            select()
+            run()
     h_v[5, 3] = 0.0
     h_q[2, 1] = np.inf
     with pytest.raises(InputError, match="query"):

@@ -83,37 +83,36 @@ def test_score_degree_three_exponent():
 
 def test_select_keep_all():
     h = gaussian_matrix(3, 7, 5)
-    sel = gsp_select(h, keep=7)
-    assert sel.kept == list(range(7))
+    kept = gsp_select(h, keep=7)
+    assert kept == list(range(7))
 
 
 def test_select_drops_duplicates():
     # three copies plus one orthogonal: the orthogonal token scores lowest
     h = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]])
-    sel = gsp_select(h, keep=1)
-    assert sel.kept == [3]
+    kept = gsp_select(h, keep=1)
+    assert kept == [3]
 
 
 def test_select_tie_break_low_index():
     h = np.array([[1.0, 0.0]] * 4)
-    sel = gsp_select(h, keep=2)
-    assert sel.kept == [0, 1]
+    kept = gsp_select(h, keep=2)
+    assert kept == [0, 1]
 
 
 def test_select_output_sorted_and_tagged():
     h = gaussian_matrix(8, 30, 6)
-    sel = gsp_select(h, keep=12)
-    assert sel.kept == sorted(sel.kept)
-    assert len(set(sel.kept)) == 12
-    assert sel.stage_tags == ["gsp-only"] * 12
+    kept = gsp_select(h, keep=12)
+    assert kept == sorted(kept)
+    assert len(set(kept)) == 12
 
 
 def test_select_prefers_low_scores():
     h = gaussian_matrix(2, 16, 4)
     scores = redundancy_scores(build_graph(h)).score
-    sel = gsp_select(h, keep=5)
-    worst_kept = max(scores[i] for i in sel.kept)
-    best_dropped = min(scores[i] for i in range(16) if i not in sel.kept)
+    kept = gsp_select(h, keep=5)
+    worst_kept = max(scores[i] for i in kept)
+    best_dropped = min(scores[i] for i in range(16) if i not in kept)
     assert worst_kept <= best_dropped
 
 

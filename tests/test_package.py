@@ -1,0 +1,22 @@
+import re
+from pathlib import Path
+
+import tokensieve
+from tokensieve.rng import gaussian_matrix
+
+
+def test_every_export_resolves():
+    missing = [name for name in tokensieve.__all__ if not hasattr(tokensieve, name)]
+    assert missing == []
+
+
+def test_readme_library_block_runs():
+    # deletions that leave an export or the documented usage behind fail here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library entry points", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope = {"h_v": gaussian_matrix(1, 40, 8), "h_q": gaussian_matrix(2, 3, 8), "m": 6}
+    exec(block, scope)
+    assert len(scope["picked"]) == len(scope["order"]) == 6
+    assert scope["sel"].params["mode"] == "qcsp"
+    assert scope["g"] == sorted(scope["g"]) and len(scope["g"]) == 12

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from tokensieve.fusion import script_select
 from tokensieve.rng import gaussian_matrix
 from tokensieve.tensor_io import (MatrixFormatError, Selection,
                                   SelectionFormatError, read_matrix,
@@ -136,6 +137,24 @@ def test_selection_round_trip(tmp_path):
     assert back.params == orig.params
 
 
+def test_selection_numpy_integer_budget_round_trips(tmp_path):
+    p = tmp_path / "s.json"
+    h = gaussian_matrix(1, 12, 4)
+    write_selection(script_select(h, gaussian_matrix(2, 2, 4), np.int64(5)), p)
+    back = read_selection(p)
+    assert back.budget == 5
+    assert back.params["m"] == 5 and type(back.params["m"]) is int
+
+
+def test_failed_selection_write_leaves_the_file_untouched(tmp_path):
+    p = tmp_path / "s.json"
+    write_selection(Selection([1], 4, ["baseline"], {"mode": "random"}), p)
+    before = p.read_bytes()
+    with pytest.raises(TypeError):
+        write_selection(Selection([2], 4, ["baseline"], {"mode": object()}), p)
+    assert p.read_bytes() == before
+
+
 def test_selection_rejects_duplicates():
     with pytest.raises(SelectionFormatError):
         Selection([1, 1], 4, ["gsp-only", "gsp-only"], {}).validate()
@@ -161,6 +180,14 @@ def test_selection_rejects_tag_count_mismatch():
     ('{"n_original": 4, "stage_tags": []}', "missing or malformed field"),
     ('{"n_original": 4, "budget": 2, "kept": [1], "stage_tags": ["gsp-only"]}',
      "budget field disagrees"),
+    ('{"n_original": 4, "kept": [1.7, 2], "stage_tags": ["gsp-only", "gsp-only"]}',
+     "must be integers"),
+    ('{"n_original": 4, "kept": ["3", true], "stage_tags": ["gsp-only", "gsp-only"]}',
+     "must be integers"),
+    ('{"n_original": 4.0, "kept": [1], "stage_tags": ["gsp-only"]}',
+     "must be integers"),
+    ('{"n_original": 4, "budget": 1.0, "kept": [1], "stage_tags": ["gsp-only"]}',
+     "must be integers"),
 ])
 def test_read_selection_rejects_bad_documents(tmp_path, text, match):
     p = tmp_path / "s.json"
