@@ -11,8 +11,7 @@ from .analysis import (GridShape, ModelProfile, flops_estimate,
                        similarity_by_distance_profile)
 from .fusion import MODES, script_select, select
 from .gsp import (DEFAULT_GAMMA, DEFAULT_TAU, BipartiteRedundancyGraph,
-                  RedundancyScores, bipartite_split, build_graph, gsp_select,
-                  redundancy_scores)
+                  RedundancyScores, build_graph, gsp_select, redundancy_scores)
 from .qcsp import (DppKernel, GreedyState, KernelConsumedError, build_kernel,
                    greedy_map, qcsp_select)
 from .similarity import (InputError, Prepared, cosine_similarity_matrix,
@@ -40,7 +39,6 @@ __all__ = [
     "RedundancyScores",
     "Selection",
     "SelectionFormatError",
-    "bipartite_split",
     "build_graph",
     "build_kernel",
     "cosine_similarity_matrix",

@@ -5,6 +5,10 @@ token i at (i // width, i % width).  Local entropy bins the projections
 of a token's 3x3 Moore neighborhood onto its exact first principal
 direction, one SVD per neighborhood; a neighborhood flat to rounding
 scores 0, textured regions approach log(number of bins).
+
+The token rows pass through similarity.prepare, so a non-finite token
+raises similarity.InputError naming its row, and the distance profile,
+which builds the full unit-row Gram, is bounded by MAX_GRAM_BYTES.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .similarity import l2_normalize_rows
+from .similarity import prepare
 
 ENTROPY_BINS = 20
 ENTROPY_EPS = 1e-8
@@ -61,6 +65,7 @@ def local_entropy_map(h_v: np.ndarray, grid: GridShape) -> np.ndarray:
     """
     h_v = np.asarray(h_v, dtype=np.float64)
     grid.check(h_v.shape[0])
+    prepare(h_v, gram=False)  # the input contract only; the SVDs read h_v
     eps = np.finfo(np.float64).eps
     out = np.zeros(h_v.shape[0])
     for row in range(grid.height):
@@ -92,7 +97,7 @@ def mean_neighbor_similarity(h_v: np.ndarray, grid: GridShape) -> np.ndarray:
     """
     h_v = np.asarray(h_v, dtype=np.float64)
     grid.check(h_v.shape[0])
-    unit = l2_normalize_rows(h_v)
+    unit = prepare(h_v, gram=False).unit
     out = np.full(h_v.shape[0], np.nan)
     for row in range(grid.height):
         for col in range(grid.width):
@@ -111,8 +116,7 @@ def similarity_by_distance_profile(h_v: np.ndarray, grid: GridShape,
     grid.check(n)
     if max_dist < 1:
         raise ValueError("max_dist must be >= 1")
-    unit = l2_normalize_rows(h_v)
-    sims = unit @ unit.T
+    sims = prepare(h_v).gram
     rows = np.arange(n) // grid.width
     cols = np.arange(n) % grid.width
     dist = np.abs(rows[:, None] - rows[None, :]) + np.abs(cols[:, None] - cols[None, :])

@@ -16,12 +16,8 @@ min(m - len(kept), g_unseen) steps per round.  The walk therefore ends
 at the m-th G-member and never passes it (if G holds fewer than m, it
 ends at the last G-member or at step m, whichever is later).  The
 per-step arithmetic does not depend on how the walk is split into
-rounds, so the kept set is that of the full-length order.  The walk
-folds its coefficient panel of B = qcsp.flush_rows(n) rows into the
-unselected block of the kernel every B steps: a flush that leaves f
-tokens selected costs about (n-f)^2*B/2 multiply-adds, and each step
-passes over at most B*(n-f) panel doubles.  The walk owns one n x n
-buffer, the kernel's, which it overwrites once it flushes; see qcsp.
+rounds, so the kept set is that of the full-length order.  What a walk
+step and a flush cost, and which n x n buffer the walk owns, is in qcsp.
 A selection needs that 8*n^2-byte buffer, so `script_select` raises
 similarity.InputError when it would exceed similarity.MAX_GRAM_BYTES.
 """
@@ -55,7 +51,7 @@ def script_select(h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
     # one normalization, relevance and Gram for both stages; GSP reads the
     # Gram before the kernel scales it into L in place
     prep = prepare(h_v, h_q)
-    g_members = set(gsp_select(prep, tau, gamma, gsp_keep))
+    g_members = set(gsp_select(prep, tau, gamma, keep=gsp_keep))
     state = GreedyState(build_kernel(prep, prep.relevance))
 
     kept: list[int] = []
@@ -112,7 +108,7 @@ def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
     params = {"mode": mode, "m": m}
     tag = "baseline"
     if mode == "gsp":
-        kept = gsp_select(h_v, tau, gamma, m)
+        kept = gsp_select(h_v, tau, gamma, keep=m)
         tag = "gsp-only"
         params.update(tau=tau, gamma=gamma)
     elif mode == "qcsp":

@@ -1,9 +1,11 @@
 """Graph-structured redundancy pruning.
 
 Tokens are split by index parity into the two sides of a complete
-bipartite graph whose edges carry cross-side cosine similarities.  This
-costs exactly ceil(n/2)*floor(n/2) similarity evaluations, about half
-of the n(n-1)/2 exhaustive pair count.  Each token is scored
+bipartite graph: the even-index (source) tokens are the rows and the
+odd-index (destination) tokens the columns of the cross block
+S[0::2, 1::2] of the unit-row Gram, which carries the graph's edges.
+This costs exactly ceil(n/2)*floor(n/2) similarity evaluations, about
+half of the n(n-1)/2 exhaustive pair count.  Each token is scored
 
     score(t) = degree(t) * exp(gamma * (mean_sim(t) - tau))
 
@@ -12,10 +14,9 @@ mean_sim averages over exactly those neighbors.  A token with no
 neighbor above the threshold falls back to its mean similarity against
 all cross-side tokens.  Low score = structurally non-redundant = kept.
 
-The cross-side cosines are the even x odd block S[0::2, 1::2] of the
-unit-row Gram.  Given a prepared instance that holds S, the graph is a
-strided view of it and costs no arithmetic; otherwise the block is one
-gemm of the prepared unit rows.
+Given a prepared instance that holds S, the graph is a strided view of
+it and costs no arithmetic; otherwise the block is one gemm of the
+prepared unit rows.
 """
 
 from __future__ import annotations
@@ -30,25 +31,15 @@ DEFAULT_TAU = 0.3
 DEFAULT_GAMMA = 5.0
 
 
-def bipartite_split(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Even original indices to the source side, odd to the destination side."""
-    if n < 1:
-        raise ValueError("bipartite_split needs n >= 1")
-    idx = np.arange(n)
-    return idx[0::2], idx[1::2]
-
-
 @dataclass
 class BipartiteRedundancyGraph:
-    src_indices: np.ndarray
-    dst_indices: np.ndarray
-    cross_sim: np.ndarray  # |src| x |dst|
+    cross_sim: np.ndarray  # ceil(n/2) x floor(n/2): even-index rows, odd-index columns
     tau: float
     gamma: float
 
     @property
     def n(self) -> int:
-        return len(self.src_indices) + len(self.dst_indices)
+        return sum(self.cross_sim.shape)
 
     @property
     def num_similarity_evaluations(self) -> int:
@@ -71,12 +62,13 @@ def build_graph(h_v: np.ndarray | Prepared, tau: float = DEFAULT_TAU,
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     prep = h_v if isinstance(h_v, Prepared) else prepare(h_v, gram=False)
-    src, dst = bipartite_split(prep.n)
+    if prep.n < 1:
+        raise ValueError("build_graph needs n >= 1")
     if prep.gram is not None:
         cross = prep.gram[0::2, 1::2]
     else:
         cross = prep.unit[0::2] @ prep.unit[1::2].T
-    return BipartiteRedundancyGraph(src, dst, cross, float(tau), float(gamma))
+    return BipartiteRedundancyGraph(cross, float(tau), float(gamma))
 
 
 def redundancy_scores(g: BipartiteRedundancyGraph) -> RedundancyScores:
@@ -86,34 +78,34 @@ def redundancy_scores(g: BipartiteRedundancyGraph) -> RedundancyScores:
     mean_sim = np.zeros(n)
     used_fallback = np.zeros(n, dtype=bool)
 
-    for indices, sims in ((g.src_indices, g.cross_sim), (g.dst_indices, g.cross_sim.T)):
-        if sims.shape[1] == 0:
-            # empty opposite side (n = 1): trivially non-redundant, score 0
-            used_fallback[indices] = True
-            continue
-        above = sims >= g.tau
-        d = above.sum(axis=1)
+    sims = g.cross_sim
+    above = sims >= g.tau
+    masked = sims * above
+    # even-index tokens reduce the rows (axis 1), odd-index ones the columns
+    for parity in (0, 1):
+        axis = 1 - parity
+        d = above.sum(axis=axis)
         has_neighbors = d > 0
-        mu_above = (sims * above).sum(axis=1) / np.maximum(d, 1)
-        mu_all = sims.mean(axis=1)
+        mu_above = masked.sum(axis=axis) / np.maximum(d, 1)
+        # with no opposite side (n = 1) the mean is 0: a fallback score of 0
+        mu_all = sims.sum(axis=axis) / max(sims.shape[axis], 1)
         mu = np.where(has_neighbors, mu_above, mu_all)
-        s = np.where(has_neighbors, d * np.exp(g.gamma * (mu - g.tau)), mu_all)
-        score[indices] = s
-        degree[indices] = d
-        mean_sim[indices] = mu
-        used_fallback[indices] = ~has_neighbors
+        score[parity::2] = np.where(has_neighbors, d * np.exp(g.gamma * (mu - g.tau)), mu_all)
+        degree[parity::2] = d
+        mean_sim[parity::2] = mu
+        used_fallback[parity::2] = ~has_neighbors
 
     return RedundancyScores(score, degree, mean_sim, used_fallback)
 
 
 def gsp_select(h_v: np.ndarray | Prepared, tau: float = DEFAULT_TAU,
-               gamma: float = DEFAULT_GAMMA, keep: int = None) -> list[int]:
+               gamma: float = DEFAULT_GAMMA, *, keep: int) -> list[int]:
     """The indices of the `keep` lowest-redundancy tokens, ascending.
 
     Ties in score break toward the lower original index.
     """
     n = h_v.n if isinstance(h_v, Prepared) else len(h_v)
-    if keep is None or not (1 <= keep <= n):
+    if not (1 <= keep <= n):
         raise ValueError(f"keep must lie in [1, {n}], got {keep}")
     scores = redundancy_scores(build_graph(h_v, tau, gamma)).score
     # stable mergesort on score preserves index order within ties

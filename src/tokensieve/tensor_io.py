@@ -127,8 +127,9 @@ class Selection:
     """Ordered retained-token indices plus provenance.
 
     kept[i] came from the stage named by stage_tags[i]; every index is
-    distinct and < n_original.  budget equals len(kept) for all pipeline
-    outputs, but degenerate (budget 0) documents are representable.
+    distinct and < n_original, n_original >= 0, and params is a dict (a
+    JSON object).  budget equals len(kept) for all pipeline outputs, but
+    degenerate (budget 0) documents are representable.
     """
 
     kept: list[int]
@@ -141,6 +142,11 @@ class Selection:
         return len(self.kept)
 
     def validate(self) -> "Selection":
+        if self.n_original < 0:
+            raise SelectionFormatError(f"n_original must be >= 0, got {self.n_original}")
+        if not isinstance(self.params, dict):
+            raise SelectionFormatError(
+                f"params must be an object, got {type(self.params).__name__}")
         if len(self.kept) != len(self.stage_tags):
             raise SelectionFormatError("kept and stage_tags must have equal length")
         if len(set(self.kept)) != len(self.kept):
@@ -188,7 +194,7 @@ def read_selection(path) -> Selection:
             kept=list(doc["kept"]),
             n_original=doc["n_original"],
             stage_tags=list(doc["stage_tags"]),
-            params=dict(doc.get("params", {})),
+            params=doc.get("params", {}),
         )
         budget = doc.get("budget", s.budget)
     except (KeyError, TypeError) as exc:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from tokensieve import synth
+from tokensieve import similarity, synth
 from tokensieve.analysis import (GridShape, ModelProfile, _moore_neighborhood,
                                  flops_estimate, local_entropy_map,
                                  mean_neighbor_similarity,
                                  similarity_by_distance_profile)
 from tokensieve.rng import gaussian_matrix
+from tokensieve.similarity import InputError
 
 
 def test_grid_shape_validates():
@@ -128,6 +129,24 @@ def test_profile_excludes_distance_zero():
     h = gaussian_matrix(4, 12, 4)
     prof = similarity_by_distance_profile(h, GridShape(3, 4), 5)
     assert prof.shape == (5,)  # buckets are distances 1..max_dist
+
+
+@pytest.mark.parametrize("diagnostic", [
+    local_entropy_map,
+    mean_neighbor_similarity,
+    lambda h, grid: similarity_by_distance_profile(h, grid, 2),
+], ids=["entropy", "neighbor", "profile"])
+def test_non_finite_token_raises_input_error(diagnostic):
+    h = gaussian_matrix(4, 9, 5)
+    h[4, 2] = np.nan
+    with pytest.raises(InputError, match="row 4"):
+        diagnostic(h, GridShape(3, 3))
+
+
+def test_profile_gram_over_the_limit_raises_input_error(monkeypatch):
+    monkeypatch.setattr(similarity, "MAX_GRAM_BYTES", 8 * 9 * 9 - 1)
+    with pytest.raises(InputError, match="9 tokens"):
+        similarity_by_distance_profile(gaussian_matrix(4, 9, 5), GridShape(3, 3), 2)
 
 
 def test_flops_zero_tokens():

@@ -1,6 +1,8 @@
+import importlib
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +133,9 @@ def test_gram_size_limit_exits_1_where_a_gram_is_built(toks, query, tmp_path,
         assert main(["prune", "--tokens", toks, "--query", query, "--keep", "3",
                      "--mode", mode, "--out", out]) == 1, mode
         assert "9 tokens" in capsys.readouterr().err
+    # analyze's distance profile reads the full Gram too
+    assert main(["analyze", "--tokens", toks, "--grid-h", "3", "--grid-w", "3"]) == 1
+    assert "9 tokens" in capsys.readouterr().err
     for mode in ("gsp", "topk", "random"):
         assert main(["prune", "--tokens", toks, "--query", query, "--keep", "3",
                      "--mode", mode, "--out", out]) == 0, mode
@@ -326,6 +331,16 @@ def test_console_script_help():
     r = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert r.returncode == 0
     assert "prune" in r.stdout
+
+
+def test_console_script_entry_resolves_to_a_working_main(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["tokensieve"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry(["--help"]) == 0
+    assert "prune" in capsys.readouterr().out
 
 
 def test_module_entry_point():

@@ -3,27 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from tokensieve.gsp import (BipartiteRedundancyGraph, bipartite_split,
-                            build_graph, gsp_select, redundancy_scores)
+from tokensieve.gsp import (BipartiteRedundancyGraph, build_graph, gsp_select,
+                            redundancy_scores)
 from tokensieve.rng import gaussian_matrix
+from tokensieve.similarity import prepare
 
 
-def test_split_even():
-    src, dst = bipartite_split(4)
-    np.testing.assert_array_equal(src, [0, 2])
-    np.testing.assert_array_equal(dst, [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_graph_cross_block_is_even_rows_by_odd_columns(n):
+    h = gaussian_matrix(n, n, 6)
+    prep = prepare(h)
+    g = build_graph(h)
+    assert g.n == n
+    np.testing.assert_array_equal(g.cross_sim, prep.unit[0::2] @ prep.unit[1::2].T)
+    # from a prepared instance the block is a view of its Gram
+    g = build_graph(prep)
+    assert g.n == n
+    assert g.cross_sim.base is prep.gram
+    np.testing.assert_array_equal(g.cross_sim, prep.gram[0::2, 1::2])
 
 
-def test_split_odd():
-    src, dst = bipartite_split(5)
-    np.testing.assert_array_equal(src, [0, 2, 4])
-    np.testing.assert_array_equal(dst, [1, 3])
-
-
-def test_split_single():
-    src, dst = bipartite_split(1)
-    np.testing.assert_array_equal(src, [0])
-    assert dst.size == 0
+def test_graph_rejects_no_tokens():
+    with pytest.raises(ValueError):
+        build_graph(np.zeros((0, 3)))
 
 
 def test_graph_two_identical_tokens():
@@ -36,6 +38,12 @@ def test_graph_two_identical_tokens():
 def test_graph_single_token():
     g = build_graph(np.array([[1.0, 0.0]]))
     assert g.cross_sim.size == 0
+    # no opposite side: trivially non-redundant, score 0 by the fallback
+    s = redundancy_scores(g)
+    assert s.degree.tolist() == [0]
+    assert s.score.tolist() == [0.0]
+    assert s.mean_sim.tolist() == [0.0]
+    assert s.used_fallback.tolist() == [True]
 
 
 def test_graph_eval_count():
@@ -45,15 +53,10 @@ def test_graph_eval_count():
 
 
 def handmade_graph(cross, tau=0.3, gamma=5.0):
-    """Legal parity split (|src| = ceil(n/2)) with a hand-set edge matrix."""
+    """A hand-set cross block: row i is token 2i, column j is token 2j+1."""
     cross = np.asarray(cross, dtype=np.float64)
-    ns, nd = cross.shape
-    assert ns - nd in (0, 1)
-    n = ns + nd
-    idx = np.arange(n)
-    return BipartiteRedundancyGraph(
-        src_indices=idx[0::2], dst_indices=idx[1::2],
-        cross_sim=cross, tau=tau, gamma=gamma)
+    assert cross.shape[0] - cross.shape[1] in (0, 1)
+    return BipartiteRedundancyGraph(cross, tau, gamma)
 
 
 def test_score_degree_two_at_threshold():
@@ -62,6 +65,11 @@ def test_score_degree_two_at_threshold():
     s = redundancy_scores(g)
     assert s.degree[0] == 2
     np.testing.assert_allclose(s.score[0], 2.0)
+    # tokens 1 and 3 each have token 0 alone at tau: score = 1 * exp(0)
+    assert s.degree[1::2].tolist() == [1, 1]
+    np.testing.assert_allclose(s.mean_sim[1::2], [0.3, 0.3])
+    assert not s.used_fallback[1::2].any()
+    np.testing.assert_allclose(s.score[1::2], [1.0, 1.0])
 
 
 def test_score_fallback_mean():
@@ -70,6 +78,11 @@ def test_score_fallback_mean():
     assert s.degree[0] == 0
     assert s.used_fallback[0]
     np.testing.assert_allclose(s.score[0], 0.15)
+    # columns [0.1, 0.0] and [0.2, 0.0] stay below tau: their column means
+    assert s.degree[1::2].tolist() == [0, 0]
+    assert s.used_fallback[1::2].all()
+    np.testing.assert_allclose(s.mean_sim[1::2], [0.05, 0.1])
+    np.testing.assert_allclose(s.score[1::2], [0.05, 0.1])
 
 
 def test_score_degree_three_exponent():
@@ -79,6 +92,20 @@ def test_score_degree_three_exponent():
     assert s.degree[0] == 3
     np.testing.assert_allclose(s.score[0], 3.0 * math.e)
     assert abs(s.score[0] - 8.15485) < 1e-4
+    # each odd-index token has token 0 alone above tau, at tau + 0.2
+    assert s.degree[1::2].tolist() == [1, 1, 1]
+    np.testing.assert_allclose(s.mean_sim[1::2], [0.5, 0.5, 0.5])
+    assert not s.used_fallback[1::2].any()
+    np.testing.assert_allclose(s.score[1::2], [math.e] * 3)
+
+
+def test_score_odd_token_count():
+    # n = 3: token 1 is the one column and sees tokens 0 and 2
+    g = handmade_graph([[0.4], [0.6]])
+    s = redundancy_scores(g)
+    assert s.degree.tolist() == [1, 2, 1]
+    np.testing.assert_allclose(s.mean_sim, [0.4, 0.5, 0.6])
+    np.testing.assert_allclose(s.score[1], 2.0 * math.e)
 
 
 def test_select_keep_all():

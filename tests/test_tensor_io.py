@@ -170,6 +170,13 @@ def test_selection_rejects_unknown_tag():
         Selection([0], 4, ["mystery"], {}).validate()
 
 
+@pytest.mark.parametrize("n_original, params", [(-3, {}), (4, [("mode", 1)]), (4, "ab")])
+def test_write_selection_refuses_what_read_selection_refuses(tmp_path, n_original, params):
+    with pytest.raises(SelectionFormatError):
+        write_selection(Selection([], n_original, [], params), tmp_path / "s.json")
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_selection_rejects_tag_count_mismatch():
     with pytest.raises(SelectionFormatError, match="equal length"):
         Selection([0, 1], 4, ["gsp-only"], {}).validate()
@@ -188,6 +195,11 @@ def test_selection_rejects_tag_count_mismatch():
      "must be integers"),
     ('{"n_original": 4, "budget": 1.0, "kept": [1], "stage_tags": ["gsp-only"]}',
      "must be integers"),
+    ('{"n_original": -3, "kept": [], "stage_tags": []}', "n_original must be >= 0"),
+    ('{"n_original": 4, "kept": [], "stage_tags": [], "params": [["mode", 1]]}',
+     "params must be an object"),
+    ('{"n_original": 4, "kept": [], "stage_tags": [], "params": "ab"}',
+     "params must be an object"),
 ])
 def test_read_selection_rejects_bad_documents(tmp_path, text, match):
     p = tmp_path / "s.json"
