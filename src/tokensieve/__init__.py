@@ -14,9 +14,8 @@ from .gsp import (DEFAULT_GAMMA, DEFAULT_TAU, BipartiteRedundancyGraph,
                   RedundancyScores, build_graph, gsp_select, redundancy_scores)
 from .qcsp import (DppKernel, GreedyState, KernelConsumedError, build_kernel,
                    greedy_map, qcsp_select)
-from .similarity import (InputError, Prepared, cosine_similarity_matrix,
-                         l2_normalize_rows, mean_pool, min_max_normalize,
-                         prepare, relevance_scores)
+from .similarity import (InputError, Prepared, l2_normalize_rows, mean_pool,
+                         min_max_normalize, prepare, relevance_scores)
 from .tensor_io import (MatrixFormatError, Selection, SelectionFormatError,
                         read_matrix, read_selection, write_matrix,
                         write_selection)
@@ -41,7 +40,6 @@ __all__ = [
     "SelectionFormatError",
     "build_graph",
     "build_kernel",
-    "cosine_similarity_matrix",
     "flops_estimate",
     "greedy_map",
     "gsp_select",

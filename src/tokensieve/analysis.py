@@ -110,24 +110,28 @@ def mean_neighbor_similarity(h_v: np.ndarray, grid: GridShape) -> np.ndarray:
 
 def similarity_by_distance_profile(h_v: np.ndarray, grid: GridShape,
                                    max_dist: int) -> np.ndarray:
-    """Mean cosine over unordered token pairs at Manhattan distance 1..max_dist."""
-    h_v = np.asarray(h_v, dtype=np.float64)
-    n = h_v.shape[0]
-    grid.check(n)
+    """Mean cosine over unordered token pairs at Manhattan distance 1..max_dist
+    (NaN past the grid's largest), from one pass over the Gram and nothing
+    else n^2-sized."""
+    grid.check(len(h_v))
     if max_dist < 1:
         raise ValueError("max_dist must be >= 1")
-    sims = prepare(h_v).gram
-    rows = np.arange(n) // grid.width
-    cols = np.arange(n) % grid.width
-    dist = np.abs(rows[:, None] - rows[None, :]) + np.abs(cols[:, None] - cols[None, :])
-    iu = np.triu_indices(n, 1)
-    pair_sims = sims[iu]
-    pair_dist = dist[iu]
+    h, w = grid.height, grid.width
+    gram = prepare(h_v).gram.reshape(h, w, h, w)
+    col_dist = np.abs(np.subtract.outer(np.arange(w), np.arange(w)))
+    within_row = np.triu(np.ones((w, w), dtype=bool), 1)
+    sums, counts = np.zeros((2, h + w - 1))  # by distance 0..h+w-2
+    for dr in range(h):
+        # block[a, b] sums, over rows r, the cosine of (r, a) and (r + dr, b),
+        # a pair at distance dr + |a - b|; within a row only a < b counts
+        block = np.einsum("iaib->ab", gram[:h - dr, :, dr:, :])
+        keep = within_row if dr == 0 else slice(None)
+        dist = (dr + col_dist[keep]).ravel()
+        sums += np.bincount(dist, block[keep].ravel(), h + w - 1)
+        counts += (h - dr) * np.bincount(dist, minlength=h + w - 1)
     out = np.full(max_dist, np.nan)
-    for delta in range(1, max_dist + 1):
-        mask = pair_dist == delta
-        if mask.any():
-            out[delta - 1] = pair_sims[mask].mean()
+    top = min(max_dist, h + w - 2)
+    out[:top] = sums[1:top + 1] / counts[1:top + 1]
     return out
 
 

@@ -107,25 +107,21 @@ def cmd_bench(args) -> int:
     return 0
 
 
+# each synth pattern's generator and the flags it reads, in argument order
+SYNTH_PATTERNS = {
+    "random": (synth.random_tokens, ("n", "d", "seed")),
+    "duplicate-blocks": (synth.duplicate_blocks, ("n", "d", "block", "seed")),
+    "two-region-grid": (synth.two_region_grid, ("grid_h", "grid_w", "d", "seed")),
+    "equicorrelated": (synth.equicorrelated_tokens, ("n", "d", "rho")),
+}
+
+
 def cmd_synth(args) -> int:
-    if args.pattern != "two-region-grid" and args.n is None:
-        raise ValueError(f"{args.pattern} needs --n")
-    if args.pattern == "random":
-        m = synth.random_tokens(args.n, args.d, args.seed)
-    elif args.pattern == "duplicate-blocks":
-        if args.block is None:
-            raise ValueError("duplicate-blocks needs --block")
-        m = synth.duplicate_blocks(args.n, args.d, args.block, args.seed)
-    elif args.pattern == "two-region-grid":
-        if args.grid_h is None or args.grid_w is None:
-            raise ValueError("two-region-grid needs --grid-h and --grid-w")
-        m = synth.two_region_grid(args.grid_h, args.grid_w, args.d, args.seed)
-    elif args.pattern == "equicorrelated":
-        if args.rho is None:
-            raise ValueError("equicorrelated needs --rho")
-        m = synth.equicorrelated_tokens(args.n, args.d, args.rho)
-    else:
-        raise ValueError(f"unknown pattern {args.pattern}")
+    make, flags = SYNTH_PATTERNS[args.pattern]
+    missing = ["--" + f.replace("_", "-") for f in flags if getattr(args, f) is None]
+    if missing:
+        raise ValueError(f"{args.pattern} needs {' and '.join(missing)}")
+    m = make(*(getattr(args, f) for f in flags))
     write_matrix(m, args.out)
     print(f"pattern={args.pattern} rows={m.shape[0]} cols={m.shape[1]} out={args.out}")
     return 0
@@ -204,9 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="write a synthetic embedding file")
-    p.add_argument("--pattern", required=True,
-                   choices=("random", "duplicate-blocks", "two-region-grid",
-                            "equicorrelated"))
+    p.add_argument("--pattern", required=True, choices=SYNTH_PATTERNS)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -21,6 +21,7 @@ prepared unit rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,12 @@ class RedundancyScores:
 
 def build_graph(h_v: np.ndarray | Prepared, tau: float = DEFAULT_TAU,
                 gamma: float = DEFAULT_GAMMA) -> BipartiteRedundancyGraph:
-    """The redundancy graph of token rows, or of a prepared instance."""
+    """The redundancy graph of token rows, or of a prepared instance.
+
+    Raises ValueError when gamma * (1 - tau) + log(ceil(n/2)) reaches
+    log(float64 max), about 709.78: then the score ceil(n/2) * exp(gamma *
+    (1 - tau)) of a token at full degree and mean_sim 1 could overflow.
+    """
     if not (-1.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (-1, 1), got {tau}")
     if not gamma > 0.0:
@@ -64,6 +70,10 @@ def build_graph(h_v: np.ndarray | Prepared, tau: float = DEFAULT_TAU,
     prep = h_v if isinstance(h_v, Prepared) else prepare(h_v, gram=False)
     if prep.n < 1:
         raise ValueError("build_graph needs n >= 1")
+    log_max = math.log(np.finfo(np.float64).max)
+    if gamma * (1.0 - tau) + math.log((prep.n + 1) // 2) >= log_max:
+        raise ValueError(f"gamma {gamma} can overflow the scores of {prep.n} tokens at tau "
+                         f"{tau}: gamma * (1 - tau) + log(ceil(n/2)) must be < {log_max:.2f}")
     if prep.gram is not None:
         cross = prep.gram[0::2, 1::2]
     else:

@@ -10,7 +10,9 @@ token rows U (one l2 normalization of the n rows), the relevance
 r_i = cos(u_i, mu) of each row to the pooled query mu, min-max
 normalized into (0, 1], and optionally the unit-row Gram S = U @ U.T.
 GSP reads its even x odd cosine block from S and the kernel builder
-turns S into L = diag(r) S diag(r) in place.
+turns S into L = diag(r) S diag(r) in place.  It is the only place
+token rows are normalized and relevance is scored: `relevance_scores`
+returns its raw relevance.
 
 Input contract: token and query values are finite, the query has the
 tokens' width, and the Gram, when one is asked for, fits in
@@ -83,30 +85,12 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise cosines, entry (i, j) = cos(a_i, b_j); 0 when either row is zero."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(f"column counts must match, got {a.shape} and {b.shape}")
-    return l2_normalize_rows(a) @ l2_normalize_rows(b).T
-
-
 def mean_pool(q: np.ndarray) -> np.ndarray:
     """Elementwise mean over rows (the pooled query embedding)."""
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] < 1:
         raise ValueError("mean_pool needs at least one row")
     return q.mean(axis=0)
-
-
-def relevance_scores(h_v: np.ndarray, h_mu: np.ndarray) -> np.ndarray:
-    """Raw relevance r_i = cos(h_i, h_mu), in [-1, 1]."""
-    h_mu = np.asarray(h_mu, dtype=np.float64)
-    if h_mu.ndim != 1:
-        raise ValueError("h_mu must be a vector")
-    # exactly the single-column cosine matrix, so the two paths never diverge
-    return cosine_similarity_matrix(h_v, h_mu[None, :])[:, 0]
 
 
 RELEVANCE_FLOOR = 1e-6
@@ -193,3 +177,10 @@ def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
     # numpy runs a @ a.T as one syrk and copies the triangle it computed
     # onto the other one, so the Gram is exactly symmetric
     return Prepared(unit, relevance, relevance_raw, unit @ unit.T if gram else None)
+
+
+def relevance_scores(h_v: np.ndarray, h_mu: np.ndarray) -> np.ndarray:
+    """Raw relevance r_i = cos(h_i, h_mu), in [-1, 1]: `prepare`'s relevance_raw."""
+    if np.ndim(h_mu) != 1:
+        raise ValueError("h_mu must be a vector")
+    return prepare(h_v, np.reshape(h_mu, (1, -1)), gram=False).relevance_raw

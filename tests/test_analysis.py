@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,43 @@ def test_profile_orthogonal_halves_decay():
             h[row * 6 + col] = [1.0, 0.0] if col < 3 else [0.0, 1.0]
     prof = similarity_by_distance_profile(h, GridShape(6, 6), 10)
     assert prof[0] > prof[-1]
+
+
+def profile_by_pairs(h, grid, max_dist):
+    """Mean cosine at each distance, one pair i < j at a time (reference)."""
+    unit = h / np.linalg.norm(h, axis=1, keepdims=True)
+    sums, counts = np.zeros(max_dist + 1), np.zeros(max_dist + 1)
+    n = len(h)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist = abs(i // grid.width - j // grid.width) + abs(i % grid.width - j % grid.width)
+            if dist <= max_dist:
+                sums[dist] += unit[i] @ unit[j]
+                counts[dist] += 1
+    with np.errstate(invalid="ignore"):
+        return sums[1:] / counts[1:]
+
+
+def test_profile_equals_the_mean_over_every_pair():
+    grid = GridShape(5, 7)
+    repeated = np.repeat(gaussian_matrix(8, 5, 6), 7, axis=0)  # one row per grid row
+    for h in (gaussian_matrix(7, 35, 6), repeated):
+        expected = profile_by_pairs(h, grid, 12)
+        got = similarity_by_distance_profile(h, grid, 12)
+        assert np.isnan(got[10:]).all() and np.isnan(expected[10:]).all()
+        np.testing.assert_allclose(got[:10], expected[:10], rtol=0, atol=1e-12)
+
+
+def test_profile_needs_nothing_n_squared_beside_the_gram():
+    grid = GridShape(48, 48)
+    h = gaussian_matrix(9, 48 * 48, 16)
+    tracemalloc.start()
+    try:
+        similarity_by_distance_profile(h, grid, 94)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 8 * (48 * 48) ** 2
 
 
 def test_profile_excludes_distance_zero():

@@ -282,6 +282,27 @@ def test_synth_parameter_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("pattern, flags, missing", [
+    ("random", [], ["--n"]),
+    ("duplicate-blocks", [], ["--n", "--block"]),
+    ("two-region-grid", ["--grid-w", "4"], ["--grid-h"]),
+    ("equicorrelated", [], ["--n", "--rho"]),
+])
+def test_synth_missing_flags_exit_2_naming_each(pattern, flags, missing, tmp_path,
+                                                capsys):
+    out = tmp_path / "x.emb1"
+    assert main(["synth", "--pattern", pattern, "--d", "8", *flags,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{pattern} needs {' and '.join(missing)}" in err
+    assert not out.exists()
+
+
+def test_score_with_a_gamma_that_can_overflow_exits_2(toks, capsys):
+    assert main(["score", "--tokens", toks, "--gamma", "2000"]) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
 def test_analyze_outputs(toks, tmp_path, capsys):
     ent = tmp_path / "e.csv"
     prof = tmp_path / "p.csv"

@@ -149,3 +149,20 @@ def test_build_graph_validates_params():
         build_graph(h, tau=1.0)
     with pytest.raises(ValueError):
         build_graph(h, gamma=0.0)
+
+
+def test_build_graph_rejects_a_gamma_that_can_overflow_a_score():
+    # four near-duplicate rows and one orthogonal row; at gamma = 5 token 3
+    # has the lowest score among the duplicates
+    h = np.array([[1.0, 0.03], [1.0, 0.02], [1.0, 0.01], [1.0, 0.0], [0.0, 1.0]])
+    assert gsp_select(h, gamma=5.0, keep=2) == [3, 4]
+    with pytest.raises(ValueError, match="overflow"):
+        build_graph(h, gamma=2000.0)
+    # the bound for n = 5 at tau = 0.3: 0.7 * gamma + log(3) = log(float max)
+    bound = (math.log(np.finfo(np.float64).max) - math.log(3)) / 0.7
+    with pytest.raises(ValueError, match="overflow"):
+        build_graph(h, gamma=bound)
+    gamma = bound * (1 - 1e-6)
+    scores = redundancy_scores(build_graph(h, gamma=gamma)).score
+    assert np.isfinite(scores).all() and scores.max() > 1e307
+    assert gsp_select(h, gamma=gamma, keep=2) == [3, 4]

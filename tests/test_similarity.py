@@ -7,8 +7,7 @@ from tokensieve import similarity
 from tokensieve.fusion import script_select
 from tokensieve.qcsp import build_kernel, qcsp_select
 from tokensieve.rng import gaussian_matrix
-from tokensieve.similarity import (InputError, cosine_similarity_matrix,
-                                   l2_normalize_rows, mean_pool,
+from tokensieve.similarity import (InputError, l2_normalize_rows, mean_pool,
                                    min_max_normalize, prepare, relevance_scores)
 
 
@@ -80,8 +79,9 @@ def test_prepare_shares_one_normalization():
     np.testing.assert_array_equal(prep.unit, l2_normalize_rows(h))
     assert np.array_equal(prep.gram, prep.gram.T)
     np.testing.assert_allclose(prep.gram, prep.unit @ prep.unit.T, atol=1e-15)
-    np.testing.assert_allclose(prep.relevance_raw, relevance_scores(h, mean_pool(q)),
-                               atol=1e-15)
+    mu = q.mean(axis=0)
+    cosines = h @ mu / (np.linalg.norm(h, axis=1) * np.linalg.norm(mu))
+    np.testing.assert_allclose(prep.relevance_raw, cosines, atol=1e-15)
     np.testing.assert_array_equal(prep.relevance, min_max_normalize(prep.relevance_raw))
     bare = prepare(h, gram=False)
     assert bare.gram is None and bare.relevance_raw is None
@@ -129,30 +129,6 @@ def test_gram_size_limit_is_checked_before_any_work(monkeypatch):
     assert prepare(h).gram.shape == (n, n)
 
 
-def test_cosine_identity_rows():
-    e = np.eye(3)
-    np.testing.assert_allclose(cosine_similarity_matrix(e, e), np.eye(3))
-
-
-def test_cosine_analytic_45_degrees():
-    a = np.array([[1.0, 0.0]])
-    b = np.array([[1.0, 1.0]]) / np.sqrt(2)
-    sim = cosine_similarity_matrix(a, b)
-    np.testing.assert_allclose(sim, [[np.sqrt(2) / 2]])
-    assert abs(sim[0, 0] - 0.70710678) < 1e-8
-
-
-def test_cosine_zero_row_gives_zero():
-    a = np.array([[1.0, 2.0]])
-    z = np.array([[0.0, 0.0]])
-    assert cosine_similarity_matrix(a, z)[0, 0] == 0.0
-
-
-def test_cosine_dim_mismatch():
-    with pytest.raises(ValueError):
-        cosine_similarity_matrix(np.ones((2, 3)), np.ones((2, 4)))
-
-
 def test_mean_pool():
     np.testing.assert_allclose(
         mean_pool(np.array([[1.0, 0.0], [0.0, 1.0]])), [0.5, 0.5])
@@ -169,12 +145,33 @@ def test_relevance_extremes():
     np.testing.assert_allclose(r, [1.0, 0.0, -1.0], atol=1e-15)
 
 
-def test_relevance_equals_cosine_matrix_exactly():
-    h = gaussian_matrix(1, 20, 8)
-    mu = mean_pool(gaussian_matrix(2, 3, 8))
-    r = relevance_scores(h, mu)
-    sim = cosine_similarity_matrix(h, mu[None, :])[:, 0]
-    np.testing.assert_array_equal(r, sim)
+def test_relevance_of_orthonormal_rows_is_one_and_zero():
+    h = np.diag([2.0, 3.0, 0.5])
+    np.testing.assert_array_equal(relevance_scores(h, np.array([0.0, 5.0, 0.0])),
+                                  [0.0, 1.0, 0.0])
+
+
+def test_relevance_at_45_degrees():
+    r = relevance_scores(np.array([[1.0, 1.0]]), np.array([1.0, 0.0]))
+    np.testing.assert_allclose(r, [np.sqrt(2) / 2])
+    assert abs(r[0] - 0.70710678) < 1e-8
+
+
+def test_relevance_of_a_zero_row_is_zero():
+    r = relevance_scores(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([1.0, 2.0]))
+    assert r[0] == 0.0
+    np.testing.assert_allclose(r[1], 1.0)
+
+
+def test_relevance_rejects_inputs_that_break_the_contract():
+    with pytest.raises(InputError, match="width"):
+        relevance_scores(np.ones((2, 3)), np.ones(4))
+    with pytest.raises(InputError, match="token row 1"):
+        relevance_scores(np.array([[1.0, 0.0], [np.nan, 1.0]]), np.ones(2))
+    with pytest.raises(InputError, match="query"):
+        relevance_scores(np.ones((2, 2)), np.array([np.inf, 1.0]))
+    with pytest.raises(ValueError, match="vector"):
+        relevance_scores(np.ones((2, 2)), np.ones((1, 2)))
 
 
 def test_min_max_examples():
