@@ -36,10 +36,11 @@ only the n-f positions of that block, plus a pass over the panel, at
 most B*(n-f) doubles.  The unblocked walk streamed the whole t x n
 coefficient block on step t, n*T^2/2 doubles in all.  The panel is
 allocated once, at min(n, B) rows of n columns.  The walk owns one n x n
-buffer, L's: its first flush takes it over and overwrites it, after
-which the kernel's entries can no longer be read.  That buffer is the
-Gram's, 8*n^2 bytes, and similarity.prepare refuses an instance whose
-Gram would exceed similarity.MAX_GRAM_BYTES.
+buffer, L's: a GreedyState takes it over from its kernel when it is
+built and overwrites it, so a kernel carries one walk, and a caller that
+reads L copies kernel.matrix first.  That buffer is the Gram's, 8*n^2
+bytes, and similarity.prepare refuses an instance whose Gram would
+exceed similarity.MAX_GRAM_BYTES.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ def flush_rows(n: int) -> int:
     return max(PANEL_MIN_ROWS, PANEL_BYTES // (8 * max(n, 1)))
 
 
-class KernelConsumedError(RuntimeError):
-    """The kernel's matrix was taken over by a greedy walk that overwrote it."""
-
-
 class DppKernel:
     """Relevance-reweighted similarity kernel, stored densely.
 
@@ -79,33 +76,14 @@ class DppKernel:
     blocks; the result is exactly symmetric because the Gram is and the
     two products r_i * r_j and r_j * r_i are the same.
 
-    A greedy walk that flushes takes the matrix over (see take) and
-    overwrites it; from then on materialize and diagonal raise
-    KernelConsumedError, while n and unit stay readable.
+    matrix is L until a GreedyState takes it over, then None.
     """
 
     def __init__(self, unit_rows: np.ndarray, relevance: np.ndarray, gram: np.ndarray):
         self.unit = unit_rows
         self.n = unit_rows.shape[0]
         _scale_symmetric(gram, relevance)
-        self._L = gram  # None once taken
-
-    def materialize(self) -> np.ndarray:
-        if self._L is None:
-            raise KernelConsumedError(
-                "a greedy walk has overwritten this kernel's matrix; "
-                "copy materialize() before the walk to keep it")
-        return self._L
-
-    def take(self) -> np.ndarray:
-        """Hand the dense matrix over to a caller that overwrites it; every
-        later read of the kernel's entries raises KernelConsumedError."""
-        l = self.materialize()
-        self._L = None
-        return l
-
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.materialize()).copy()
+        self.matrix = gram
 
 
 # the kernel is scaled over row blocks of about this many bytes
@@ -172,18 +150,20 @@ class GreedyState:
     f == 0 means no flush yet: A is L, its rows are read whole and the
     argmax already breaks ties on the lower token index.  After a flush
     only A's lower triangle is valid, and ties are broken on the token
-    index through perm.  A is L's own buffer, taken over from the kernel
-    at the first flush (see DppKernel.take), so a kernel carries one walk:
-    extend raises KernelConsumedError on a state whose kernel another walk
-    has taken over.  Walks that never fill the panel make no swaps and do
-    the same arithmetic as the unblocked walk that keeps every coefficient
-    row, bit for bit.
+    index through perm.  A is L's own buffer: __init__ takes kernel.matrix
+    over and sets it to None.  Walks that never fill the panel make no
+    swaps and do the same arithmetic as the unblocked walk that keeps every
+    coefficient row, bit for bit.
     """
 
     def __init__(self, kernel: DppKernel):
+        if kernel.matrix is None:
+            raise ValueError("another greedy walk has taken this kernel's matrix "
+                             "over: build a new kernel for each walk")
         self.kernel = kernel
+        self._a, kernel.matrix = kernel.matrix, None
         n = kernel.n
-        self.v_sq = kernel.diagonal()
+        self.v_sq = np.diagonal(self._a).copy()
         self.order = np.full(n, -1, dtype=np.int64)
         self.gains = np.zeros(n)
         self.exhausted = False
@@ -193,7 +173,6 @@ class GreedyState:
         self._sq = np.empty(n)  # e * e of the current step, by position
         self._kk = 0  # rows in the panel
         self._f = 0   # start of the trailing block; 0 until the first flush
-        self._a = kernel.materialize()
         self._perm = np.arange(n)  # position -> token index
         self._ipos = np.arange(n)  # token index -> position
 
@@ -204,8 +183,6 @@ class GreedyState:
             raise ValueError(f"k must lie in [1, {n}], got {k}")
         if k <= self.t:
             return
-        if self._f == 0:
-            self.kernel.materialize()  # raises once another walk has taken A over
         if not self.exhausted:
             self.t, self.exhausted = self._steps(self.t, k)
         if self.exhausted and self.t < k:
@@ -269,8 +246,6 @@ class GreedyState:
         lower triangle of the rest to A - P.T @ P and empty the panel P."""
         n = self.kernel.n
         f, kk = self._f, self._kk
-        if f == 0:
-            self.kernel.take()  # A is the kernel's buffer; the flush overwrites it
         a, perm, ipos, v = self._a, self._perm, self._ipos, self.v_sq
         panel = self._panel[:kk]
         # the panel's tokens were selected at steps f..f+kk-1; the one of

@@ -32,8 +32,8 @@ import numpy as np
 
 class InputError(ValueError):
     """Tokens or a query that break the input contract (non-finite values,
-    a query whose width differs from the tokens', or more tokens than a
-    Gram of MAX_GRAM_BYTES holds)."""
+    a query whose width differs from the tokens', a query against 0 token
+    rows, or more tokens than a Gram of MAX_GRAM_BYTES holds)."""
 
 
 # the largest unit-row Gram prepare builds; the kernel and the greedy walk
@@ -144,8 +144,9 @@ def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
     """Normalize the token rows and the pooled query once; score relevance.
 
     Raises InputError for a non-finite token or query value, for a query
-    whose width differs from the tokens', and, with gram, for an n whose
-    8*n^2-byte Gram exceeds MAX_GRAM_BYTES.
+    whose width differs from the tokens', for a query against 0 token
+    rows, and, with gram, for an n whose 8*n^2-byte Gram exceeds
+    MAX_GRAM_BYTES.
     """
     h_v = np.asarray(h_v, dtype=np.float64)
     if h_v.ndim != 2:
@@ -165,6 +166,9 @@ def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
     relevance_raw = None
     relevance = np.ones(n)
     if h_q is not None:
+        if n == 0:
+            raise InputError("the token matrix has 0 rows, so there is no relevance "
+                             "to score against the query")
         mu = mean_pool(h_q)
         if mu.shape[0] != h_v.shape[1]:
             raise InputError(f"query width {mu.shape[0]} does not match token width "

@@ -188,16 +188,15 @@ def check_negative_correlation_witness() -> CheckResult:
 # ---------------------------------------------------------------- greedy selection
 
 def make_greedy_instance(rng: SplitMix64, d: int = 32):
-    """Random tokens + random query at oracle-checkable sizes."""
+    """Random tokens, a random query and a budget k at oracle-checkable sizes."""
     n = 4 + rng.next_below(7)                      # 4..10
     k = 1 + rng.next_below(min(4, n))              # 1..4
     h_v = gaussian_matrix(rng.next_u64() >> 1, n, d)
     h_q = gaussian_matrix(rng.next_u64() >> 1, 1 + rng.next_below(4), d)
-    prep = similarity.prepare(h_v, h_q)
-    return qcsp.build_kernel(prep, prep.relevance), k
+    return h_v, h_q, k
 
 
-def marginal_gain_errors(kernel, k: int) -> tuple[list[float], list[float]]:
+def marginal_gain_errors(kernel, k: int) -> tuple[list[float], list[float], list[int]]:
     """Two per-step error families for the recorded greedy gains.
 
     First: |gain - det(L_{S+j})/det(L_S)| / (1 + ratio), skipping steps
@@ -212,9 +211,10 @@ def marginal_gain_errors(kernel, k: int) -> tuple[list[float], list[float]]:
 
     Ratios are taken as exp(logdet_{t} - logdet_{t-1}) from slogdet, so
     long walks, whose determinants underflow, are checked as well.  L is
-    copied before the walk, which may take the kernel's matrix over.
+    copied before the walk, which takes the kernel's matrix over.  The
+    walk's order is returned third.
     """
-    l = kernel.materialize().copy()
+    l = kernel.matrix.copy()
     state = qcsp.GreedyState(kernel)
     state.extend(k)
     m = l + qcsp.EPS * np.eye(kernel.n)
@@ -235,7 +235,7 @@ def marginal_gain_errors(kernel, k: int) -> tuple[list[float], list[float]]:
         # a det at or below 0 ends the first family, as one under 1e-12 does
         log_prev = log_cur if sign > 0 else -math.inf
         log_prev_m = log_cur_m
-    return mixed, shifted
+    return mixed, shifted, [int(i) for i in state.order[:k]]
 
 
 def _shifted_error(gain: float, ratio: float) -> float:
@@ -262,15 +262,16 @@ def check_greedy_suite(instances: int = 500, seed: int = 6) -> list[CheckResult]
     matches = 0
     worst_guarantee = np.inf
     for _ in range(instances):
-        kernel, k = make_greedy_instance(rng)
-        mixed, shifted = marginal_gain_errors(kernel, k)
+        h_v, h_q, k = make_greedy_instance(rng)
+        prep = similarity.prepare(h_v, h_q)
+        kernel = qcsp.build_kernel(prep, prep.relevance)
+        l = kernel.matrix.copy()
+        mixed, shifted, picked = marginal_gain_errors(kernel, k)
         if mixed:
             worst_gain_err = max(worst_gain_err, max(mixed))
         if shifted:
             worst_shift_err = max(worst_shift_err, max(shifted))
 
-        picked = qcsp.greedy_map(kernel, k)
-        l = kernel.materialize()
         greedy_det = float(np.linalg.det(l[np.ix_(picked, picked)]))
         _, best_det = oracle.brute_force_map(l, k)
         if abs(greedy_det - best_det) <= 1e-8 * max(1e-300, best_det):
@@ -318,7 +319,7 @@ def check_flushed_walk(instances: int = 3, seed: int = 15) -> list[CheckResult]:
         h_q = gaussian_matrix(rng.next_u64() >> 1, 1 + rng.next_below(4), d)
         prep = similarity.prepare(h_v, h_q)
         kernel = qcsp.build_kernel(prep, prep.relevance)
-        l = kernel.materialize()
+        l = kernel.matrix
         order, gains = oracle.greedy_walk(l, k, qcsp.EPS)
         m = l + qcsp.EPS * np.eye(n)  # a new matrix: the walk overwrites l
         state = qcsp.GreedyState(kernel)
@@ -348,11 +349,10 @@ def check_prefix_consistency(instances: int = 100, seed: int = 7) -> CheckResult
     rng = SplitMix64(seed)
     violations = 0
     for _ in range(instances):
-        kernel, k = make_greedy_instance(rng)
-        if k >= kernel.n:
-            k = kernel.n - 1
-        short = qcsp.greedy_map(kernel, k)
-        long = qcsp.greedy_map(kernel, k + 1)
+        h_v, h_q, k = make_greedy_instance(rng)
+        k = min(k, h_v.shape[0] - 1)
+        short = qcsp.qcsp_select(h_v, h_q, k)
+        long = qcsp.qcsp_select(h_v, h_q, k + 1)
         if short != long[:k]:
             violations += 1
     return CheckResult("prefix-consistency", violations == 0, instances,
@@ -368,7 +368,7 @@ def check_psd_preservation(instances: int = 1000, seed: int = 8) -> CheckResult:
         h_v = gaussian_matrix(rng.next_u64() >> 1, n, d)
         r = np.array([rng.next_float() for _ in range(n)])
         kernel = qcsp.build_kernel(h_v, r)
-        lam = float(np.linalg.eigvalsh(kernel.materialize()).min())
+        lam = float(np.linalg.eigvalsh(kernel.matrix).min())
         worst = min(worst, lam + 1e-8 * n)
     return CheckResult("psd-preservation", worst >= 0.0, instances, worst,
                        0.0, "min_shifted_eig")

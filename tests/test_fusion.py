@@ -25,7 +25,7 @@ def reference_script(h_v, h_q, m, tau=0.3, gamma=5.0, gsp_keep=None):
         r = np.ones(n)
     else:
         r = min_max_normalize(relevance_scores(h_v, mean_pool(h_q)))
-    walked, _ = oracle.greedy_walk(build_kernel(h_v, r).materialize(), n, EPS)
+    walked, _ = oracle.greedy_walk(build_kernel(h_v, r).matrix, n, EPS)
     # the walk stops where the kernel's rank runs out; the unwalked tokens
     # follow in ascending order, as the program pads its budget
     order = walked + sorted(set(range(n)) - set(walked))

@@ -18,28 +18,27 @@ def random_kernel(seed, n=12, d=6):
 
 def test_kernel_orthonormal_unit_relevance():
     k = build_kernel(np.eye(4), np.ones(4))
-    np.testing.assert_allclose(k.materialize(), np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(k.matrix, np.eye(4), atol=1e-15)
 
 
 def test_kernel_uniform_relevance_scales_similarity():
     h = gaussian_matrix(3, 6, 4)
     kc = build_kernel(h, np.full(6, 0.5))
     k1 = build_kernel(h, np.ones(6))
-    np.testing.assert_allclose(kc.materialize(), 0.25 * k1.materialize(),
-                               atol=1e-15)
+    np.testing.assert_allclose(kc.matrix, 0.25 * k1.matrix, atol=1e-15)
 
 
 def test_kernel_identical_tokens_analytic():
     h = np.array([[2.0, 0.0], [4.0, 0.0]])  # same direction
     k = build_kernel(h, np.array([1.0, 0.5]))
-    np.testing.assert_allclose(k.materialize(),
-                               [[1.0, 0.5], [0.5, 0.25]], atol=1e-15)
+    np.testing.assert_allclose(k.matrix, [[1.0, 0.5], [0.5, 0.25]], atol=1e-15)
 
 
 def test_kernel_entry_row_diag_consistency():
+    # the walk's gains start at L's diagonal
     k = random_kernel(0)
-    l = k.materialize()
-    np.testing.assert_allclose(k.diagonal(), np.diag(l))
+    l = k.matrix.copy()
+    assert np.array_equal(GreedyState(k).v_sq, np.diag(l))
 
 
 def test_materialized_kernel_is_exactly_symmetric():
@@ -50,14 +49,14 @@ def test_materialized_kernel_is_exactly_symmetric():
     h = gaussian_matrix(8, n, 32)
     r = np.linspace(0.0, 1.0, n)
     unit = l2_normalize_rows(h)
-    l = build_kernel(h, r).materialize()
+    l = build_kernel(h, r).matrix
     assert np.array_equal(l, l.T)
     assert np.array_equal(l, (unit @ unit.T) * (r[:, None] * r))
     # the same from a prepared instance, whose Gram buffer the kernel scales
     prep = prepare(h, gaussian_matrix(9, 3, 32))
     s = prep.gram.copy()
     r = prep.relevance
-    l = build_kernel(prep, r).materialize()
+    l = build_kernel(prep, r).matrix
     assert np.array_equal(l, l.T)
     assert np.array_equal(l, s * (r[:, None] * r))
 
@@ -90,9 +89,9 @@ def test_greedy_prefers_orthogonal_pair():
     # and the first pick falls to the lowest index
     h = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
     k = build_kernel(h, np.ones(3))
+    l = k.matrix.copy()
     picked = greedy_map(k, 2)
     assert sorted(picked) == [0, 1]
-    l = k.materialize()
     assert np.linalg.det(l[np.ix_(picked, picked)]) == pytest.approx(1.0)
 
 
@@ -140,11 +139,11 @@ def test_exhaustion_pads_ascending():
 
 
 def test_prefix_consistency():
+    # a walk takes its kernel over, so each walk gets a fresh one
     for seed in range(10):
-        k = random_kernel(seed, n=15, d=5)
-        full = greedy_map(k, 15)
+        full = greedy_map(random_kernel(seed, n=15, d=5), 15)
         for budget in (1, 4, 9):
-            assert greedy_map(k, budget) == full[:budget]
+            assert greedy_map(random_kernel(seed, n=15, d=5), budget) == full[:budget]
 
 
 def test_extend_is_incremental():
@@ -174,9 +173,9 @@ def test_extend_validates_budget():
 def test_gains_match_det_ratios():
     for seed in range(10):
         k = random_kernel(seed, n=8, d=16)
+        l = k.matrix.copy()
         state = GreedyState(k)
         state.extend(4)
-        l = k.materialize()
         det_prev = 1.0
         for t in range(state.t):
             if state.gains[t] == 0.0 and state.exhausted:
@@ -294,30 +293,21 @@ def test_flushed_walk_keeps_shifted_gain_identity(monkeypatch):
         kernel, _ = flush_instance(seed)
         # to k = n, far past the rank; slogdet keeps the oracle's ratios
         # exact where the determinants of L + eps*I underflow
-        _, shifted = verify.marginal_gain_errors(kernel, kernel.n)
+        _, shifted, _ = verify.marginal_gain_errors(kernel, kernel.n)
         assert max(shifted) <= 1e-9, seed
 
 
-def test_flushed_walk_consumes_the_kernel(monkeypatch):
-    kernel, _ = flush_instance(3)
+def test_a_walk_takes_the_kernels_matrix_when_it_is_built():
+    kernel, d = flush_instance(3)
     n = kernel.n
-    idle = GreedyState(kernel)
-    state = walk(kernel, n, monkeypatch, 2)
-    assert state.t == n and state.flushes > 0
-    for read in (kernel.materialize, kernel.diagonal, lambda: GreedyState(kernel),
-                 lambda: idle.extend(1)):
-        with pytest.raises(qcsp.KernelConsumedError):
-            read()
+    l = kernel.matrix
+    state = GreedyState(kernel)
+    assert kernel.matrix is None and state._a is l
+    with pytest.raises(ValueError, match="another greedy walk"):
+        GreedyState(kernel)
     # what the benchmark's tracer reads after a walk stays readable
-    assert kernel.n == n and kernel.unit.shape[0] == n
-
-
-def test_unflushed_walk_leaves_the_kernel_readable(monkeypatch):
-    kernel, _ = flush_instance(3)
-    before = kernel.materialize().copy()
-    state = walk(kernel, kernel.n, monkeypatch, kernel.n)
-    assert state.flushes == 0
-    assert np.array_equal(kernel.materialize(), before)
+    state.extend(n)
+    assert kernel.n == n and kernel.unit.shape == (n, d)
 
 
 def test_tie_break_follows_token_index_after_a_flush(monkeypatch):
@@ -371,15 +361,10 @@ def test_positions_track_the_selection(monkeypatch):
 
 def test_full_panel_is_flushed_only_when_another_step_runs(monkeypatch):
     rows = 3
-    kernel = random_kernel(3, n=14, d=6)
-    before = kernel.materialize().copy()
-    state = walk(kernel, rows, monkeypatch, rows)
+    state = walk(random_kernel(3, n=14, d=6), rows, monkeypatch, rows)
     assert state.t == rows and state.flushes == 0 and not state.exhausted
-    assert np.array_equal(kernel.materialize(), before)
     state.extend(rows + 1)
     assert state.flushes == 1
-    with pytest.raises(qcsp.KernelConsumedError):
-        kernel.materialize()
     # the same steps as a walk whose panel never fills
     ref = walk(random_kernel(3, n=14, d=6), rows + 1, monkeypatch, 14)
     assert ref.flushes == 0

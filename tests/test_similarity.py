@@ -107,6 +107,16 @@ def test_prepare_rejects_inputs_that_break_the_contract():
     assert issubclass(InputError, ValueError)
 
 
+def test_a_query_against_no_token_rows_raises_input_error():
+    empty = np.zeros((0, 3))
+    for score in (lambda: prepare(empty, np.ones((2, 3))),
+                  lambda: relevance_scores(empty, np.ones(3))):
+        with pytest.raises(InputError, match="token matrix has 0 rows"):
+            score()
+    # without a query there is no relevance to score; the selectors reject n = 0
+    assert prepare(empty).n == 0
+
+
 def test_gram_size_limit_is_checked_before_any_work(monkeypatch):
     n = 9
     h = gaussian_matrix(13, n, 5)
