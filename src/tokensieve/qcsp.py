@@ -28,19 +28,21 @@ from a panel of their coefficient rows, and a full panel of B =
 flush_rows(n) rows is folded into the Schur complement by GEMM at the
 start of the next step (see GreedyState).  The residual gains, the
 panel's columns and the working matrix are indexed by position, through
-a position -> token map that starts as the identity.  Each flush swaps
-the tokens the panel selected to the front of the trailing block of
-unselected positions [f:], so a flush that leaves f tokens selected
-costs about (n-f)^2*B/2 multiply-adds, and each step reads and updates
-only the n-f positions of that block, plus a pass over the panel, at
-most B*(n-f) doubles.  The unblocked walk streamed the whole t x n
-coefficient block on step t, n*T^2/2 doubles in all.  The panel is
-allocated once, at min(n, B) rows of n columns.  The walk owns one n x n
-buffer, L's: a GreedyState takes it over from its kernel when it is
-built and overwrites it, so a kernel carries one walk, and a caller that
-reads L copies kernel.matrix first.  That buffer is the Gram's, 8*n^2
-bytes, and similarity.prepare refuses an instance whose Gram would
-exceed similarity.MAX_GRAM_BYTES.
+a position -> token map that starts as the identity.  The first flush
+swaps the tokens selected so far to the front; from then on each step
+swaps its winner to position t, as dpstrf pivots, so the selected tokens
+always fill positions [0, t) and the working matrix is kept in the upper
+triangle of the unselected block [t:, t:] alone.  A flush with f tokens
+selected costs about (n-f)^2*B/2 multiply-adds and no swaps, and each
+step after the first flush reads and updates only the n-t-1 positions
+after its winner, plus a pass over the panel, at most B*(n-t) doubles.  The unblocked walk
+streamed the whole t x n coefficient block on step t, n*T^2/2 doubles in
+all.  The panel is allocated once, at min(n, B) rows of n columns.  The
+walk owns one n x n buffer, L's: a GreedyState takes it over from its
+kernel when it is built and overwrites it, so a kernel carries one walk,
+and a caller that reads L copies kernel.matrix first.  That buffer is
+the Gram's, 8*n^2 bytes, and similarity.prepare refuses an instance
+whose Gram would exceed similarity.MAX_GRAM_BYTES.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ EPS = 1e-6
 # rows, about one L2 cache; a flush runs its GEMM in FLUSH_BLOCK-row blocks
 PANEL_BYTES = 2 << 20
 PANEL_MIN_ROWS = 128
-FLUSH_BLOCK = 256
+FLUSH_BLOCK = 128
 
 
 def flush_rows(n: int) -> int:
@@ -126,34 +128,38 @@ class GreedyState:
 
     order/gains record each step's winner (a token index) and its v^2 at
     selection time.  v_sq, the panel's columns and A are indexed by
-    position: perm maps a position to the token index it holds and ipos is
-    its inverse, both the identity until the first flush.  v_sq holds the
-    residual gains, with selected positions parked at -inf; that is the
-    walk's only record of which tokens it has selected.  An unselected
-    gain is finite: it starts at diag(L) >= 0 and only ever has e^2
-    subtracted.
+    position, and perm maps a position to the token index it holds.  v_sq
+    holds the residual gains, with selected positions parked at -inf; that
+    is the walk's only record of which tokens it has selected.  An
+    unselected gain is finite: it starts at diag(L) >= 0 and only ever has
+    e^2 subtracted.
 
     The coefficient rows e of the steps since the last flush form the
     panel P, one column per position, allocated once at
     min(n, flush_rows(n)) rows.  Each step reads the winner's row of the
-    working kernel A over the trailing block [f:], subtracts
-    P[:, p] @ P[:, f:] and scales by 1 / sqrt(v_j^2 + eps); with an empty
-    panel the product is zero and the row is only scaled.  A full panel is
-    flushed at the start of the next step that runs, before its argmax,
-    if a positive gain is left; otherwise the walk is exhausted.  A
-    flush swaps the panel's tokens to the front of the trailing block, as
-    dpstrf swaps each pivot to position t, so that positions [0, f) hold
-    order[:f], and sets the lower triangle of the unselected block
-    A[f:, f:] to A - P.T @ P, the Schur complement of the selection so
-    far, in FLUSH_BLOCK-row GEMMs; then it empties the panel.
+    working kernel A, subtracts its panel column's product with P and
+    scales by 1 / sqrt(v_j^2 + eps); with an empty panel the product is
+    zero and the row is only scaled.  A full panel is flushed at the start
+    of the next step that runs, before its argmax, if a positive gain is
+    left; otherwise the walk is exhausted.
 
-    f == 0 means no flush yet: A is L, its rows are read whole and the
-    argmax already breaks ties on the lower token index.  After a flush
-    only A's lower triangle is valid, and ties are broken on the token
-    index through perm.  A is L's own buffer: __init__ takes kernel.matrix
-    over and sets it to None.  Walks that never fill the panel make no
-    swaps and do the same arithmetic as the unblocked walk that keeps every
-    coefficient row, bit for bit.
+    Until the first flush perm is the identity, A is L, the winner's row is
+    read whole and the argmax breaks ties on the lower token index; these
+    steps do the same arithmetic as the unblocked walk that keeps every
+    coefficient row, bit for bit, so a walk that never fills the panel
+    moves nothing.  The first flush swaps the panel's tokens to positions
+    [0, t) in step order.  From then on the walk pivots in dpstrf's order:
+    step t swaps its winner into position t, so positions [0, t) always
+    hold order[:t] and e covers the positions after t alone.  A then holds
+    the working matrix in the upper triangle of the unselected block: the
+    winner's row there is read from column p down to the diagonal and
+    from row p after it (the contiguous A[t, t+1:] when the winner already
+    sits at t), before the token at t moves to position p.  Every flush
+    sets the upper triangle of A[t:, t:] to A - P.T @ P, the Schur
+    complement of the selection so far, in FLUSH_BLOCK-row GEMMs with no
+    swaps; then it empties the panel.  Ties are broken on the token index
+    through perm.  A is L's own buffer: __init__ takes kernel.matrix over
+    and sets it to None.
     """
 
     def __init__(self, kernel: DppKernel):
@@ -172,9 +178,7 @@ class GreedyState:
         self._panel = np.empty((min(n, flush_rows(n)), n))
         self._sq = np.empty(n)  # e * e of the current step, by position
         self._kk = 0  # rows in the panel
-        self._f = 0   # start of the trailing block; 0 until the first flush
         self._perm = np.arange(n)  # position -> token index
-        self._ipos = np.arange(n)  # token index -> position
 
     def extend(self, k: int) -> None:
         """Grow the selection order to length k (no-op if already there)."""
@@ -187,100 +191,119 @@ class GreedyState:
             self.t, self.exhausted = self._steps(self.t, k)
         if self.exhausted and self.t < k:
             # kernel rank exhausted: pad by ascending index to honor the budget
-            pad = np.sort(self._perm[self.v_sq != -np.inf])[: k - self.t]
-            self.order[self.t: k] = pad
+            free = np.flatnonzero(self.v_sq != -np.inf)
+            pad = free[np.argsort(self._perm[free])[: k - self.t]]
+            self.order[self.t: k] = self._perm[pad]
             self.gains[self.t: k] = 0.0
-            self.v_sq[self._ipos[pad]] = -np.inf
+            self.v_sq[pad] = -np.inf
             self.t = k
 
     def _steps(self, t_start: int, t_stop: int) -> tuple[int, bool]:
         """Run steps [t_start, t_stop); returns (steps done, exhausted)."""
-        v, order, gains = self.v_sq, self.order, self.gains
-        a, perm, panel, kk, f = self._a, self._perm, self._panel, self._kk, self._f
-        tail, sq = v[f:], self._sq[f:]
+        v, order, gains, sq = self.v_sq, self.order, self.gains, self._sq
+        a, perm, panel, kk = self._a, self._perm, self._panel, self._kk
         for t in range(t_start, t_stop):
             if kk == panel.shape[0]:
                 self._kk = kk
                 # a walk whose gains ran out has no use for the flush
-                if not tail.max() > 0.0:
+                if not v.max() > 0.0:
                     return t, True
-                self._flush()
-                kk, f = 0, self._f
-                tail, sq = v[f:], self._sq[f:]
-            p = f + int(tail.argmax())
-            if f:
-                p = self._lowest_index_tie(p)
+                self._flush(t)
+                kk = 0
+            # after the first flush positions [0, t) hold order[:t]
+            if self.flushes:
+                p = self._lowest_index_tie(t + int(v[t:].argmax()))
+            else:
+                p = int(v.argmax())
             vj = v[p]
             if not vj > 0.0:
                 self._kk = kk
                 return t, True
-            j = int(perm[p])
-            # A's row at position p over the trailing block; once A has been
-            # flushed only its lower triangle is valid
-            row = np.concatenate((a[p, f:p], a[p:, p])) if f else a[p]
-            e = panel[kk, f:]
-            np.subtract(row, panel[:kk, p] @ panel[:kk, f:], out=e)
+            if self.flushes:
+                # dpstrf order: the winner goes to position t and e covers
+                # the positions after it.  Above A's diagonal its row lies in
+                # column p before position p and in row p after it; it is
+                # read before the token at t moves to position p
+                lo = t + 1
+                if p != t:
+                    row = panel[kk, lo:]
+                    row[: p - lo] = a[lo:p, p]
+                    row[p - lo] = a[t, p]
+                    row[p - t:] = a[p, p + 1:]
+                    self._swap(t, p, kk)
+                    p = t
+                else:
+                    row = a[t, lo:]
+                tail, s, e, coef = v[lo:], sq[lo:], panel[kk, lo:], panel[:kk, lo:]
+            else:
+                row = a[p]
+                tail, s, e, coef = v, sq, panel[kk], panel[:kk]
+            np.subtract(row, np.matmul(panel[:kk, p], coef, out=s), out=e)
             e /= math.sqrt(vj + EPS)
             kk += 1
-            np.multiply(e, e, out=sq)
-            tail -= sq
+            np.multiply(e, e, out=s)
+            tail -= s
             v[p] = -np.inf
-            order[t] = j
+            order[t] = perm[p]
             gains[t] = vj
         self._kk = kk
         return t_stop, False
 
     def _lowest_index_tie(self, p: int) -> int:
-        """Among the trailing positions whose gain ties position p's, the one
-        holding the lowest token index, as the unswapped walk would pick."""
-        v, f = self.v_sq, self._f
-        hits = v[f:] == v[p]
-        # ties are rare: count them before building their index array
-        if np.count_nonzero(hits) > 1:
-            ties = np.flatnonzero(hits)
-            return f + int(ties[np.argmin(self._perm[f + ties])])
+        """Among the positions whose gain ties that of position p, the
+        argmax, the one holding the lowest token index, as the unswapped
+        walk would pick."""
+        v = self.v_sq
+        # argmax returns the first maximum, so ties lie after p; they are
+        # rare, so one max over the rest rules them out first
+        if p + 1 < v.size and v[p + 1:].max() == v[p]:
+            ties = p + np.flatnonzero(v[p:] == v[p])
+            return int(ties[np.argmin(self._perm[ties])])
         return p
 
-    def _flush(self) -> None:
-        """Swap the panel's tokens to the front of the trailing block, set the
-        lower triangle of the rest to A - P.T @ P and empty the panel P."""
+    def _swap(self, lo: int, hi: int, kk: int) -> None:
+        """Swap the tokens at positions lo < hi, where the token moving to lo
+        is being selected: their perm entries, gains and panel columns trade
+        places, and the entries of A's upper triangle that position lo held
+        against the positions after it go to position hi.  Nothing reads
+        position lo's entries of A again, so they are left as they are."""
+        perm, v, panel = self._perm, self.v_sq, self._panel[:kk]
+        perm[lo], perm[hi] = perm[hi], perm[lo]
+        v[lo], v[hi] = v[hi], v[lo]
+        col = panel[:, lo].copy()
+        panel[:, lo] = panel[:, hi]
+        panel[:, hi] = col
+        _move_upper(self._a, lo, hi)
+
+    def _flush(self, t: int) -> None:
+        """Fold the panel P of the steps before t into the unselected block:
+        set the upper triangle of A[t:, t:] to A - P.T @ P and empty P.  The
+        first flush also swaps the panel's tokens to positions [0, t)."""
         n = self.kernel.n
-        f, kk = self._f, self._kk
-        a, perm, ipos, v = self._a, self._perm, self._ipos, self.v_sq
-        panel = self._panel[:kk]
-        # the panel's tokens were selected at steps f..f+kk-1; the one of
-        # step dst goes to position dst and the token there takes its place
-        for dst, j in enumerate(self.order[f: f + kk].tolist(), start=f):
-            src = int(ipos[j])
-            if src == dst:
-                continue
-            other = int(perm[dst])
-            perm[dst], perm[src] = j, other
-            ipos[j], ipos[other] = dst, src
-            v[dst], v[src] = v[src], v[dst]
-            # nothing reads position dst or the ones before it again, so
-            # only the moved token's half of the symmetric swap is written
-            panel[:, src] = panel[:, dst]
-            _move_lower(a, dst, src)
-        f1 = f + kk
-        buf = np.empty(FLUSH_BLOCK * (n - f1))
-        for i0 in range(f1, n, FLUSH_BLOCK):
+        a, panel = self._a, self._panel[: self._kk]
+        if not self.flushes:
+            # the token of step dst goes to position dst, from wherever the
+            # swaps before it left it
+            for dst, j in enumerate(self.order[:t].tolist()):
+                src = dst + int(np.argmax(self._perm[dst:] == j))
+                if src != dst:
+                    self._swap(dst, src, self._kk)
+        buf = np.empty(FLUSH_BLOCK * (n - t))
+        for i0 in range(t, n, FLUSH_BLOCK):
             i1 = min(n, i0 + FLUSH_BLOCK)
-            prod = np.matmul(panel[:, i0:i1].T, panel[:, f1:i1],
-                             out=buf[: (i1 - i0) * (i1 - f1)].reshape(i1 - i0, i1 - f1))
-            block = a[i0:i1, f1:i1]
+            prod = np.matmul(panel[:, i0:i1].T, panel[:, i0:],
+                             out=buf[: (i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0))
+            block = a[i0:i1, i0:]
             np.subtract(block, prod, out=block)
-        self._f = f1
         self._kk = 0
         self.flushes += 1
 
 
-def _move_lower(a: np.ndarray, lo: int, hi: int) -> None:
-    """Write position lo's entries of the symmetric matrix stored in a's lower
+def _move_upper(a: np.ndarray, lo: int, hi: int) -> None:
+    """Write position lo's entries of the symmetric matrix stored in a's upper
     triangle over position hi's (lo < hi), against positions after lo."""
-    a[hi, hi] = a[lo, lo]
-    a[hi, lo + 1:hi] = a[lo + 1:hi, lo]
-    a[hi + 1:, hi] = a[hi + 1:, lo]
+    a[lo + 1:hi, hi] = a[lo, lo + 1:hi]
+    a[hi, hi + 1:] = a[lo, hi + 1:]
 
 
 def greedy_map(kernel: DppKernel, k: int) -> list[int]:

@@ -14,12 +14,13 @@ turns S into L = diag(r) S diag(r) in place.  It is the only place
 token rows are normalized and relevance is scored: `relevance_scores`
 returns its raw relevance.
 
-Input contract: token and query values are finite, the query has the
-tokens' width, and the Gram, when one is asked for, fits in
-MAX_GRAM_BYTES (8*n^2 bytes, so n <= 16384).  `prepare` raises
-`InputError` (a ValueError) otherwise; it checks the size before it
-normalizes anything, and it finds a non-finite token from the normalized
-rows, so that check costs O(n) on top of the normalization.
+Input contract: token and query values are finite, the query is a 2-d
+array of at least one row with the tokens' width and a finite mean, and
+the Gram, when one is asked for, fits in MAX_GRAM_BYTES (8*n^2 bytes, so
+n <= 16384).  `prepare` raises `InputError` (a ValueError) otherwise; it
+checks the size before it normalizes anything, and it finds a non-finite
+token from the normalized rows, so that check costs O(n) on top of the
+normalization.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import numpy as np
 
 class InputError(ValueError):
     """Tokens or a query that break the input contract (non-finite values,
-    a query whose width differs from the tokens', a query against 0 token
-    rows, or more tokens than a Gram of MAX_GRAM_BYTES holds)."""
+    a query that is not a 2-d array of rows or whose width differs from the
+    tokens', a query against 0 token rows, or more tokens than a Gram of
+    MAX_GRAM_BYTES holds)."""
 
 
 # the largest unit-row Gram prepare builds; the kernel and the greedy walk
@@ -144,8 +146,9 @@ def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
     """Normalize the token rows and the pooled query once; score relevance.
 
     Raises InputError for a non-finite token or query value, for a query
-    whose width differs from the tokens', for a query against 0 token
-    rows, and, with gram, for an n whose 8*n^2-byte Gram exceeds
+    that is not a 2-d array of at least one row or whose mean overflows,
+    for a query whose width differs from the tokens', for a query against
+    0 token rows, and, with gram, for an n whose 8*n^2-byte Gram exceeds
     MAX_GRAM_BYTES.
     """
     h_v = np.asarray(h_v, dtype=np.float64)
@@ -169,7 +172,13 @@ def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
         if n == 0:
             raise InputError("the token matrix has 0 rows, so there is no relevance "
                              "to score against the query")
-        mu = mean_pool(h_q)
+        q = np.asarray(h_q, dtype=np.float64)
+        if q.ndim != 2 or q.shape[0] == 0:
+            raise InputError(f"the query must be a 2-d array of at least one row, "
+                             f"got shape {q.shape}")
+        # a mean that overflows is caught as non-finite below
+        with np.errstate(over="ignore"):
+            mu = mean_pool(q)
         if mu.shape[0] != h_v.shape[1]:
             raise InputError(f"query width {mu.shape[0]} does not match token width "
                              f"{h_v.shape[1]}")

@@ -213,7 +213,7 @@ def flush_instance(seed):
 def set_panel_rows(monkeypatch, rows):
     monkeypatch.setattr(qcsp, "PANEL_MIN_ROWS", rows)
     monkeypatch.setattr(qcsp, "PANEL_BYTES", 0)
-    # several GEMM blocks per flush, so only the lower triangle of A is valid
+    # several GEMM blocks per flush, so only the upper triangle of A is valid
     monkeypatch.setattr(qcsp, "FLUSH_BLOCK", 7)
     assert qcsp.flush_rows(1000) == rows
 
@@ -319,9 +319,14 @@ def test_tie_break_follows_token_index_after_a_flush(monkeypatch):
     h = np.array([[1.0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1],
                   [1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]])
     r = np.array([0.75, 0.5, 0.5, 0.75, 0.9, 1.0])
-    state = walk(build_kernel(h, r), 3, monkeypatch, 1)
+    state = walk(build_kernel(h, r), 2, monkeypatch, 1)
+    perm = state._perm
+    assert state.flushes == 1
+    assert np.array_equal(perm[:2], state.order[:2])
+    assert np.flatnonzero(perm == 0)[0] > np.flatnonzero(perm == 3)[0]
+    state.extend(3)
     assert state.flushes == 2
-    assert state._ipos[0] > state._ipos[3]
+    assert np.array_equal(perm[:3], state.order[:3])
     assert state.gains[2] == 0.75 ** 2
     assert [int(i) for i in state.order[:3]] == [5, 4, 0]
     unflushed = walk(build_kernel(h, r), 3, monkeypatch, 3)
@@ -344,19 +349,42 @@ def test_materialized_panel_is_allocated_once(monkeypatch):
 
 
 def test_positions_track_the_selection(monkeypatch):
-    # after every walk: perm and ipos are inverse permutations, positions
-    # [0, f) hold the tokens selected up to the last flush in step order,
-    # and no unselected token sits before f
+    # after the first flush the walk pivots in dpstrf order: at every step
+    # positions [0, t) hold the tokens selected so far, in step order
     for rows in (1, 2, 5):
+        set_panel_rows(monkeypatch, rows)
         for seed in range(40):
             kernel, _ = flush_instance(seed)
             n = kernel.n
-            state = walk(kernel, n, monkeypatch, rows)
-            perm, f = state._perm, state._f
-            assert state.flushes > 0 and f > 0
-            assert np.array_equal(perm[state._ipos], np.arange(n)), (seed, rows)
-            assert np.array_equal(perm[:f], state.order[:f]), (seed, rows)
-            assert np.all(state.v_sq[:f] == -np.inf)
+            state = GreedyState(kernel)
+            for t in range(1, n + 1):
+                state.extend(t)
+                if state.exhausted:
+                    break
+                if state.flushes:
+                    assert np.array_equal(state._perm[:t], state.order[:t]), (seed, rows, t)
+                    assert np.all(state.v_sq[:t] == -np.inf)
+            assert state.flushes > 0
+            assert np.array_equal(np.sort(state._perm), np.arange(n)), (seed, rows)
+
+
+def test_padding_after_a_flush_takes_each_token_once(monkeypatch):
+    # 9 independent tokens in 12 dimensions and 3 zero rows: the walk picks
+    # the 9, flushing every 2 steps, and exhausts one step into a panel;
+    # the zero rows are padded once each, in ascending order
+    zero = [2, 4, 9]
+    h = np.random.default_rng(5).standard_normal((12, 12))[:9]
+    h = np.insert(h, [z - i for i, z in enumerate(zero)], 0.0, axis=0)
+    r = min_max_normalize(np.arange(12.0))
+    for ks in ([12], [10, 11, 12], [11, 12]):
+        set_panel_rows(monkeypatch, 2)
+        state = GreedyState(build_kernel(h, r))
+        for k in ks:
+            state.extend(k)
+        assert state.exhausted and state.flushes == 4
+        assert state.order[9:].tolist() == zero
+        assert np.array_equal(np.sort(state.order), np.arange(12))
+        assert np.all(state.gains[9:] == 0.0) and np.all(state.gains[:9] > 0.0)
 
 
 def test_full_panel_is_flushed_only_when_another_step_runs(monkeypatch):

@@ -107,6 +107,18 @@ def test_prepare_rejects_inputs_that_break_the_contract():
     assert issubclass(InputError, ValueError)
 
 
+@pytest.mark.parametrize("query, message", [
+    (np.ones(5), "2-d array"),
+    (np.zeros((0, 5)), "2-d array"),
+    (np.ones((2, 3, 5)), "2-d array"),
+    (np.full((2, 5), 1.7e308), "mean overflows"),
+])
+def test_prepare_rejects_a_query_that_breaks_the_contract(query, message):
+    # each breach is named as the query's, under warnings as errors
+    with pytest.raises(InputError, match=message):
+        prepare(gaussian_matrix(8, 6, 5), query)
+
+
 def test_a_query_against_no_token_rows_raises_input_error():
     empty = np.zeros((0, 3))
     for score in (lambda: prepare(empty, np.ones((2, 3))),

@@ -81,8 +81,8 @@ def test_suite_flags_sabotaged_gains(monkeypatch):
 
 def test_flushed_walk_check_flags_a_broken_flush(monkeypatch):
     from tokensieve import qcsp
-    # a flush that leaves each moved token with its old position's entries
-    monkeypatch.setattr(qcsp, "_move_lower", lambda a, lo, hi: None)
+    # swaps that leave each moved token with its old position's entries of A
+    monkeypatch.setattr(qcsp, "_move_upper", lambda a, lo, hi: None)
     by_name = {r.name: r for r in verify.check_flushed_walk(instances=1, seed=0)}
     assert not by_name["flushed-walk"].passed
 
