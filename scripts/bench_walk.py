@@ -11,8 +11,7 @@ walks a fresh copy of the kernel to T `--runs` times and takes medians:
 - walk_s: the plain walk, from GreedyState(kernel) to extend(T);
 - in a second, instrumented walk per run, the parts: gemm_s and
   subtract_s are the flushes' np.matmul and np.subtract calls, swaps_s
-  the time in the checkout's swap function (`GreedyState._swap`, or
-  `_move_lower` where the checkout has it), of which flush_swaps_s inside
+  the time in `GreedyState._swap`, of which flush_swaps_s inside
   flushes, flush_other_s the rest of the flushes and steps_s the rest of
   the walk;
 - dpstrf_s: scipy's LAPACK dpstrf on L + EPS*I, stopped after T pivots by
@@ -67,11 +66,9 @@ class _Parts:
                 self._add("flush_s", time.perf_counter() - start)
                 qcsp.np, self.in_flush = np, False
 
-        self.saved = [(gs, "_flush", flush)]
+        swap = gs._swap
+        self.saved = [(gs, "_flush", flush), (gs, "_swap", swap)]
         gs._flush = timed_flush
-        owner, name = (gs, "_swap") if hasattr(gs, "_swap") else (qcsp, "_move_lower")
-        swap = getattr(owner, name)
-        self.saved.append((owner, name, swap))
 
         def timed_swap(*args):
             start = time.perf_counter()
@@ -80,7 +77,7 @@ class _Parts:
             finally:
                 self._add("flush_swaps_s" if self.in_flush else "step_swaps_s",
                           time.perf_counter() - start)
-        setattr(owner, name, timed_swap)
+        gs._swap = timed_swap
 
     def _add(self, key, seconds):
         self.acc[key] = self.acc.get(key, 0.0) + seconds

@@ -30,16 +30,12 @@ from .tensor_io import (MatrixFormatError, SelectionFormatError, read_matrix,
 
 
 def _budget(args, n: int) -> int:
+    """--keep, or (1 - --ratio) * n rounded half up; select checks its range."""
     if args.keep is not None:
-        m = args.keep
-    else:
-        if not 0.0 <= args.ratio < 1.0:
-            raise ValueError(f"--ratio must lie in [0, 1), got {args.ratio}")
-        # half-up rounding of (1 - p) * n
-        m = math.floor((1.0 - args.ratio) * n + 0.5)
-    if not 1 <= m <= n:
-        raise ValueError(f"budget {m} outside [1, {n}]")
-    return m
+        return args.keep
+    if not 0.0 <= args.ratio < 1.0:
+        raise ValueError(f"--ratio must lie in [0, 1), got {args.ratio}")
+    return math.floor((1.0 - args.ratio) * n + 0.5)
 
 
 def cmd_prune(args) -> int:

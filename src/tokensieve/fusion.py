@@ -18,8 +18,6 @@ ends at the last G-member or at step m, whichever is later).  The
 per-step arithmetic does not depend on how the walk is split into
 rounds, so the kept set is that of the full-length order.  What a walk
 step and a flush cost, and which n x n buffer the walk owns, is in qcsp.
-A selection needs that 8*n^2-byte buffer, so `script_select` raises
-similarity.InputError when it would exceed similarity.MAX_GRAM_BYTES.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gsp import DEFAULT_GAMMA, DEFAULT_TAU, gsp_select
-from .qcsp import EPS, GreedyState, build_kernel, qcsp_select
+from .qcsp import EPS, GreedyState, build_kernel, greedy_map
 from .rng import SplitMix64
 # mean_pool, min_max_normalize and relevance_scores are no longer called here;
 # they stay importable from this module because the benchmark's tracer
@@ -36,21 +34,17 @@ from .similarity import mean_pool, min_max_normalize, prepare, relevance_scores 
 from .tensor_io import Selection
 
 
-def script_select(h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
-                  gamma: float = DEFAULT_GAMMA, gsp_keep: int | None = None) -> Selection:
-    """Budget-m fused selection; kept order follows the greedy-order scan."""
-    h_v = np.asarray(h_v, dtype=np.float64)
-    n = h_v.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError(f"budget must lie in [1, {n}], got {m}")
+def _fuse(prep, m: int, tau: float, gamma: float, gsp_keep: int | None) -> Selection:
+    """The fused selection of a prepared instance holding its Gram, for a
+    budget m in [1, n]; kept order follows the greedy-order scan."""
+    n = prep.n
     if gsp_keep is None:
         gsp_keep = min(n, 2 * m)
     if not 1 <= gsp_keep <= n:
         raise ValueError(f"gsp_keep must lie in [1, {n}], got {gsp_keep}")
 
-    # one normalization, relevance and Gram for both stages; GSP reads the
-    # Gram before the kernel scales it into L in place
-    prep = prepare(h_v, h_q)
+    # both stages read the one Gram; GSP reads it before the kernel scales
+    # it into L in place
     g_members = set(gsp_select(prep, tau, gamma, keep=gsp_keep))
     state = GreedyState(build_kernel(prep, prep.relevance))
 
@@ -96,38 +90,49 @@ def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
            seed: int = 0) -> Selection:
     """Budget-m selection by `mode`, one of MODES.
 
+    Every mode checks and prepares its inputs in one `prepare` call: tokens
+    or a query that break similarity's input contract raise InputError, and
+    a budget outside [1, n] ValueError.  Only script, qcsp and diversity
+    build the 8*n^2-byte Gram the walk runs in (and so check its size).
+
     The document's params hold the mode, m and only the inputs that mode
     reads: script tau, gamma, gsp_keep and eps; gsp tau and gamma; qcsp
     and diversity eps; random seed; topk nothing more.
     """
-    if mode == "script":
-        return script_select(h_v, h_q, m, tau, gamma, gsp_keep)
-    n = len(h_v)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    if mode == "topk" and h_q is None:
+        raise ValueError("mode topk needs a query")
+    prep = prepare(h_v, h_q, gram=mode in ("script", "qcsp", "diversity"))
+    n = prep.n
     if not 1 <= m <= n:
         raise ValueError(f"budget must lie in [1, {n}], got {m}")
+    if mode == "script":
+        return _fuse(prep, m, tau, gamma, gsp_keep)
     params = {"mode": mode, "m": m}
     tag = "baseline"
     if mode == "gsp":
-        kept = gsp_select(h_v, tau, gamma, keep=m)
+        kept = gsp_select(prep, tau, gamma, keep=m)
         tag = "gsp-only"
         params.update(tau=tau, gamma=gamma)
     elif mode == "qcsp":
-        kept = qcsp_select(h_v, h_q, m)
+        kept = greedy_map(build_kernel(prep, prep.relevance), m)
         tag = "qcsp-only"
         params["eps"] = EPS
     elif mode == "diversity":
         # the walk with uniform relevance: diversity with no query signal
-        kept = qcsp_select(h_v, None, m)
+        kept = greedy_map(build_kernel(prep, np.ones(n)), m)
         params["eps"] = EPS
     elif mode == "random":
         kept = SplitMix64(seed).sample_without_replacement(n, m)
         params["seed"] = seed
-    elif mode == "topk":
-        if h_q is None:
-            raise ValueError("mode topk needs a query")
-        # top-m by raw relevance, descending; ties to the lower index
-        raw = prepare(h_v, h_q, gram=False).relevance_raw
-        kept = np.argsort(-raw, kind="stable")[:m].tolist()
     else:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+        # top-m by raw relevance, descending; ties to the lower index
+        kept = np.argsort(-prep.relevance_raw, kind="stable")[:m].tolist()
     return Selection(kept, n, [tag] * m, params)
+
+
+def script_select(h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
+                  gamma: float = DEFAULT_GAMMA, gsp_keep: int | None = None) -> Selection:
+    """Budget-m fused selection: select's script mode."""
+    return select("script", h_v, h_q, m, tau, gamma, gsp_keep)

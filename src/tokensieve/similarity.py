@@ -14,13 +14,14 @@ turns S into L = diag(r) S diag(r) in place.  It is the only place
 token rows are normalized and relevance is scored: `relevance_scores`
 returns its raw relevance.
 
-Input contract: token and query values are finite, the query is a 2-d
-array of at least one row with the tokens' width and a finite mean, and
-the Gram, when one is asked for, fits in MAX_GRAM_BYTES (8*n^2 bytes, so
-n <= 16384).  `prepare` raises `InputError` (a ValueError) otherwise; it
-checks the size before it normalizes anything, and it finds a non-finite
-token from the normalized rows, so that check costs O(n) on top of the
-normalization.
+Input contract: the tokens are a 2-d array of finite values; the query,
+if any, is a finite 2-d array of at least one row with the tokens' width
+and a finite mean, against at least one token row; and the Gram, when
+one is asked for, fits in MAX_GRAM_BYTES (8*n^2 bytes, so n <= 16384).
+`prepare` raises `InputError` (a ValueError) naming the input otherwise.
+It checks the size before it normalizes anything, and it finds a
+non-finite token from the normalized rows, so that check costs O(n) on
+top of the normalization.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ import numpy as np
 
 
 class InputError(ValueError):
-    """Tokens or a query that break the input contract (non-finite values,
-    a query that is not a 2-d array of rows or whose width differs from the
-    tokens', a query against 0 token rows, or more tokens than a Gram of
-    MAX_GRAM_BYTES holds)."""
+    """Tokens or a query that break the input contract (see the module)."""
 
 
 # the largest unit-row Gram prepare builds; the kernel and the greedy walk
@@ -145,15 +143,13 @@ class Prepared:
 def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
     """Normalize the token rows and the pooled query once; score relevance.
 
-    Raises InputError for a non-finite token or query value, for a query
-    that is not a 2-d array of at least one row or whose mean overflows,
-    for a query whose width differs from the tokens', for a query against
-    0 token rows, and, with gram, for an n whose 8*n^2-byte Gram exceeds
-    MAX_GRAM_BYTES.
+    Raises InputError for tokens or a query that break the input contract
+    (see the module), including, with gram, an n whose 8*n^2-byte Gram
+    exceeds MAX_GRAM_BYTES.
     """
     h_v = np.asarray(h_v, dtype=np.float64)
     if h_v.ndim != 2:
-        raise ValueError(f"tokens must be a 2-d array, got shape {h_v.shape}")
+        raise InputError(f"tokens must be a 2-d array, got shape {h_v.shape}")
     n = h_v.shape[0]
     if gram and 8 * n * n > MAX_GRAM_BYTES:
         raise InputError(f"{n} tokens need a {8 * n * n / 2**30:.2f} GiB similarity "

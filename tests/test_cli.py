@@ -116,12 +116,14 @@ def test_prune_qcsp_without_query_is_diversity_only(toks, tmp_path):
 
 
 def test_prune_query_width_mismatch_exits_1(toks, tmp_path, capsys):
+    # every mode checks the query, also those that never read it
     q = tmp_path / "wide.emb1"
     write_matrix(gaussian_matrix(12, 2, 6), q)
-    code = main(["prune", "--tokens", toks, "--query", str(q), "--keep", "3",
-                 "--out", str(tmp_path / "x.json")])
-    assert code == 1
-    assert "width" in capsys.readouterr().err
+    for mode in fusion.MODES:
+        code = main(["prune", "--tokens", toks, "--query", str(q), "--keep", "3",
+                     "--mode", mode, "--out", str(tmp_path / "x.json")])
+        assert code == 1, mode
+        assert "width" in capsys.readouterr().err
 
 
 def test_gram_size_limit_exits_1_where_a_gram_is_built(toks, query, tmp_path,

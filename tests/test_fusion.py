@@ -190,6 +190,8 @@ def test_baselines_reject_budgets_outside_one_to_n():
 
 
 def test_selectors_reject_non_finite_input():
+    # one input contract for every mode: each breach raises InputError
+    # naming the input, whether or not the mode reads it
     rng = np.random.default_rng(0)
     h_v = rng.standard_normal((40, 8))
     h_q = rng.standard_normal((4, 8))
@@ -207,6 +209,46 @@ def test_selectors_reject_non_finite_input():
         script_select(h_v, h_q, 6)
     with pytest.raises(InputError, match="width"):
         script_select(h_v, h_q[:, :7], 6)
+
+    tokens = gaussian_matrix(5, 12, 4)
+    query = gaussian_matrix(6, 2, 4)
+    inf_tokens = tokens.copy()
+    inf_tokens[3, 1] = np.inf
+    breaches = [
+        (inf_tokens, query, "token row 3"),
+        (tokens[:, 0], query, "tokens must be a 2-d array"),
+        (tokens.reshape(12, 2, 2), query, "tokens must be a 2-d array"),
+        (tokens, np.full((2, 4), np.nan), "query"),
+        (tokens, query[0], "query"),
+        (tokens, np.zeros((0, 4)), "query"),
+        (tokens, query[:, :3], "query width 3"),
+        (tokens, np.full((2, 4), 1.7e308), "query"),
+        (np.zeros((0, 4)), query, "token matrix has 0 rows"),
+    ]
+    for mode in fusion.MODES:
+        for bad_v, bad_q, message in breaches:
+            with pytest.raises(InputError, match=message):
+                select(mode, bad_v, bad_q, 3)
+
+
+def test_select_prepares_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return similarity.prepare(*args, **kwargs)
+
+    # the stages given raw tokens would prepare through their own modules
+    for module in (fusion, gsp, qcsp):
+        monkeypatch.setattr(module, "prepare", counted)
+    h_v, h_q = gaussian_matrix(5, 30, 6), gaussian_matrix(6, 3, 6)
+    for mode in fusion.MODES:
+        for query in ((h_q,) if mode == "topk" else (h_q, None)):
+            calls.clear()
+            select(mode, h_v, query, 5)
+            assert len(calls) == 1, (mode, query is None)
+    for query in (h_q, None):
+        assert script_select(h_v, query, 5) == select("script", h_v, query, 5)
 
 
 def test_benchmark_tracer_wraps_names_the_program_keeps(monkeypatch):
