@@ -106,13 +106,14 @@ def main() -> int:
     from tokensieve import fusion, qcsp, similarity
     from tokensieve.rng import gaussian_matrix
 
-    def kernel_copy(l, unit):
+    def kernel_copy(l):
+        # the walk reads a kernel's n and matrix alone
         kernel = qcsp.DppKernel.__new__(qcsp.DppKernel)
-        kernel.unit, kernel.n, kernel.matrix = unit, l.shape[0], l.copy()
+        kernel.n, kernel.matrix = l.shape[0], l.copy()
         return kernel
 
-    def walk(l, unit, t):
-        kernel = kernel_copy(l, unit)
+    def walk(l, t):
+        kernel = kernel_copy(l)
         start = time.perf_counter()
         state = qcsp.GreedyState(kernel)
         state.extend(t)
@@ -138,12 +139,12 @@ def main() -> int:
         l = qcsp.build_kernel(prep, prep.relevance).matrix
         # the pivot after step t - 1 stops dpstrf: its tolerance lies
         # between the t-th and the (t+1)-th pivot of L + EPS*I
-        _, ahead = walk(l, prep.unit, t + 1)
+        _, ahead = walk(l, t + 1)
         tol = qcsp.EPS + 0.5 * (ahead.gains[t - 1] + ahead.gains[t])
         m = l + qcsp.EPS * np.eye(l.shape[0])
         walk_s, dpstrf_s, parts = [], [], []
         for _ in range(args.runs):
-            seconds, state = walk(l, prep.unit, t)
+            seconds, state = walk(l, t)
             walk_s.append(seconds)
             mf = m.copy().T  # M is symmetric: its transpose is the Fortran view
             start = time.perf_counter()
@@ -154,7 +155,7 @@ def main() -> int:
                                  "or picked other tokens")
             timer = _Parts(qcsp, np)
             try:
-                seconds, _ = walk(l, prep.unit, t)
+                seconds, _ = walk(l, t)
             finally:
                 timer.restore()
             acc = {key: timer.acc.get(key, 0.0) for key in

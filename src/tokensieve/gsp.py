@@ -3,7 +3,7 @@
 Tokens are split by index parity into the two sides of a complete
 bipartite graph: the even-index (source) tokens are the rows and the
 odd-index (destination) tokens the columns of the cross block
-S[0::2, 1::2] of the unit-row Gram, which carries the graph's edges.
+S[0::2, 1::2] of the cosine matrix, which carries the graph's edges.
 This costs exactly ceil(n/2)*floor(n/2) similarity evaluations, about
 half of the n(n-1)/2 exhaustive pair count.  Each token is scored
 
@@ -16,7 +16,8 @@ all cross-side tokens.  Low score = structurally non-redundant = kept.
 
 Given a prepared instance that holds S, the graph is a strided view of
 it and costs no arithmetic; otherwise the block is one gemm of the
-prepared unit rows.
+prepared raw rows, H[0::2] @ H[1::2].T, scaled by the outer product of
+their inverse norms, as S itself is.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .similarity import Prepared, prepare
+from .similarity import Prepared, prepare, scale_outer
 
 DEFAULT_TAU = 0.3
 DEFAULT_GAMMA = 5.0
@@ -77,7 +78,8 @@ def build_graph(h_v: np.ndarray | Prepared, tau: float = DEFAULT_TAU,
     if prep.gram is not None:
         cross = prep.gram[0::2, 1::2]
     else:
-        cross = prep.unit[0::2] @ prep.unit[1::2].T
+        cross = prep.rows[0::2] @ prep.rows[1::2].T
+        scale_outer(cross, prep.inv_norm[0::2], prep.inv_norm[1::2])
     return BipartiteRedundancyGraph(cross, float(tau), float(gamma))
 
 

@@ -1,13 +1,14 @@
 """Query-conditioned kernel construction and greedy MAP selection.
 
 The kernel is L = diag(r) S diag(r), entry (i, j) = S(i,j) * (r_i * r_j),
-where S = U @ U.T is the Gram matrix of the l2-normalized token rows u
-and r is the normalized relevance (see similarity.prepare).  Built from
-a prepared instance, the kernel takes over the instance's Gram buffer
-and scales it in place in one pass over cache-sized row blocks: no
-second n x n matrix and no scaled copy of the rows are made.  S is
-exactly symmetric and r_i * r_j is the same product as r_j * r_i, so L
-is exactly symmetric with no mirror pass.
+where S is the token cosine matrix, the Gram H @ H.T of the raw token
+rows scaled by their inverse norms, and r is the normalized relevance
+(see similarity.prepare).  Built from a prepared instance, the kernel
+takes over the instance's cosine buffer and scales it in place with
+similarity.scale_outer, the pass that made it from the Gram: no second
+n x n matrix and no scaled copy of the rows are made.  S is exactly
+symmetric and r_i * r_j is the same product as r_j * r_i, so L is
+exactly symmetric with no mirror pass.
 
 Greedy MAP maintains, per candidate, the residual gain v_i^2 (the
 determinant ratio a selection would contribute) and a coefficient
@@ -53,7 +54,7 @@ import numpy as np
 
 # l2_normalize_rows is no longer called here; it stays importable from this
 # module because the benchmark's tracer (perfbench/spans.py) wraps it by name
-from .similarity import Prepared, l2_normalize_rows, prepare  # noqa: F401
+from .similarity import Prepared, l2_normalize_rows, prepare, scale_outer  # noqa: F401
 
 EPS = 1e-6
 # the walk's panel holds max(PANEL_MIN_ROWS, PANEL_BYTES / (8 n)) coefficient
@@ -71,40 +72,27 @@ def flush_rows(n: int) -> int:
 class DppKernel:
     """Relevance-reweighted similarity kernel, stored densely.
 
-    L = diag(relevance) @ (unit_rows @ unit_rows.T) @ diag(relevance) is
-    symmetric PSD by construction with diagonal relevance^2 (zero-embedding
-    rows get diagonal 0).  It is stored in the buffer of `gram` (the
-    unit-row Gram), scaled entrywise by r_i * r_j in one pass over row
-    blocks; the result is exactly symmetric because the Gram is and the
-    two products r_i * r_j and r_j * r_i are the same.
+    L = diag(relevance) @ S @ diag(relevance), with S the cosine matrix of
+    the prepared instance, is symmetric PSD by construction with diagonal
+    relevance^2 (zero-embedding rows get diagonal 0).  It is stored in the
+    buffer of `gram` (the instance's S), scaled entrywise by r_i * r_j in
+    one pass over row blocks; the result is exactly symmetric because S is
+    and the two products r_i * r_j and r_j * r_i are the same.
 
     matrix is L until a GreedyState takes it over, then None.
     """
 
-    def __init__(self, unit_rows: np.ndarray, relevance: np.ndarray, gram: np.ndarray):
-        self.unit = unit_rows
-        self.n = unit_rows.shape[0]
-        _scale_symmetric(gram, relevance)
+    def __init__(self, prep: Prepared, relevance: np.ndarray, gram: np.ndarray):
+        self._prep = prep
+        self.n = prep.n
+        scale_outer(gram, relevance, relevance)
         self.matrix = gram
 
-
-# the kernel is scaled over row blocks of about this many bytes
-SCALE_BLOCK_BYTES = 256 << 10
-
-
-def _scale_symmetric(s: np.ndarray, r: np.ndarray) -> None:
-    """Set s[i, j] = s[i, j] * (r_i * r_j) in place, in one pass over row
-    blocks that are scaled while they are in cache.  r_i * r_j and r_j * r_i
-    are the same product, so an exactly symmetric s stays exactly symmetric."""
-    n = s.shape[0]
-    step = max(1, SCALE_BLOCK_BYTES // (8 * max(n, 1)))
-    outer = np.empty((min(n, step), n))
-    for i0 in range(0, n, step):
-        i1 = min(n, i0 + step)
-        rr = outer[: i1 - i0]
-        np.multiply(r[i0:i1, None], r, out=rr)
-        rows = s[i0:i1]
-        rows *= rr
+    @property
+    def unit(self) -> np.ndarray:
+        """The instance's unit token rows, computed on first read; the walk
+        never reads them."""
+        return self._prep.unit
 
 
 def build_kernel(h_v: np.ndarray | Prepared, r_norm: np.ndarray) -> DppKernel:
@@ -113,14 +101,14 @@ def build_kernel(h_v: np.ndarray | Prepared, r_norm: np.ndarray) -> DppKernel:
     prep = h_v if isinstance(h_v, Prepared) else prepare(h_v)
     r = np.asarray(r_norm, dtype=np.float64)
     if r.ndim != 1 or prep.n != r.shape[0]:
-        raise ValueError(f"shape mismatch: tokens {prep.unit.shape}, relevance {r.shape}")
+        raise ValueError(f"shape mismatch: tokens {prep.rows.shape}, relevance {r.shape}")
     if r.size and (r.min() < -1e-12 or r.max() > 1.0 + 1e-12):
         raise ValueError("normalized relevance must lie in [0, 1]")
     gram = prep.take_gram()
     if gram is None:
         raise ValueError("the prepared instance holds no Gram: it was prepared with "
                          "gram=False, or an earlier kernel took it")
-    return DppKernel(prep.unit, r, gram)
+    return DppKernel(prep, r, gram)
 
 
 class GreedyState:
@@ -234,11 +222,15 @@ class GreedyState:
                     p = t
                 else:
                     row = a[t, lo:]
-                tail, s, e, coef = v[lo:], sq[lo:], panel[kk, lo:], panel[:kk, lo:]
+                tail, s, e = v[lo:], sq[lo:], panel[kk, lo:]
+                prod = np.matmul(panel[:kk, p], panel[:kk, lo:], out=s)
             else:
                 row = a[p]
-                tail, s, e, coef = v, sq, panel[kk], panel[:kk]
-            np.subtract(row, np.matmul(panel[:kk, p], coef, out=s), out=e)
+                tail, s, e = v, sq, panel[kk]
+                # on whole panel rows ndarray.dot is the faster call; on the
+                # columns after t it is slower than np.matmul (same bits)
+                prod = panel[:kk, p].dot(panel[:kk], out=s)
+            np.subtract(row, prod, out=e)
             e /= math.sqrt(vj + EPS)
             kk += 1
             np.multiply(e, e, out=s)

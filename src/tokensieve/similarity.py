@@ -5,29 +5,50 @@ side).  All functions promote to float64.  Zero-norm rows get cosine 0
 by convention, which makes an all-zero token maximally non-redundant
 and non-relevant.
 
-`prepare` computes, once per selection, what both stages read: the unit
-token rows U (one l2 normalization of the n rows), the relevance
-r_i = cos(u_i, mu) of each row to the pooled query mu, min-max
-normalized into (0, 1], and optionally the unit-row Gram S = U @ U.T.
-GSP reads its even x odd cosine block from S and the kernel builder
-turns S into L = diag(r) S diag(r) in place.  It is the only place
-token rows are normalized and relevance is scored: `relevance_scores`
-returns its raw relevance.
+`prepare` computes, once per selection, what both stages read: the token
+rows H as one C-contiguous float64 array, the inverse norm 1/||h_i|| of
+each row (0 for a zero row), the relevance r_i = cos(h_i, mu) of each
+row to the pooled query mu, min-max normalized into (0, 1], and
+optionally the cosine matrix S.  Every cosine it hands out is a product
+of raw rows times inverse norms: S = G * (inv_i * inv_j) with the Gram
+G = H @ H.T, whose diagonal gives the squared norms, and the relevance
+(H @ mu/||mu||) * inv_i.  So a selection writes no n x d array: it
+reads its tokens in the syrk and, with a query, in one gemv, and
+`Prepared.unit` computes the unit rows only for code that reads them.  GSP reads its even x
+odd cosine block from S (or forms it the same way from the rows), and
+the kernel builder turns S into L = diag(r) S diag(r) in place, both
+through `scale_outer`.  It is the only place relevance is scored:
+`relevance_scores` returns its raw relevance.
+
+Range.  A row's raw products give cosines at full precision when its
+squared norm lies in [NORM_SQ_MIN, NORM_SQ_MAX] = [2^-1022, 2^1022].
+For two such rows each product h_ik * h_jk is either a normal float,
+within a relative eps/2 of its exact value, or smaller than 2^-1022,
+where its absolute error of at most 2^-1075 is again under
+eps/2 * ||h_i|| ||h_j||, because ||h_i|| ||h_j|| >= 2^-1022; no partial
+sum overflows, because Cauchy-Schwarz bounds it by ||h_i|| ||h_j|| <=
+2^1022; and the scale inv_i * inv_j lies in [2^-1022, 2^1022], so it is
+a normal float.  Each cosine thus has the error bound of a product of
+unit rows.  A finite nonzero row outside the range (its squared norm
+overflows, underflows or is subnormal) is replaced by its unit row from
+`l2_normalize_rows` before the products, and the Gram is built again;
+that is rare, and costs one n x d copy.
 
 Input contract: the tokens are a 2-d array of finite values; the query,
 if any, is a finite 2-d array of at least one row with the tokens' width
 and a finite mean, against at least one token row; and the Gram, when
 one is asked for, fits in MAX_GRAM_BYTES (8*n^2 bytes, so n <= 16384).
 `prepare` raises `InputError` (a ValueError) naming the input otherwise.
-It checks the size before it normalizes anything, and it finds a
-non-finite token from the normalized rows, so that check costs O(n) on
-top of the normalization.
+It checks the size before it computes anything, and it finds a
+non-finite token from the squared norms, which a NaN or an infinity
+takes out of the range, so that check costs O(n) on top of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +57,14 @@ class InputError(ValueError):
     """Tokens or a query that break the input contract (see the module)."""
 
 
-# the largest unit-row Gram prepare builds; the kernel and the greedy walk
-# run in its buffer, so this bounds a selection's n x n memory
+# the largest Gram prepare builds; the kernel and the greedy walk run in
+# its buffer, so this bounds a selection's n x n memory
 MAX_GRAM_BYTES = 2 << 30
+
+# the squared norms whose rows go into the products as they are (see the
+# module)
+NORM_SQ_MIN = 2.0**-1022
+NORM_SQ_MAX = 2.0**1022
 
 
 # l2_normalize_rows works over row blocks of about this many bytes, so each
@@ -53,11 +79,11 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     squared into one reused buffer, summed per row with np.add.reduce,
     and divided into a preallocated output, so no n x d temporary is
     made.  Every ordinary row is bit for bit m_i / np.linalg.norm(m_i) of
-    a C-ordered m, whatever m's own memory layout.  A row whose squared
-    norm overflows, or underflows to 0 although the row is nonzero, is
-    divided by its max-abs first, so [1e200] * 4 and [1e-200] * 4 both
-    become unit rows.  A row holding a NaN or an infinity comes out all
-    NaN.
+    a C-ordered m, whatever m's own memory layout.  A nonzero row whose
+    squared norm overflows, or underflows to 0 or to a subnormal, is
+    divided by its max-abs first, so [1e200] * 4, [1e-200] * 4 and
+    [1e-160, 0] all become unit rows.  A row holding a NaN or an infinity
+    comes out all NaN.
     """
     m = np.asarray(m, dtype=np.float64)
     n, d = m.shape
@@ -74,8 +100,9 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
             np.add.reduce(sq, axis=1, out=norm)
             np.sqrt(norm, out=norm)
             np.divide(rows, np.where(norm > 0.0, norm, 1.0)[:, None], out=out[i0:i1])
-        # zero rows land here too and are left as they are (max-abs 0)
-        odd = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+        # zero rows land here too and are left as they are (max-abs 0); a
+        # norm under 2^-511 is the root of a subnormal square, short of bits
+        odd = np.flatnonzero(~((norms >= 2.0**-511) & (norms < np.inf)))
         if odd.size:
             rows = m[odd]
             scale = np.abs(rows).max(axis=1, keepdims=True, initial=0.0)
@@ -112,27 +139,60 @@ def min_max_normalize(v: np.ndarray) -> np.ndarray:
     return np.maximum((v - lo) / (hi - lo), RELEVANCE_FLOOR)
 
 
+# scale_outer works over row blocks of about this many bytes
+SCALE_BLOCK_BYTES = 256 << 10
+
+
+def scale_outer(s: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
+    """Set s[i, j] = s[i, j] * (r_i * c_j) in place, in one pass over row
+    blocks that are scaled while they are in cache.  With c = r, r_i * r_j
+    and r_j * r_i are the same product, so an exactly symmetric s stays
+    exactly symmetric."""
+    n = s.shape[1]
+    step = max(1, SCALE_BLOCK_BYTES // (8 * max(n, 1)))
+    outer = np.empty((min(s.shape[0], step), n))
+    for i0 in range(0, s.shape[0], step):
+        i1 = min(s.shape[0], i0 + step)
+        rc = outer[: i1 - i0]
+        np.multiply(r[i0:i1, None], c, out=rc)
+        rows = s[i0:i1]
+        rows *= rc
+
+
 @dataclass
 class Prepared:
     """The quantities one selection shares between its stages.
 
-    unit: (n, d) unit token rows.
+    tokens: the (n, d) float64 token rows as given.
+    rows: the same rows as one C-contiguous array (tokens itself when it is
+        one), except that a finite nonzero row whose squared norm lies
+        outside [NORM_SQ_MIN, NORM_SQ_MAX] is its unit row (in a copy).
+        Every cosine is a product of these rows times inv_norm.
+    inv_norm: 1/||rows_i||, read off the Gram's diagonal; 0 for a zero row.
     relevance: normalized relevance in (0, 1]; all ones without a query.
-    relevance_raw: cos(u_i, pooled query) in [-1, 1]; None without a query.
-    gram: the unit-row Gram U @ U.T, exactly symmetric, or None when it was
-        not built.  A kernel built from this instance takes the buffer over
-        and scales it into L, so views of it taken earlier (GSP's cross
-        block) change with it.
+    relevance_raw: cos(h_i, pooled query) in [-1, 1]; None without a query.
+    gram: the cosines S = (rows @ rows.T) * (inv_i * inv_j), exactly
+        symmetric, or None when they were not built.  A kernel built from
+        this instance takes the buffer over and scales it into L, so views
+        of it taken earlier (GSP's cross block) change with it.
+    unit: the (n, d) unit token rows, l2_normalize_rows(tokens), computed on
+        first read and kept; no selection reads them.
     """
 
-    unit: np.ndarray
+    tokens: np.ndarray
+    rows: np.ndarray
+    inv_norm: np.ndarray
     relevance: np.ndarray
     relevance_raw: np.ndarray | None
     gram: np.ndarray | None
 
     @property
     def n(self) -> int:
-        return self.unit.shape[0]
+        return self.rows.shape[0]
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        return l2_normalize_rows(self.tokens)
 
     def take_gram(self) -> np.ndarray | None:
         """Hand the Gram buffer over to a caller that overwrites it."""
@@ -140,8 +200,42 @@ class Prepared:
         return gram
 
 
+def _rows_in_range(h: np.ndarray, sq: np.ndarray) -> np.ndarray | None:
+    """Check the rows of h whose squared norm sq lies outside [NORM_SQ_MIN,
+    NORM_SQ_MAX], zero rows among them.  Raises InputError naming the first
+    one that holds a NaN or an infinity.  Returns None when all of them are
+    zero rows, else a copy of h in which the others are unit rows."""
+    odd = np.flatnonzero(~((sq >= NORM_SQ_MIN) & (sq <= NORM_SQ_MAX)))
+    if not odd.size:
+        return None
+    rows = h[odd]
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise InputError(f"token row {odd[np.argmin(finite)]} holds a non-finite value")
+    fix = odd[rows.any(axis=1)]
+    if not fix.size:
+        return None
+    h = h.copy()
+    h[fix] = l2_normalize_rows(h[fix])
+    return h
+
+
+def _gram_and_norms(h: np.ndarray, gram: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """h @ h.T (None without gram) and the squared norms of h's rows."""
+    # a row out of range may overflow, and inf * 0 is invalid: _rows_in_range
+    # finds such rows from the squared norms
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not gram:
+            return None, np.einsum("ij,ij->i", h, h)
+        # numpy runs a @ a.T as one syrk and copies the triangle it computed
+        # onto the other one, so the Gram is exactly symmetric
+        g = h @ h.T
+    return g, g.diagonal().copy()
+
+
 def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
-    """Normalize the token rows and the pooled query once; score relevance.
+    """Take the token rows' inverse norms, the cosines S (with gram) and
+    the relevance to the pooled query, each from one pass over the rows.
 
     Raises InputError for tokens or a query that break the input contract
     (see the module), including, with gram, an n whose 8*n^2-byte Gram
@@ -155,13 +249,16 @@ def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
         raise InputError(f"{n} tokens need a {8 * n * n / 2**30:.2f} GiB similarity "
                          f"matrix, over the {MAX_GRAM_BYTES / 2**30:g} GiB limit "
                          f"(at most {math.isqrt(MAX_GRAM_BYTES // 8)} tokens)")
-    unit = l2_normalize_rows(h_v)
-    # a row holding a NaN or an infinity comes out all NaN, so one column
-    # shows them all (with d = 0 there is nothing to check)
-    if unit.shape[1]:
-        bad = np.flatnonzero(np.isnan(unit[:, 0]))
-        if bad.size:
-            raise InputError(f"token row {bad[0]} holds a non-finite value")
+    h = np.ascontiguousarray(h_v)
+    s, sq = _gram_and_norms(h, gram)
+    fixed = _rows_in_range(h, sq)
+    if fixed is not None:
+        h = fixed
+        s, sq = _gram_and_norms(h, gram)
+    inv_norm = np.zeros(n)
+    np.divide(1.0, np.sqrt(sq), out=inv_norm, where=sq > 0.0)
+    if s is not None:
+        scale_outer(s, inv_norm, inv_norm)
     relevance_raw = None
     relevance = np.ones(n)
     if h_q is not None:
@@ -181,11 +278,10 @@ def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
         mu = l2_normalize_rows(mu[None, :])[0]
         if not np.isfinite(mu).all():
             raise InputError("query holds a non-finite value (or its mean overflows)")
-        relevance_raw = unit @ mu
+        relevance_raw = h @ mu
+        relevance_raw *= inv_norm
         relevance = min_max_normalize(relevance_raw)
-    # numpy runs a @ a.T as one syrk and copies the triangle it computed
-    # onto the other one, so the Gram is exactly symmetric
-    return Prepared(unit, relevance, relevance_raw, unit @ unit.T if gram else None)
+    return Prepared(h_v, h, inv_norm, relevance, relevance_raw, s)
 
 
 def relevance_scores(h_v: np.ndarray, h_mu: np.ndarray) -> np.ndarray:

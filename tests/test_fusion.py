@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,30 @@ def test_select_prepares_once_per_call(monkeypatch):
             assert len(calls) == 1, (mode, query is None)
     for query in (h_q, None):
         assert script_select(h_v, query, 5) == select("script", h_v, query, 5)
+
+
+def test_script_selection_normalizes_only_the_pooled_query(monkeypatch):
+    # the cosines are raw-row products times inverse norms: no token row is
+    # normalized, and prepare makes no n x d array from contiguous tokens
+    rows = []
+
+    def counted(m):
+        rows.append(len(m))
+        return l2_normalize_rows(m)
+
+    monkeypatch.setattr(similarity, "l2_normalize_rows", counted)
+    n, d = 64, 4096
+    h_v, h_q = gaussian_matrix(7, n, d), gaussian_matrix(8, 4, d)
+    for query, normalized in ((h_q, [1]), (None, [])):
+        rows.clear()
+        tracemalloc.start()
+        try:
+            script_select(h_v, query, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == normalized
+        assert peak < 8 * n * d // 4, peak
 
 
 def test_benchmark_tracer_wraps_names_the_program_keeps(monkeypatch):

@@ -15,7 +15,10 @@ def test_graph_cross_block_is_even_rows_by_odd_columns(n):
     prep = prepare(h)
     g = build_graph(h)
     assert g.n == n
-    np.testing.assert_array_equal(g.cross_sim, prep.unit[0::2] @ prep.unit[1::2].T)
+    inv = prepare(h, gram=False).inv_norm
+    np.testing.assert_array_equal(g.cross_sim,
+                                  (h[0::2] @ h[1::2].T) * (inv[0::2, None] * inv[1::2]))
+    np.testing.assert_allclose(g.cross_sim, prep.unit[0::2] @ prep.unit[1::2].T, atol=1e-15)
     # from a prepared instance the block is a view of its Gram
     g = build_graph(prep)
     assert g.n == n

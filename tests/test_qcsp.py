@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tokensieve import qcsp
+from tokensieve import qcsp, similarity
 from tokensieve.qcsp import GreedyState, build_kernel, greedy_map, qcsp_select
 from tokensieve.rng import SplitMix64, gaussian_matrix
 from tokensieve.similarity import (l2_normalize_rows, mean_pool,
@@ -44,14 +44,16 @@ def test_kernel_entry_row_diag_consistency():
 def test_materialized_kernel_is_exactly_symmetric():
     # n spans several scaling blocks and is not a multiple of the block rows
     n = 600
-    rows = qcsp.SCALE_BLOCK_BYTES // (8 * n)
+    rows = similarity.SCALE_BLOCK_BYTES // (8 * n)
     assert 1 < rows < n // 2 and n % rows
     h = gaussian_matrix(8, n, 32)
     r = np.linspace(0.0, 1.0, n)
     unit = l2_normalize_rows(h)
+    inv = prepare(h).inv_norm
     l = build_kernel(h, r).matrix
     assert np.array_equal(l, l.T)
-    assert np.array_equal(l, (unit @ unit.T) * (r[:, None] * r))
+    assert np.array_equal(l, ((h @ h.T) * (inv[:, None] * inv)) * (r[:, None] * r))
+    np.testing.assert_allclose(l, (unit @ unit.T) * (r[:, None] * r), atol=1e-15)
     # the same from a prepared instance, whose Gram buffer the kernel scales
     prep = prepare(h, gaussian_matrix(9, 3, 32))
     s = prep.gram.copy()
@@ -223,6 +225,21 @@ def walk(kernel, k, monkeypatch, rows):
     state = GreedyState(kernel)
     state.extend(k)
     return state
+
+
+@pytest.mark.parametrize("n", [196, 2880])
+def test_step_product_by_dot_is_bit_equal_to_matmul(n):
+    # before the first flush a step takes its panel column's product with the
+    # whole panel rows by ndarray.dot, which must give np.matmul's bits, for
+    # the strided column the step reads and for a contiguous one
+    rows = min(n, qcsp.flush_rows(n))
+    panel = gaussian_matrix(n, rows, n)
+    out_dot, out_matmul = np.empty(n), np.empty(n)
+    for kk in range(rows + 1):
+        for col in (panel[:kk, n // 3], panel[:kk, n // 3].copy()):
+            col.dot(panel[:kk], out=out_dot)
+            np.matmul(col, panel[:kk], out=out_matmul)
+            assert np.array_equal(out_dot, out_matmul), (kk, col.flags.c_contiguous)
 
 
 def test_panel_size_is_about_one_l2():

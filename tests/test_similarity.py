@@ -5,6 +5,7 @@ import pytest
 
 from tokensieve import similarity
 from tokensieve.fusion import script_select
+from tokensieve.gsp import build_graph
 from tokensieve.qcsp import build_kernel, qcsp_select
 from tokensieve.rng import gaussian_matrix
 from tokensieve.similarity import (InputError, l2_normalize_rows, mean_pool,
@@ -34,6 +35,8 @@ def test_normalize_survives_overflow_and_underflow():
     np.testing.assert_array_equal(out, 0.5)
     np.testing.assert_array_equal(tiny[0], 0.5)
     np.testing.assert_allclose(tiny[1], [0.316227766, 0.0, 0.948683298, 0.0])
+    # a squared norm of 1e-320 is subnormal: its root has lost about 40 bits
+    np.testing.assert_array_equal(l2_normalize_rows(np.array([[1e-160, 0.0]])), [[1.0, 0.0]])
 
 
 def norm_path(h):
@@ -88,6 +91,86 @@ def test_prepare_shares_one_normalization():
     np.testing.assert_array_equal(bare.relevance, np.ones(30))
 
 
+def cosine_case(name):
+    """Tokens for the prepared-cosine cases: 40 Gaussian rows of width 9,
+    altered as the case's name says."""
+    h = gaussian_matrix(21, 40, 9)
+    if name == "huge and tiny rows":
+        h[[3, 8, 30]] *= 1e200
+        h[[5, 17]] *= 1e-200
+        h[11, :4] = [1e200, -3e199, 0.0, 2e-300]
+    elif name == "subnormal squared norm":
+        h[6] = 0.0
+        h[6, [0, 4, 7]] = [1e-160, -3e-161, 2e-161]
+        h[13] *= 1e-156 / np.linalg.norm(h[13])  # squared norm 1e-312
+    elif name == "zero rows":
+        h[[0, 9, 22]] = 0.0
+    elif name == "duplicates and power-of-two multiples":
+        # even-index and odd-index copies, so both sides of GSP's cross block
+        # hold them
+        h[[2, 4, 6, 8]] = h[0] * np.array([1.0, 2.0, 0.25, 2.0**40])[:, None]
+        h[[3, 5]] = h[1] * np.array([1.0, 0.5])[:, None]
+    elif name == "fortran order":
+        h = np.asfortranarray(h)
+    elif name == "strided view":
+        h = gaussian_matrix(22, 80, 27)[::2, ::3]
+    return h
+
+
+COSINE_CASES = ["huge and tiny rows", "subnormal squared norm", "zero rows",
+                "duplicates and power-of-two multiples", "fortran order", "strided view"]
+
+
+@pytest.mark.parametrize("gram", [True, False])
+@pytest.mark.parametrize("case", COSINE_CASES)
+def test_prepared_cosines_are_unit_row_products(case, gram):
+    h = cosine_case(case)
+    q = gaussian_matrix(23, 3, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prep = prepare(h, q, gram=gram)
+        u = l2_normalize_rows(h)
+    if gram:
+        s = prep.gram
+    else:
+        # without a Gram the cosines are the same products of the prepared
+        # rows and inverse norms
+        s = prep.rows @ prep.rows.T
+        similarity.scale_outer(s, prep.inv_norm, prep.inv_norm)
+    assert np.array_equal(s, s.T)
+    np.testing.assert_allclose(s, u @ u.T, atol=1e-15)
+    mu = l2_normalize_rows(q.mean(axis=0)[None, :])[0]
+    np.testing.assert_allclose(prep.relevance_raw, u @ mu, atol=1e-15)
+    cross = build_graph(prep).cross_sim
+    np.testing.assert_allclose(cross, (u @ u.T)[0::2, 1::2], atol=1e-15)
+    np.testing.assert_array_equal(prep.unit, u)
+    if case == "zero rows":
+        assert not s[[0, 9, 22]].any() and not s[:, [0, 9, 22]].any()
+        assert not prep.relevance_raw[[0, 9, 22]].any()
+    if case == "duplicates and power-of-two multiples":
+        # the walk breaks ties between such tokens on their index, which
+        # needs their cosines to be equal, not close
+        for copies in ([0, 2, 4, 6, 8], [1, 3, 5]):
+            assert (s[copies] == s[copies[0]]).all(), copies
+            assert (prep.relevance_raw[copies] == prep.relevance_raw[copies[0]]).all()
+        assert (cross[:5] == cross[0]).all()
+        assert (cross[:, :3] == cross[:, :1]).all()
+
+
+@pytest.mark.parametrize("gram", [True, False])
+def test_prepare_names_the_first_non_finite_row_in_both_paths(gram):
+    h = gaussian_matrix(24, 12, 5)
+    h[2] *= 1e200  # out of range but finite: not an error
+    h[7, 1] = np.nan
+    h[4, 3] = -np.inf
+    h[9, 0] = np.inf
+    with pytest.raises(InputError, match="token row 4 "):
+        prepare(h, gram=gram)
+    h[4, 3] = 0.0
+    with pytest.raises(InputError, match="token row 7 "):
+        prepare(h, gaussian_matrix(25, 2, 5), gram=gram)
+
+
 def test_prepare_rejects_inputs_that_break_the_contract():
     h = gaussian_matrix(6, 12, 5)
     q = gaussian_matrix(7, 2, 5)
@@ -135,16 +218,19 @@ def test_gram_size_limit_is_checked_before_any_work(monkeypatch):
     q = gaussian_matrix(14, 2, 5)
     monkeypatch.setattr(similarity, "MAX_GRAM_BYTES", 8 * n * n - 1)
 
-    def must_not_run(m):
-        raise AssertionError("rows normalized before the size check")
+    def must_not_run(*args):
+        raise AssertionError("rows read before the size check")
 
+    gram_and_norms = similarity._gram_and_norms
     monkeypatch.setattr(similarity, "l2_normalize_rows", must_not_run)
+    monkeypatch.setattr(similarity, "_gram_and_norms", must_not_run)
     for select in (lambda: prepare(h), lambda: prepare(h, q),
                    lambda: script_select(h, q, 3), lambda: qcsp_select(h, q, 3),
                    lambda: build_kernel(h, np.ones(n))):
         with pytest.raises(InputError, match=f"{n} tokens"):
             select()
     monkeypatch.setattr(similarity, "l2_normalize_rows", l2_normalize_rows)
+    monkeypatch.setattr(similarity, "_gram_and_norms", gram_and_norms)
     # without a Gram there is nothing to bound
     assert prepare(h, q, gram=False).gram is None
     monkeypatch.setattr(similarity, "MAX_GRAM_BYTES", 8 * n * n)
