@@ -12,7 +12,7 @@ from .analysis import (GridShape, ModelProfile, flops_estimate,
 from .fusion import MODES, script_select, select
 from .gsp import (DEFAULT_GAMMA, DEFAULT_TAU, BipartiteRedundancyGraph,
                   RedundancyScores, build_graph, gsp_select, redundancy_scores)
-from .qcsp import DppKernel, GreedyState, build_kernel, greedy_map, qcsp_select
+from .qcsp import DppKernel, GreedyState, build_kernel, greedy_map
 from .similarity import (InputError, Prepared, l2_normalize_rows, mean_pool,
                          min_max_normalize, prepare, relevance_scores)
 from .tensor_io import (MatrixFormatError, Selection, SelectionFormatError,
@@ -47,7 +47,6 @@ __all__ = [
     "mean_pool",
     "min_max_normalize",
     "prepare",
-    "qcsp_select",
     "read_matrix",
     "read_selection",
     "redundancy_scores",

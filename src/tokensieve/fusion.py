@@ -22,6 +22,8 @@ step and a flush cost, and which n x n buffer the walk owns, is in qcsp.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .gsp import DEFAULT_GAMMA, DEFAULT_TAU, gsp_select
@@ -85,6 +87,16 @@ def _fuse(prep, m: int, tau: float, gamma: float, gsp_keep: int | None) -> Selec
 MODES = ("script", "gsp", "qcsp", "random", "topk", "diversity")
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int; ValueError naming name for a bool or a non-index."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
            gamma: float = DEFAULT_GAMMA, gsp_keep: int | None = None,
            seed: int = 0) -> Selection:
@@ -92,7 +104,8 @@ def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
 
     Every mode checks and prepares its inputs in one `prepare` call: tokens
     or a query that break similarity's input contract raise InputError, and
-    a budget outside [1, n] ValueError.  Only script, qcsp and diversity
+    a budget outside [1, n], or an m, gsp_keep or seed that is not an
+    integer (bools included), ValueError.  Only script, qcsp and diversity
     build the 8*n^2-byte Gram the walk runs in (and so check its size).
 
     The document's params hold the mode, m and only the inputs that mode
@@ -103,6 +116,8 @@ def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if mode == "topk" and h_q is None:
         raise ValueError("mode topk needs a query")
+    m, seed = _integer("m", m), _integer("seed", seed)
+    gsp_keep = None if gsp_keep is None else _integer("gsp_keep", gsp_keep)
     prep = prepare(h_v, h_q, gram=mode in ("script", "qcsp", "diversity"))
     n = prep.n
     if not 1 <= m <= n:

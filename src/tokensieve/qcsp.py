@@ -304,12 +304,3 @@ def greedy_map(kernel: DppKernel, k: int) -> list[int]:
     state.extend(k)
     return [int(i) for i in state.order[:k]]
 
-
-def qcsp_select(h_v: np.ndarray, h_q, k: int) -> list[int]:
-    """Relevance scoring against the pooled query, then greedy MAP.
-
-    Without a query (h_q None) relevance is uniform and the selection is
-    pure diversity.
-    """
-    prep = prepare(h_v, h_q)
-    return greedy_map(build_kernel(prep, prep.relevance), k)

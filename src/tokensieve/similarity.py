@@ -14,11 +14,13 @@ of raw rows times inverse norms: S = G * (inv_i * inv_j) with the Gram
 G = H @ H.T, whose diagonal gives the squared norms, and the relevance
 (H @ mu/||mu||) * inv_i.  So a selection writes no n x d array: it
 reads its tokens in the syrk and, with a query, in one gemv, and
-`Prepared.unit` computes the unit rows only for code that reads them.  GSP reads its even x
-odd cosine block from S (or forms it the same way from the rows), and
-the kernel builder turns S into L = diag(r) S diag(r) in place, both
-through `scale_outer`.  It is the only place relevance is scored:
-`relevance_scores` returns its raw relevance.
+`Prepared.unit` computes the unit rows only for code that reads them.
+GSP reads its even x odd cosine block from S (or forms it the same way
+from the rows), and the kernel builder turns S into L = diag(r) S
+diag(r) in place, both through `scale_outer`.  It is the only place
+relevance is scored: `relevance_scores` returns its raw relevance.
+`l2_normalize_rows`, with no row blocks, sees only the pooled query,
+the rare out-of-range rows below and `Prepared.unit`'s tokens.
 
 Range.  A row's raw products give cosines at full precision when its
 squared norm lies in [NORM_SQ_MIN, NORM_SQ_MAX] = [2^-1022, 2^1022].
@@ -34,8 +36,9 @@ overflows, underflows or is subnormal) is replaced by its unit row from
 `l2_normalize_rows` before the products, and the Gram is built again;
 that is rare, and costs one n x d copy.
 
-Input contract: the tokens are a 2-d array of finite values; the query,
-if any, is a finite 2-d array of at least one row with the tokens' width
+Input contract: the tokens are a 2-d array of finite real values (dtype
+bool, int, uint or float) with at least one column; the query, if any,
+is a finite real 2-d array of at least one row with the tokens' width
 and a finite mean, against at least one token row; and the Gram, when
 one is asked for, fits in MAX_GRAM_BYTES (8*n^2 bytes, so n <= 16384).
 `prepare` raises `InputError` (a ValueError) naming the input otherwise.
@@ -67,39 +70,21 @@ NORM_SQ_MIN = 2.0**-1022
 NORM_SQ_MAX = 2.0**1022
 
 
-# l2_normalize_rows works over row blocks of about this many bytes, so each
-# block is squared, summed and divided while it is in cache
-NORMALIZE_BLOCK_BYTES = 512 << 10
-
-
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     """Scale each row to unit Euclidean norm; zero rows stay zero.
 
-    Works over row blocks of about NORMALIZE_BLOCK_BYTES: each block is
-    squared into one reused buffer, summed per row with np.add.reduce,
-    and divided into a preallocated output, so no n x d temporary is
-    made.  Every ordinary row is bit for bit m_i / np.linalg.norm(m_i) of
+    Every ordinary row is bit for bit m_i / np.linalg.norm(m, axis=1)_i of
     a C-ordered m, whatever m's own memory layout.  A nonzero row whose
     squared norm overflows, or underflows to 0 or to a subnormal, is
     divided by its max-abs first, so [1e200] * 4, [1e-200] * 4 and
     [1e-160, 0] all become unit rows.  A row holding a NaN or an infinity
     comes out all NaN.
     """
-    m = np.asarray(m, dtype=np.float64)
-    n, d = m.shape
-    out = np.empty((n, d))
-    norms = np.empty(n)
-    step = max(1, NORMALIZE_BLOCK_BYTES // (8 * max(d, 1)))
-    square = np.empty((min(n, step), d))
+    m = np.ascontiguousarray(m, dtype=np.float64)
     # the rows that overflow, underflow or hold a NaN are redone below
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for i0 in range(0, n, step):
-            i1 = min(n, i0 + step)
-            rows, sq, norm = m[i0:i1], square[: i1 - i0], norms[i0:i1]
-            np.multiply(rows, rows, out=sq)
-            np.add.reduce(sq, axis=1, out=norm)
-            np.sqrt(norm, out=norm)
-            np.divide(rows, np.where(norm > 0.0, norm, 1.0)[:, None], out=out[i0:i1])
+        norms = np.sqrt(np.add.reduce(m * m, axis=1))
+        out = m / np.where(norms > 0.0, norms, 1.0)[:, None]
         # zero rows land here too and are left as they are (max-abs 0); a
         # norm under 2^-511 is the root of a subnormal square, short of bits
         odd = np.flatnonzero(~((norms >= 2.0**-511) & (norms < np.inf)))
@@ -220,6 +205,14 @@ def _rows_in_range(h: np.ndarray, sq: np.ndarray) -> np.ndarray | None:
     return h
 
 
+def _real_array(a, name: str) -> np.ndarray:
+    """a as float64; InputError unless its dtype is bool, int, uint or float."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise InputError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def _gram_and_norms(h: np.ndarray, gram: bool) -> tuple[np.ndarray | None, np.ndarray]:
     """h @ h.T (None without gram) and the squared norms of h's rows."""
     # a row out of range may overflow, and inf * 0 is invalid: _rows_in_range
@@ -241,9 +234,10 @@ def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
     (see the module), including, with gram, an n whose 8*n^2-byte Gram
     exceeds MAX_GRAM_BYTES.
     """
-    h_v = np.asarray(h_v, dtype=np.float64)
-    if h_v.ndim != 2:
-        raise InputError(f"tokens must be a 2-d array, got shape {h_v.shape}")
+    h_v = _real_array(h_v, "tokens")
+    if h_v.ndim != 2 or h_v.shape[1] == 0:
+        raise InputError(f"tokens must be a 2-d array of at least one column, "
+                         f"got shape {h_v.shape}")
     n = h_v.shape[0]
     if gram and 8 * n * n > MAX_GRAM_BYTES:
         raise InputError(f"{n} tokens need a {8 * n * n / 2**30:.2f} GiB similarity "
@@ -265,7 +259,7 @@ def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
         if n == 0:
             raise InputError("the token matrix has 0 rows, so there is no relevance "
                              "to score against the query")
-        q = np.asarray(h_q, dtype=np.float64)
+        q = _real_array(h_q, "query")
         if q.ndim != 2 or q.shape[0] == 0:
             raise InputError(f"the query must be a 2-d array of at least one row, "
                              f"got shape {q.shape}")

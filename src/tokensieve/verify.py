@@ -351,8 +351,8 @@ def check_prefix_consistency(instances: int = 100, seed: int = 7) -> CheckResult
     for _ in range(instances):
         h_v, h_q, k = make_greedy_instance(rng)
         k = min(k, h_v.shape[0] - 1)
-        short = qcsp.qcsp_select(h_v, h_q, k)
-        long = qcsp.qcsp_select(h_v, h_q, k + 1)
+        short = fusion.select("qcsp", h_v, h_q, k).kept
+        long = fusion.select("qcsp", h_v, h_q, k + 1).kept
         if short != long[:k]:
             violations += 1
     return CheckResult("prefix-consistency", violations == 0, instances,
@@ -422,7 +422,7 @@ def check_diversity_dominance(instances: int = 100, seed: int = 11) -> CheckResu
         d = 16 + rng.next_below(17)
         base = gaussian_matrix(rng.next_u64() >> 1, distinct, d)
         h_v = np.repeat(base, copies, axis=0)
-        picked = qcsp.qcsp_select(h_v, None, distinct)
+        picked = fusion.select("qcsp", h_v, None, distinct).kept
         base_ids = {p // copies for p in picked}
         if len(base_ids) != distinct:
             violations += 1

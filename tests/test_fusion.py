@@ -9,7 +9,7 @@ import pytest
 from tokensieve import fusion, gsp, oracle, qcsp, similarity
 from tokensieve.fusion import script_select, select
 from tokensieve.gsp import gsp_select
-from tokensieve.qcsp import EPS, GreedyState, build_kernel, greedy_map, qcsp_select
+from tokensieve.qcsp import EPS, GreedyState, build_kernel, greedy_map
 from tokensieve.rng import SplitMix64, gaussian_matrix
 from tokensieve.similarity import (InputError, l2_normalize_rows, mean_pool,
                                    min_max_normalize, relevance_scores)
@@ -152,6 +152,24 @@ def test_gsp_keep_validation():
         script_select(h_v, None, 11)
 
 
+def test_select_takes_integer_parameters_only():
+    h_v, h_q = gaussian_matrix(5, 14, 6), gaussian_matrix(6, 2, 6)
+    for name, kwargs in [("m", {"m": 2.0}), ("m", {"m": True}), ("m", {"m": "3"}),
+                         ("gsp_keep", {"gsp_keep": 4.0}), ("gsp_keep", {"gsp_keep": False}),
+                         ("seed", {"seed": 1.5}), ("seed", {"seed": True})]:
+        kwargs = {"m": 3, **kwargs}
+        for mode in fusion.MODES:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                select(mode, h_v, h_q, **kwargs)
+    # numpy integers are taken and recorded as Python ints
+    sel = select("script", h_v, h_q, np.int64(3), gsp_keep=np.int32(5))
+    assert sel == select("script", h_v, h_q, 3, gsp_keep=5)
+    assert type(sel.params["m"]) is int and type(sel.params["gsp_keep"]) is int
+    sel = select("random", h_v, None, np.uint8(4), seed=np.int64(9))
+    assert sel.params == {"mode": "random", "m": 4, "seed": 9}
+    assert type(sel.params["m"]) is int and type(sel.params["seed"]) is int
+
+
 def test_random_baseline():
     h_v = np.zeros((1000, 1))
     sel = select("random", h_v, None, 100)
@@ -198,7 +216,7 @@ def test_selectors_reject_non_finite_input():
     h_q = rng.standard_normal((4, 8))
     h_v[5, 3] = np.nan
     for run in (lambda: script_select(h_v, h_q, 6),
-                lambda: qcsp_select(h_v, h_q, 6),
+                lambda: select("qcsp", h_v, h_q, 6),
                 lambda: gsp_select(h_v, keep=6),
                 lambda: select("diversity", h_v, None, 6),
                 lambda: select("topk", h_v, h_q, 6)):
@@ -225,6 +243,10 @@ def test_selectors_reject_non_finite_input():
         (tokens, query[:, :3], "query width 3"),
         (tokens, np.full((2, 4), 1.7e308), "query"),
         (np.zeros((0, 4)), query, "token matrix has 0 rows"),
+        (tokens + 1j, query, "tokens must hold real numbers"),
+        (tokens.astype(str), query, "tokens must hold real numbers"),
+        (tokens, query.astype(complex), "query must hold real numbers"),
+        (np.zeros((12, 0)), query[:, :0], "at least one column"),
     ]
     for mode in fusion.MODES:
         for bad_v, bad_q, message in breaches:

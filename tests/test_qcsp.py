@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tokensieve import qcsp, similarity
-from tokensieve.qcsp import GreedyState, build_kernel, greedy_map, qcsp_select
+from tokensieve.fusion import select
+from tokensieve.qcsp import GreedyState, build_kernel, greedy_map
 from tokensieve.rng import SplitMix64, gaussian_matrix
 from tokensieve.similarity import (l2_normalize_rows, mean_pool,
                                    min_max_normalize, prepare, relevance_scores)
@@ -103,9 +104,9 @@ def test_greedy_full_budget():
     assert sorted(picked) == list(range(9))
 
 
-def test_qcsp_select_relevance_wins():
+def test_qcsp_mode_relevance_wins():
     h = np.eye(2)
-    picked = qcsp_select(h, np.array([[0.0, 1.0]]), 1)
+    picked = select("qcsp", h, np.array([[0.0, 1.0]]), 1).kept
     assert picked == [1]
 
 
@@ -159,8 +160,8 @@ def test_extend_is_incremental():
 
 
 def test_empty_input_raises_the_budget_error():
-    with pytest.raises(ValueError, match=r"k must lie in \[1, 0\]"):
-        qcsp_select(np.zeros((0, 3)), None, 1)
+    with pytest.raises(ValueError, match=r"budget must lie in \[1, 0\]"):
+        select("qcsp", np.zeros((0, 3)), None, 1)
 
 
 def test_extend_validates_budget():

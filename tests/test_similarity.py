@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tokensieve import similarity
-from tokensieve.fusion import script_select
+from tokensieve.fusion import script_select, select
 from tokensieve.gsp import build_graph
-from tokensieve.qcsp import build_kernel, qcsp_select
+from tokensieve.qcsp import build_kernel
 from tokensieve.rng import gaussian_matrix
 from tokensieve.similarity import (InputError, l2_normalize_rows, mean_pool,
                                    min_max_normalize, prepare, relevance_scores)
@@ -44,19 +44,18 @@ def norm_path(h):
     return h / np.where(norms > 0.0, norms, 1.0)
 
 
-def test_normalize_keeps_ordinary_rows_bit_for_bit(monkeypatch):
-    for n, d, block_bytes in [
-        (50, 17, None),         # one block
-        (150, 4096, None),      # 9 blocks of 16 rows plus 6
-        (50, 17, 3 * 8 * 17),   # 16 blocks of 3 rows plus 2
-    ]:
-        if block_bytes is not None:
-            monkeypatch.setattr(similarity, "NORMALIZE_BLOCK_BYTES", block_bytes)
+def test_normalize_keeps_ordinary_rows_bit_for_bit():
+    for n, d in [(50, 17), (150, 4096), (1, 1024), (1, 4096)]:
         h = gaussian_matrix(3, n, d)
-        h[7] = 0.0
+        if n > 7:
+            h[7] = 0.0
         expected = norm_path(h)
         np.testing.assert_array_equal(l2_normalize_rows(h), expected)
-        # an overflowing row in a later block goes the max-abs way; the zero
+        # the rows are reduced the same way whatever the input's layout
+        np.testing.assert_array_equal(l2_normalize_rows(np.asfortranarray(h)), expected)
+        if n == 1:
+            continue
+        # an overflowing row goes the max-abs way, in either layout; the zero
         # row and every ordinary row stay as the norm path has them
         h[n - 3] = 1e200
         out = l2_normalize_rows(h)
@@ -64,7 +63,6 @@ def test_normalize_keeps_ordinary_rows_bit_for_bit(monkeypatch):
         rest = np.arange(n) != n - 3
         np.testing.assert_array_equal(out[rest], expected[rest])
         assert not out[7].any()
-        # the rows are reduced the same way whatever the input's layout
         np.testing.assert_array_equal(l2_normalize_rows(np.asfortranarray(h)), out)
 
 
@@ -187,6 +185,22 @@ def test_prepare_rejects_inputs_that_break_the_contract():
         prepare(h, q_bad)
     with pytest.raises(InputError, match="width"):
         prepare(h, gaussian_matrix(7, 2, 6))
+    # only bool, int, uint and float hold the reals the cosines need: a
+    # complex part is not dropped, nor a digit string parsed
+    for tokens, query, message in [
+        (h + 1j, None, "tokens must hold real numbers, got dtype complex128"),
+        (h.astype(str), None, "tokens must hold real numbers, got dtype <U"),
+        (np.array([[1.0, None]]), None, "tokens must hold real numbers, got dtype object"),
+        (h, q + 0j, "query must hold real numbers, got dtype complex128"),
+        (h, [["1"] * 5], "query must hold real numbers, got dtype <U1"),
+        (np.zeros((5, 0)), None, "at least one column"),
+        (np.zeros((0, 0)), q, "at least one column"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            prepare(tokens, query)
+    ints = (h * 100).astype(np.int32)
+    for real in (ints, abs(ints).astype(np.uint16), ints != 0, ints.astype(np.float32)):
+        np.testing.assert_array_equal(prepare(real, q).rows, real.astype(np.float64))
     assert issubclass(InputError, ValueError)
 
 
@@ -224,11 +238,11 @@ def test_gram_size_limit_is_checked_before_any_work(monkeypatch):
     gram_and_norms = similarity._gram_and_norms
     monkeypatch.setattr(similarity, "l2_normalize_rows", must_not_run)
     monkeypatch.setattr(similarity, "_gram_and_norms", must_not_run)
-    for select in (lambda: prepare(h), lambda: prepare(h, q),
-                   lambda: script_select(h, q, 3), lambda: qcsp_select(h, q, 3),
-                   lambda: build_kernel(h, np.ones(n))):
+    for run in (lambda: prepare(h), lambda: prepare(h, q),
+                lambda: script_select(h, q, 3), lambda: select("qcsp", h, q, 3),
+                lambda: build_kernel(h, np.ones(n))):
         with pytest.raises(InputError, match=f"{n} tokens"):
-            select()
+            run()
     monkeypatch.setattr(similarity, "l2_normalize_rows", l2_normalize_rows)
     monkeypatch.setattr(similarity, "_gram_and_norms", gram_and_norms)
     # without a Gram there is nothing to bound
