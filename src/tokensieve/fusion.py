@@ -22,8 +22,6 @@ step and a flush cost, and which n x n buffer the walk owns, is in qcsp.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .gsp import DEFAULT_GAMMA, DEFAULT_TAU, gsp_select
@@ -32,7 +30,7 @@ from .rng import SplitMix64
 # mean_pool, min_max_normalize and relevance_scores are no longer called here;
 # they stay importable from this module because the benchmark's tracer
 # (perfbench/spans.py) wraps them by name
-from .similarity import mean_pool, min_max_normalize, prepare, relevance_scores  # noqa: F401
+from .similarity import _integer, mean_pool, min_max_normalize, prepare, relevance_scores  # noqa: F401
 from .tensor_io import Selection
 
 
@@ -85,16 +83,6 @@ def _fuse(prep, m: int, tau: float, gamma: float, gsp_keep: int | None) -> Selec
 
 
 MODES = ("script", "gsp", "qcsp", "random", "topk", "diversity")
-
-
-def _integer(name: str, value) -> int:
-    """value as a Python int; ValueError naming name for a bool or a non-index."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,

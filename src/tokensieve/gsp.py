@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .similarity import Prepared, prepare, scale_outer
+from .similarity import Prepared, _integer, prepare, scale_outer
 
 DEFAULT_TAU = 0.3
 DEFAULT_GAMMA = 5.0
@@ -114,12 +114,14 @@ def gsp_select(h_v: np.ndarray | Prepared, tau: float = DEFAULT_TAU,
                gamma: float = DEFAULT_GAMMA, *, keep: int) -> list[int]:
     """The indices of the `keep` lowest-redundancy tokens, ascending.
 
-    Ties in score break toward the lower original index.
+    Ties in score break toward the lower original index.  A keep that is
+    not an integer in [1, n] (bools included) raises ValueError.
     """
-    n = h_v.n if isinstance(h_v, Prepared) else len(h_v)
-    if not (1 <= keep <= n):
-        raise ValueError(f"keep must lie in [1, {n}], got {keep}")
-    scores = redundancy_scores(build_graph(h_v, tau, gamma)).score
+    keep = _integer("keep", keep)
+    prep = h_v if isinstance(h_v, Prepared) else prepare(h_v, gram=False)
+    if not (1 <= keep <= prep.n):
+        raise ValueError(f"keep must lie in [1, {prep.n}], got {keep}")
+    scores = redundancy_scores(build_graph(prep, tau, gamma)).score
     # stable mergesort on score preserves index order within ties
     ranked = np.argsort(scores, kind="stable")
     return np.sort(ranked[:keep]).tolist()

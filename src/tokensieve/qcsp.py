@@ -24,26 +24,38 @@ positive the kernel rank is exhausted and the remaining budget is
 padded by ascending index so callers always get exactly k indices.
 
 The walk is a pivoted Cholesky of L + eps*I, run with deferred updates
-as LAPACK's dpstrf does: the <u_j, u_i> terms of the last few steps come
-from a panel of their coefficient rows, and a full panel of B =
-flush_rows(n) rows is folded into the Schur complement by GEMM at the
-start of the next step (see GreedyState).  The residual gains, the
-panel's columns and the working matrix are indexed by position, through
-a position -> token map that starts as the identity.  The first flush
-swaps the tokens selected so far to the front; from then on each step
-swaps its winner to position t, as dpstrf pivots, so the selected tokens
-always fill positions [0, t) and the working matrix is kept in the upper
-triangle of the unselected block [t:, t:] alone.  A flush with f tokens
-selected costs about (n-f)^2*B/2 multiply-adds and no swaps, and each
-step after the first flush reads and updates only the n-t-1 positions
-after its winner, plus a pass over the panel, at most B*(n-t) doubles.  The unblocked walk
-streamed the whole t x n coefficient block on step t, n*T^2/2 doubles in
-all.  The panel is allocated once, at min(n, B) rows of n columns.  The
-walk owns one n x n buffer, L's: a GreedyState takes it over from its
-kernel when it is built and overwrites it, so a kernel carries one walk,
-and a caller that reads L copies kernel.matrix first.  That buffer is
-the Gram's, 8*n^2 bytes, and similarity.prepare refuses an instance
-whose Gram would exceed similarity.MAX_GRAM_BYTES.
+as LAPACK's dpstrf does.  The coefficient rows e of the steps since the
+last flush form a panel P of B = min(n, flush_rows(n)) rows, one column
+per position, allocated once; a step takes its <u_j, u_i> terms as its
+panel column's product with P (zero with an empty panel).  A full panel
+is flushed at the start of the next step that runs, before its argmax,
+if a positive gain is left (otherwise the walk is exhausted): the upper
+triangle of the unselected block A[t:, t:] of the working matrix is set
+to A - P.T @ P, the Schur complement of the selection so far, in GEMMs
+over B-row blocks, and the panel is emptied.  The residual gains, the
+panel's columns and A are indexed by position, through a position ->
+token map that starts as the identity.
+
+Until the first flush A is L, each step reads the winner's whole row and
+the argmax breaks ties on the lower token index: these steps do the
+arithmetic of the unblocked walk that keeps every coefficient row, bit
+for bit, so a walk that never fills its panel moves nothing.  The first
+flush swaps the tokens selected so far to positions [0, t) in step
+order.  From then on each step swaps its winner to position t, as dpstrf
+pivots, so the selected tokens always fill positions [0, t), e covers the
+positions after t alone, ties are broken on the token index through the
+map, and A is kept in the upper triangle of the unselected block alone:
+the winner's row there is read from column p down to the diagonal and
+from row p after it (the contiguous A[t, t+1:] when the winner already
+sits at t), before the token at t moves to position p.  A flush with f
+tokens selected costs about (n-f)^2*B/2 multiply-adds and no swaps, and
+each step after the first flush reads and updates only the n-t-1
+positions after its winner, plus a pass over the panel, at most B*(n-t)
+doubles.  The walk owns one n x n buffer, L's: a GreedyState takes it
+over from its kernel when it is built and overwrites it, so a kernel
+carries one walk, and a caller that reads L copies kernel.matrix first.
+That buffer is the Gram's, 8*n^2 bytes, and similarity.prepare refuses
+an instance whose Gram would exceed similarity.MAX_GRAM_BYTES.
 """
 
 from __future__ import annotations
@@ -54,14 +66,13 @@ import numpy as np
 
 # l2_normalize_rows is no longer called here; it stays importable from this
 # module because the benchmark's tracer (perfbench/spans.py) wraps it by name
-from .similarity import Prepared, l2_normalize_rows, prepare, scale_outer  # noqa: F401
+from .similarity import Prepared, _integer, l2_normalize_rows, prepare, scale_outer  # noqa: F401
 
 EPS = 1e-6
 # the walk's panel holds max(PANEL_MIN_ROWS, PANEL_BYTES / (8 n)) coefficient
-# rows, about one L2 cache; a flush runs its GEMM in FLUSH_BLOCK-row blocks
+# rows, about one L2 cache
 PANEL_BYTES = 2 << 20
 PANEL_MIN_ROWS = 128
-FLUSH_BLOCK = 128
 
 
 def flush_rows(n: int) -> int:
@@ -112,42 +123,22 @@ def build_kernel(h_v: np.ndarray | Prepared, r_norm: np.ndarray) -> DppKernel:
 
 
 class GreedyState:
-    """Resumable greedy MAP state; extend(k) is prefix-consistent.
+    """Resumable greedy MAP state; extend(k) is prefix-consistent.  The
+    walk and its blocking are described in the module docstring.
 
-    order/gains record each step's winner (a token index) and its v^2 at
-    selection time.  v_sq, the panel's columns and A are indexed by
-    position, and perm maps a position to the token index it holds.  v_sq
-    holds the residual gains, with selected positions parked at -inf; that
-    is the walk's only record of which tokens it has selected.  An
-    unselected gain is finite: it starts at diag(L) >= 0 and only ever has
-    e^2 subtracted.
-
-    The coefficient rows e of the steps since the last flush form the
-    panel P, one column per position, allocated once at
-    min(n, flush_rows(n)) rows.  Each step reads the winner's row of the
-    working kernel A, subtracts its panel column's product with P and
-    scales by 1 / sqrt(v_j^2 + eps); with an empty panel the product is
-    zero and the row is only scaled.  A full panel is flushed at the start
-    of the next step that runs, before its argmax, if a positive gain is
-    left; otherwise the walk is exhausted.
-
-    Until the first flush perm is the identity, A is L, the winner's row is
-    read whole and the argmax breaks ties on the lower token index; these
-    steps do the same arithmetic as the unblocked walk that keeps every
-    coefficient row, bit for bit, so a walk that never fills the panel
-    moves nothing.  The first flush swaps the panel's tokens to positions
-    [0, t) in step order.  From then on the walk pivots in dpstrf's order:
-    step t swaps its winner into position t, so positions [0, t) always
-    hold order[:t] and e covers the positions after t alone.  A then holds
-    the working matrix in the upper triangle of the unselected block: the
-    winner's row there is read from column p down to the diagonal and
-    from row p after it (the contiguous A[t, t+1:] when the winner already
-    sits at t), before the token at t moves to position p.  Every flush
-    sets the upper triangle of A[t:, t:] to A - P.T @ P, the Schur
-    complement of the selection so far, in FLUSH_BLOCK-row GEMMs with no
-    swaps; then it empties the panel.  Ties are broken on the token index
-    through perm.  A is L's own buffer: __init__ takes kernel.matrix over
-    and sets it to None.
+    order/gains: each step's winner (a token index) and its v^2 at
+        selection time.
+    v_sq: the residual gains by position, with selected positions parked
+        at -inf, the walk's only record of which tokens it has selected.
+        An unselected gain is finite: it starts at diag(L) >= 0 and only
+        ever has e^2 subtracted.
+    t, exhausted, flushes: the steps taken, whether the gains ran out
+        (later steps are padding), and the flushes made.
+    _a: the working matrix A, L's own buffer, taken over from
+        kernel.matrix, which is set to None.
+    _panel, _kk: the panel P, min(n, flush_rows(n)) rows of n columns,
+        and the rows it holds.
+    _perm: position -> token index.
     """
 
     def __init__(self, kernel: DppKernel):
@@ -169,8 +160,9 @@ class GreedyState:
         self._perm = np.arange(n)  # position -> token index
 
     def extend(self, k: int) -> None:
-        """Grow the selection order to length k (no-op if already there)."""
-        n = self.kernel.n
+        """Grow the selection order to length k (no-op if already there); a k
+        that is not an integer in [1, n] (bools included) raises ValueError."""
+        n, k = self.kernel.n, _integer("k", k)
         if not 1 <= k <= n:
             raise ValueError(f"k must lie in [1, {n}], got {k}")
         if k <= self.t:
@@ -271,18 +263,18 @@ class GreedyState:
         """Fold the panel P of the steps before t into the unselected block:
         set the upper triangle of A[t:, t:] to A - P.T @ P and empty P.  The
         first flush also swaps the panel's tokens to positions [0, t)."""
-        n = self.kernel.n
-        a, panel = self._a, self._panel[: self._kk]
+        n, b = self.kernel.n, self._kk
+        a, panel = self._a, self._panel[:b]
         if not self.flushes:
             # the token of step dst goes to position dst, from wherever the
             # swaps before it left it
             for dst, j in enumerate(self.order[:t].tolist()):
                 src = dst + int(np.argmax(self._perm[dst:] == j))
                 if src != dst:
-                    self._swap(dst, src, self._kk)
-        buf = np.empty(FLUSH_BLOCK * (n - t))
-        for i0 in range(t, n, FLUSH_BLOCK):
-            i1 = min(n, i0 + FLUSH_BLOCK)
+                    self._swap(dst, src, b)
+        buf = np.empty(b * (n - t))
+        for i0 in range(t, n, b):
+            i1 = min(n, i0 + b)
             prod = np.matmul(panel[:, i0:i1].T, panel[:, i0:],
                              out=buf[: (i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0))
             block = a[i0:i1, i0:]

@@ -1,9 +1,10 @@
 """Cosine similarity, pooling, normalization, and the prepared instance.
 
 Shared by the redundancy graph (GSP side) and the kernel builder (QCSP
-side).  All functions promote to float64.  Zero-norm rows get cosine 0
-by convention, which makes an all-zero token maximally non-redundant
-and non-relevant.
+side).  The public functions take real input (dtype bool, int, uint or
+float; InputError otherwise) and promote it to float64.  Zero-norm rows
+get cosine 0 by convention, which makes an all-zero token maximally
+non-redundant and non-relevant.
 
 `prepare` computes, once per selection, what both stages read: the token
 rows H as one C-contiguous float64 array, the inverse norm 1/||h_i|| of
@@ -50,6 +51,7 @@ takes out of the range, so that check costs O(n) on top of them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,6 +60,24 @@ import numpy as np
 
 class InputError(ValueError):
     """Tokens or a query that break the input contract (see the module)."""
+
+
+def _real_array(a, name: str) -> np.ndarray:
+    """a as float64; InputError unless its dtype is bool, int, uint or float."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise InputError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int; ValueError naming name for a bool or a non-index."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # the largest Gram prepare builds; the kernel and the greedy walk run in
@@ -78,9 +98,9 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     squared norm overflows, or underflows to 0 or to a subnormal, is
     divided by its max-abs first, so [1e200] * 4, [1e-200] * 4 and
     [1e-160, 0] all become unit rows.  A row holding a NaN or an infinity
-    comes out all NaN.
+    comes out all NaN.  InputError unless m's dtype is real.
     """
-    m = np.ascontiguousarray(m, dtype=np.float64)
+    m = np.ascontiguousarray(_real_array(m, "rows"))
     # the rows that overflow, underflow or hold a NaN are redone below
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         norms = np.sqrt(np.add.reduce(m * m, axis=1))
@@ -98,8 +118,9 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
 
 
 def mean_pool(q: np.ndarray) -> np.ndarray:
-    """Elementwise mean over rows (the pooled query embedding)."""
-    q = np.asarray(q, dtype=np.float64)
+    """Elementwise mean over rows (the pooled query embedding); InputError
+    unless q's dtype is real."""
+    q = _real_array(q, "query")
     if q.ndim != 2 or q.shape[0] < 1:
         raise ValueError("mean_pool needs at least one row")
     return q.mean(axis=0)
@@ -113,9 +134,10 @@ def min_max_normalize(v: np.ndarray) -> np.ndarray:
 
     A constant vector maps to all ones: uniform relevance must degrade
     the kernel to pure diversity, not to zero.  The floor keeps every
-    token selectable when the budget approaches n.
+    token selectable when the budget approaches n.  InputError unless v's
+    dtype is real.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = _real_array(v, "values")
     if v.ndim != 1 or v.size == 0:
         raise ValueError("min_max_normalize needs a nonempty vector")
     lo, hi = v.min(), v.max()
@@ -203,14 +225,6 @@ def _rows_in_range(h: np.ndarray, sq: np.ndarray) -> np.ndarray | None:
     h = h.copy()
     h[fix] = l2_normalize_rows(h[fix])
     return h
-
-
-def _real_array(a, name: str) -> np.ndarray:
-    """a as float64; InputError unless its dtype is bool, int, uint or float."""
-    a = np.asarray(a)
-    if a.dtype.kind not in "biuf":
-        raise InputError(f"{name} must hold real numbers, got dtype {a.dtype}")
-    return a.astype(np.float64, copy=False)
 
 
 def _gram_and_norms(h: np.ndarray, gram: bool) -> tuple[np.ndarray | None, np.ndarray]:

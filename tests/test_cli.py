@@ -71,6 +71,14 @@ def test_prune_budget_out_of_range(toks, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("ratio", ["1.0", "-0.1"])
+def test_prune_ratio_outside_zero_to_one_exits_2(toks, tmp_path, capsys, ratio):
+    code = main(["prune", "--tokens", toks, "--ratio", ratio,
+                 "--out", str(tmp_path / "x.json")])
+    assert "--ratio must lie in [0, 1)" in capsys.readouterr().err
+    assert code == 2
+
+
 def test_prune_modes_and_tags(toks, query, tmp_path):
     for mode, tag in (("script", None), ("gsp", "gsp-only"),
                       ("qcsp", "qcsp-only"), ("random", "baseline"),

@@ -170,6 +170,11 @@ def test_select_takes_integer_parameters_only():
     assert type(sel.params["m"]) is int and type(sel.params["seed"]) is int
 
 
+def test_select_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'fused'"):
+        select("fused", gaussian_matrix(5, 14, 6), None, 3)
+
+
 def test_random_baseline():
     h_v = np.zeros((1000, 1))
     sel = select("random", h_v, None, 100)

@@ -7,6 +7,7 @@ fails here, however small the numerical change behind it.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -114,3 +115,16 @@ def test_golden_selections_hold_with_two_blas_threads():
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids],
                           cwd=root, env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_benchmark_seed0_pool_digest():
+    # the selections of the benchmark's seed-0 pool: 4 inputs per workload,
+    # 136 frames, digested by scripts/pool_digest.py as for all ten seeds
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("pool_digest", root / "scripts" / "pool_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    env = dict(os.environ)
+    spec.loader.exec_module(script)
+    assert dict(os.environ) == env  # importing it pins no BLAS threads
+    assert script.pool_digest(range(1)) == (
+        "fda05402ac647cafdbb2eb77d214cac01439becd7d73ca2a706d7ce9957e9ecc")

@@ -6,7 +6,7 @@ import pytest
 from tokensieve.gsp import (BipartiteRedundancyGraph, build_graph, gsp_select,
                             redundancy_scores)
 from tokensieve.rng import gaussian_matrix
-from tokensieve.similarity import prepare
+from tokensieve.similarity import InputError, prepare
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -144,6 +144,29 @@ def test_select_prefers_low_scores():
     worst_kept = max(scores[i] for i in kept)
     best_dropped = min(scores[i] for i in range(16) if i not in kept)
     assert worst_kept <= best_dropped
+
+
+@pytest.mark.parametrize("keep, match", [
+    (2.0, "^keep must be an integer"),
+    (True, "^keep must be an integer"),
+    ("3", "^keep must be an integer"),
+    (0, r"^keep must lie in \[1, 7\]"),
+    (8, r"^keep must lie in \[1, 7\]"),
+    (np.int64(3), None),
+])
+def test_select_takes_an_integer_keep_in_one_to_n(keep, match):
+    h = gaussian_matrix(3, 7, 5)
+    if match is None:
+        assert gsp_select(h, keep=keep) == gsp_select(h, keep=int(keep))
+    else:
+        with pytest.raises(ValueError, match=match):
+            gsp_select(h, keep=keep)
+
+
+def test_select_checks_raw_tokens_before_it_reads_n():
+    # a 0-d input is refused by the input contract, not by a len() call
+    with pytest.raises(InputError, match="2-d array"):
+        gsp_select(np.float64(1.0), keep=1)
 
 
 def test_build_graph_validates_params():

@@ -173,6 +173,17 @@ def test_extend_validates_budget():
         state.extend(6)
 
 
+@pytest.mark.parametrize("k", [2.0, True, "3", np.int64(3)])
+def test_walk_takes_an_integer_k_only(k):
+    # greedy_map hands k to GreedyState.extend, which checks it
+    if isinstance(k, np.integer):
+        assert greedy_map(random_kernel(2, n=5), k) == greedy_map(random_kernel(2, n=5), 3)
+        return
+    for run in (greedy_map, lambda kernel, k: GreedyState(kernel).extend(k)):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            run(random_kernel(2, n=5), k)
+
+
 def test_gains_match_det_ratios():
     for seed in range(10):
         k = random_kernel(seed, n=8, d=16)
@@ -214,11 +225,9 @@ def flush_instance(seed):
 
 
 def set_panel_rows(monkeypatch, rows):
-    monkeypatch.setattr(qcsp, "PANEL_MIN_ROWS", rows)
-    monkeypatch.setattr(qcsp, "PANEL_BYTES", 0)
-    # several GEMM blocks per flush, so only the upper triangle of A is valid
-    monkeypatch.setattr(qcsp, "FLUSH_BLOCK", 7)
-    assert qcsp.flush_rows(1000) == rows
+    # a flush runs its GEMMs over panel-deep row blocks, so with panels this
+    # small a flush spans several blocks and only A's upper triangle is valid
+    monkeypatch.setattr(qcsp, "flush_rows", lambda n: rows)
 
 
 def walk(kernel, k, monkeypatch, rows):
@@ -285,8 +294,7 @@ def test_walk_in_short_rounds_matches_one_extend(panel_rows, monkeypatch):
     # rounds of 1-7 steps, as the fused scan asks for them; with a 3-row
     # panel most rounds start or end inside a panel, between flushes
     if panel_rows is not None:
-        monkeypatch.setattr(qcsp, "flush_rows", lambda n: panel_rows)
-        monkeypatch.setattr(qcsp, "FLUSH_BLOCK", 7)
+        set_panel_rows(monkeypatch, panel_rows)
     rng = np.random.default_rng(17)
     for seed in range(12):
         kernel, _ = flush_instance(seed)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tokensieve import oracle, synth
 from tokensieve.rng import (SplitMix64, gaussian_matrix, normal_stream,
@@ -48,6 +49,11 @@ def test_sample_without_replacement():
     s = rng.sample_without_replacement(50, 20)
     assert len(s) == 20 and len(set(s)) == 20
     assert all(0 <= i < 50 for i in s)
+
+
+def test_sample_without_replacement_rejects_more_than_n():
+    with pytest.raises(ValueError, match="cannot draw 6 distinct indices from 5"):
+        SplitMix64(4).sample_without_replacement(5, 6)
 
 
 def test_normal_stream_moments():

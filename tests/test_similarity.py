@@ -260,6 +260,21 @@ def test_mean_pool():
     np.testing.assert_array_equal(mean_pool(e1), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("func, arg, error, match", [
+    (mean_pool, np.ones((2, 3)) + 1j, InputError, "query must hold real numbers"),
+    (mean_pool, np.array([["1", "2"]]), InputError, "query must hold real numbers"),
+    (mean_pool, np.zeros((0, 3)), ValueError, "at least one row"),
+    (min_max_normalize, np.ones(3) + 1j, InputError, "values must hold real numbers"),
+    (min_max_normalize, np.array(["1", "2"]), InputError, "values must hold real numbers"),
+    (min_max_normalize, np.zeros(0), ValueError, "nonempty vector"),
+    (l2_normalize_rows, np.ones((2, 3)) + 1j, InputError, "rows must hold real numbers"),
+    (l2_normalize_rows, np.array([["1", "2"]]), InputError, "rows must hold real numbers"),
+])
+def test_public_functions_refuse_what_they_cannot_read(func, arg, error, match):
+    with pytest.raises(error, match=match):
+        func(arg)
+
+
 def test_relevance_extremes():
     mu = np.array([0.0, 2.0])
     h = np.stack([mu, np.array([3.0, 0.0]), -mu])

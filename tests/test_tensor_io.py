@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -80,6 +81,24 @@ def test_csv_ragged_rows(tmp_path):
         read_matrix(p)
 
 
+def test_csv_skips_blank_lines(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("\n1,2\n  \n3,4\n\n")
+    np.testing.assert_array_equal(read_matrix(p), [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("text, match", [
+    ("1,2\n3,x\n", r"m\.csv:2: unparseable value"),
+    ("", r"m\.csv: empty matrix"),
+    ("\n \n", r"m\.csv: empty matrix"),
+])
+def test_csv_rejects_bad_text_naming_the_file(tmp_path, text, match):
+    p = tmp_path / "m.csv"
+    p.write_text(text)
+    with pytest.raises(MatrixFormatError, match=match):
+        read_matrix(p)
+
+
 def test_write_matrix_picks_csv_from_the_path(tmp_path):
     p = tmp_path / "x.csv"
     m = gaussian_matrix(7, 3, 4).astype(np.float32)
@@ -144,6 +163,13 @@ def test_selection_numpy_integer_budget_round_trips(tmp_path):
     back = read_selection(p)
     assert back.budget == 5
     assert back.params["m"] == 5 and type(back.params["m"]) is int
+
+
+def test_selection_numpy_scalar_params_are_written_as_python_values(tmp_path):
+    p = tmp_path / "s.json"
+    write_selection(Selection([1], 4, ["gsp-only"], {"tau": np.float32(0.3)}), p)
+    assert json.loads(p.read_text())["params"] == {"tau": float(np.float32(0.3))}
+    assert read_selection(p).params["tau"] == float(np.float32(0.3))
 
 
 def test_failed_selection_write_leaves_the_file_untouched(tmp_path):
