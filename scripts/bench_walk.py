@@ -6,9 +6,11 @@ On the four `anyres2880` instances of perfbench seed 0 (`tokensieve bench
 --n 2880 --d 1024 --keep 320 --seed 2k` for k < 4; k = 0 is the desk-scale
 instance of acceptance check C12) it records, per instance, the walk
 length T that `fusion.script_select` reaches and the flush count, then
-walks a fresh copy of the kernel to T `--runs` times and takes medians:
+walks the instance to T `--runs` times, each time from a fresh copy of
+its cosine matrix, and takes medians:
 
-- walk_s: the plain walk, from GreedyState(kernel) to extend(T);
+- walk_s: the plain walk's extend(T), from a GreedyState built, and its
+  cosines scaled into the kernel L, before the clock starts;
 - in a second, instrumented walk per run, the parts: gemm_s and
   subtract_s are the flushes' np.matmul and np.subtract calls, swaps_s
   the time in `GreedyState._swap`, of which flush_swaps_s inside
@@ -19,22 +21,21 @@ walks a fresh copy of the kernel to T `--runs` times and takes medians:
   matrix's Fortran-ordered view), and walk_over_dpstrf, the ratio of the
   medians.
 
-BLAS is pinned to one thread before numpy loads.  scipy is needed for
-dpstrf only; the program under test is imported from --src alone.
+Run as a script, it pins BLAS to one thread before numpy loads.  scipy
+is needed for dpstrf only; the program under test is imported from --src
+alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import statistics
 import sys
 import time
 import types
-
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[var] = "1"
 
 
 def parse_args():
@@ -98,6 +99,8 @@ class _Parts:
 
 def main() -> int:
     args = parse_args()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
     import scipy
@@ -106,16 +109,12 @@ def main() -> int:
     from tokensieve import fusion, qcsp, similarity
     from tokensieve.rng import gaussian_matrix
 
-    def kernel_copy(l):
-        # the walk reads a kernel's n and matrix alone
-        kernel = qcsp.DppKernel.__new__(qcsp.DppKernel)
-        kernel.n, kernel.matrix = l.shape[0], l.copy()
-        return kernel
-
-    def walk(l, t):
-        kernel = kernel_copy(l)
+    def walk(prep, t):
+        # a walk takes its instance's cosine matrix over, so each walk is
+        # given a copy and prep keeps its own
+        state = qcsp.GreedyState(dataclasses.replace(prep, gram=prep.gram.copy()),
+                                 prep.relevance)
         start = time.perf_counter()
-        state = qcsp.GreedyState(kernel)
         state.extend(t)
         return time.perf_counter() - start, state
 
@@ -136,15 +135,15 @@ def main() -> int:
         qcsp.GreedyState.extend = extend
         t = max(lengths)
         prep = similarity.prepare(h_v, h_q)
-        l = qcsp.build_kernel(prep, prep.relevance).matrix
+        l = qcsp.kernel_matrix(prep, prep.relevance)
         # the pivot after step t - 1 stops dpstrf: its tolerance lies
         # between the t-th and the (t+1)-th pivot of L + EPS*I
-        _, ahead = walk(l, t + 1)
+        _, ahead = walk(prep, t + 1)
         tol = qcsp.EPS + 0.5 * (ahead.gains[t - 1] + ahead.gains[t])
         m = l + qcsp.EPS * np.eye(l.shape[0])
         walk_s, dpstrf_s, parts = [], [], []
         for _ in range(args.runs):
-            seconds, state = walk(l, t)
+            seconds, state = walk(prep, t)
             walk_s.append(seconds)
             mf = m.copy().T  # M is symmetric: its transpose is the Fortran view
             start = time.perf_counter()
@@ -155,7 +154,7 @@ def main() -> int:
                                  "or picked other tokens")
             timer = _Parts(qcsp, np)
             try:
-                seconds, _ = walk(l, t)
+                seconds, _ = walk(prep, t)
             finally:
                 timer.restore()
             acc = {key: timer.acc.get(key, 0.0) for key in

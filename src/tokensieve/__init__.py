@@ -12,7 +12,7 @@ from .analysis import (GridShape, ModelProfile, flops_estimate,
 from .fusion import MODES, script_select, select
 from .gsp import (DEFAULT_GAMMA, DEFAULT_TAU, BipartiteRedundancyGraph,
                   RedundancyScores, build_graph, gsp_select, redundancy_scores)
-from .qcsp import DppKernel, GreedyState, build_kernel, greedy_map
+from .qcsp import GreedyState, build_kernel, greedy_map, kernel_matrix
 from .similarity import (InputError, Prepared, l2_normalize_rows, mean_pool,
                          min_max_normalize, prepare, relevance_scores)
 from .tensor_io import (MatrixFormatError, Selection, SelectionFormatError,
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteRedundancyGraph",
-    "DppKernel",
     "DEFAULT_GAMMA",
     "DEFAULT_TAU",
     "GreedyState",
@@ -41,6 +40,7 @@ __all__ = [
     "flops_estimate",
     "greedy_map",
     "gsp_select",
+    "kernel_matrix",
     "l2_normalize_rows",
     "local_entropy_map",
     "mean_neighbor_similarity",

@@ -124,11 +124,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    h_v = read_matrix(args.tokens)
     grid = analysis.GridShape(args.grid_h, args.grid_w)
-    entropy = analysis.local_entropy_map(h_v, grid)
     # a 1x1 grid has no pairs at any distance; its profile is one NaN row
-    max_dist = max(1, grid.height + grid.width - 2) if args.max_dist is None else args.max_dist
+    top = max(1, grid.height + grid.width - 2)
+    max_dist = top if args.max_dist is None else args.max_dist
+    if not 1 <= max_dist <= top:
+        raise ValueError(f"--max-dist must lie in [1, {top}], the largest distance "
+                         f"on a {grid.height}x{grid.width} grid, got {max_dist}")
+    h_v = read_matrix(args.tokens)
+    entropy = analysis.local_entropy_map(h_v, grid)
     profile = analysis.similarity_by_distance_profile(h_v, grid, max_dist)
 
     entropy_csv = "index,entropy\n" + "".join(

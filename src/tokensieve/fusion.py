@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gsp import DEFAULT_GAMMA, DEFAULT_TAU, gsp_select
-from .qcsp import EPS, GreedyState, build_kernel, greedy_map
+from .qcsp import EPS, build_kernel, greedy_map
 from .rng import SplitMix64
 # mean_pool, min_max_normalize and relevance_scores are no longer called here;
 # they stay importable from this module because the benchmark's tracer
@@ -43,10 +43,10 @@ def _fuse(prep, m: int, tau: float, gamma: float, gsp_keep: int | None) -> Selec
     if not 1 <= gsp_keep <= n:
         raise ValueError(f"gsp_keep must lie in [1, {n}], got {gsp_keep}")
 
-    # both stages read the one Gram; GSP reads it before the kernel scales
-    # it into L in place
+    # both stages read the one Gram; GSP reads it before the walk scales it
+    # into L in place
     g_members = set(gsp_select(prep, tau, gamma, keep=gsp_keep))
-    state = GreedyState(build_kernel(prep, prep.relevance))
+    state = build_kernel(prep, prep.relevance)
 
     kept: list[int] = []
     g_unseen = len(g_members)

@@ -3,12 +3,11 @@
 The kernel is L = diag(r) S diag(r), entry (i, j) = S(i,j) * (r_i * r_j),
 where S is the token cosine matrix, the Gram H @ H.T of the raw token
 rows scaled by their inverse norms, and r is the normalized relevance
-(see similarity.prepare).  Built from a prepared instance, the kernel
-takes over the instance's cosine buffer and scales it in place with
-similarity.scale_outer, the pass that made it from the Gram: no second
-n x n matrix and no scaled copy of the rows are made.  S is exactly
-symmetric and r_i * r_j is the same product as r_j * r_i, so L is
-exactly symmetric with no mirror pass.
+(see similarity.prepare).  The walk takes over the instance's cosine
+buffer and scales it in place with similarity.scale_outer, the pass that
+made it from the Gram: no second n x n matrix and no scaled copy of the
+rows are made.  S is exactly symmetric and r_i * r_j is the same product
+as r_j * r_i, so L is exactly symmetric with no mirror pass.
 
 Greedy MAP maintains, per candidate, the residual gain v_i^2 (the
 determinant ratio a selection would contribute) and a coefficient
@@ -51,11 +50,11 @@ sits at t), before the token at t moves to position p.  A flush with f
 tokens selected costs about (n-f)^2*B/2 multiply-adds and no swaps, and
 each step after the first flush reads and updates only the n-t-1
 positions after its winner, plus a pass over the panel, at most B*(n-t)
-doubles.  The walk owns one n x n buffer, L's: a GreedyState takes it
-over from its kernel when it is built and overwrites it, so a kernel
-carries one walk, and a caller that reads L copies kernel.matrix first.
-That buffer is the Gram's, 8*n^2 bytes, and similarity.prepare refuses
-an instance whose Gram would exceed similarity.MAX_GRAM_BYTES.
+doubles.  The walk owns one n x n buffer, the Gram's, 8*n^2 bytes: a
+GreedyState takes it from its prepared instance, scales it into L and
+overwrites it, so a second walk on one instance raises, and
+similarity.prepare refuses an instance whose Gram would exceed
+similarity.MAX_GRAM_BYTES.  kernel_matrix copies L for code that reads it.
 """
 
 from __future__ import annotations
@@ -80,46 +79,26 @@ def flush_rows(n: int) -> int:
     return max(PANEL_MIN_ROWS, PANEL_BYTES // (8 * max(n, 1)))
 
 
-class DppKernel:
-    """Relevance-reweighted similarity kernel, stored densely.
-
-    L = diag(relevance) @ S @ diag(relevance), with S the cosine matrix of
-    the prepared instance, is symmetric PSD by construction with diagonal
-    relevance^2 (zero-embedding rows get diagonal 0).  It is stored in the
-    buffer of `gram` (the instance's S), scaled entrywise by r_i * r_j in
-    one pass over row blocks; the result is exactly symmetric because S is
-    and the two products r_i * r_j and r_j * r_i are the same.
-
-    matrix is L until a GreedyState takes it over, then None.
-    """
-
-    def __init__(self, prep: Prepared, relevance: np.ndarray, gram: np.ndarray):
-        self._prep = prep
-        self.n = prep.n
-        scale_outer(gram, relevance, relevance)
-        self.matrix = gram
-
-    @property
-    def unit(self) -> np.ndarray:
-        """The instance's unit token rows, computed on first read; the walk
-        never reads them."""
-        return self._prep.unit
-
-
-def build_kernel(h_v: np.ndarray | Prepared, r_norm: np.ndarray) -> DppKernel:
-    """The kernel of token rows (or a prepared instance) and a normalized
-    relevance; it takes over the instance's Gram and scales it into L."""
-    prep = h_v if isinstance(h_v, Prepared) else prepare(h_v)
+def _relevance(prep: Prepared, r_norm: np.ndarray) -> np.ndarray:
+    """r_norm as float64, checked against an instance that holds its Gram."""
     r = np.asarray(r_norm, dtype=np.float64)
     if r.ndim != 1 or prep.n != r.shape[0]:
         raise ValueError(f"shape mismatch: tokens {prep.rows.shape}, relevance {r.shape}")
     if r.size and (r.min() < -1e-12 or r.max() > 1.0 + 1e-12):
         raise ValueError("normalized relevance must lie in [0, 1]")
-    gram = prep.take_gram()
-    if gram is None:
+    if prep.gram is None:
         raise ValueError("the prepared instance holds no Gram: it was prepared with "
-                         "gram=False, or an earlier kernel took it")
-    return DppKernel(prep, r, gram)
+                         "gram=False, or an earlier walk took it")
+    return r
+
+
+def kernel_matrix(prep: Prepared, r_norm: np.ndarray) -> np.ndarray:
+    """A copy of the kernel L = diag(r) S diag(r) that a walk of prep and
+    r_norm runs in, bit for bit; prep keeps its Gram for the walk."""
+    r = _relevance(prep, r_norm)
+    l = prep.gram.copy()
+    scale_outer(l, r, r)
+    return l
 
 
 class GreedyState:
@@ -134,20 +113,23 @@ class GreedyState:
         ever has e^2 subtracted.
     t, exhausted, flushes: the steps taken, whether the gains ran out
         (later steps are padding), and the flushes made.
-    _a: the working matrix A, L's own buffer, taken over from
-        kernel.matrix, which is set to None.
+    kernel: the prepared instance walked, its gram set to None; the
+        benchmark's tracer reads its n and unit.
+    _a: the working matrix A, the instance's Gram buffer scaled into L.
     _panel, _kk: the panel P, min(n, flush_rows(n)) rows of n columns,
         and the rows it holds.
     _perm: position -> token index.
+
+    A relevance that is not a vector in [0, 1] of the instance's length,
+    or an instance that holds no Gram, raises ValueError.
     """
 
-    def __init__(self, kernel: DppKernel):
-        if kernel.matrix is None:
-            raise ValueError("another greedy walk has taken this kernel's matrix "
-                             "over: build a new kernel for each walk")
-        self.kernel = kernel
-        self._a, kernel.matrix = kernel.matrix, None
-        n = kernel.n
+    def __init__(self, prep: Prepared, r_norm: np.ndarray):
+        r = _relevance(prep, r_norm)
+        self.kernel = prep
+        self._a, prep.gram = prep.gram, None
+        scale_outer(self._a, r, r)
+        n = prep.n
         self.v_sq = np.diagonal(self._a).copy()
         self.order = np.full(n, -1, dtype=np.int64)
         self.gains = np.zeros(n)
@@ -290,9 +272,13 @@ def _move_upper(a: np.ndarray, lo: int, hi: int) -> None:
     a[hi, hi + 1:] = a[lo, hi + 1:]
 
 
-def greedy_map(kernel: DppKernel, k: int) -> list[int]:
-    """Exactly k distinct indices in selection order."""
-    state = GreedyState(kernel)
+def greedy_map(state: GreedyState, k: int) -> list[int]:
+    """Exactly k distinct indices in selection order: the walk extended to k."""
     state.extend(k)
     return [int(i) for i in state.order[:k]]
 
+
+def build_kernel(h_v: np.ndarray | Prepared, r_norm: np.ndarray) -> GreedyState:
+    """The greedy walk of token rows (or a prepared instance) and a
+    normalized relevance: GreedyState(prepare(h_v), r_norm)."""
+    return GreedyState(h_v if isinstance(h_v, Prepared) else prepare(h_v), r_norm)

@@ -1,6 +1,6 @@
 """Cosine similarity, pooling, normalization, and the prepared instance.
 
-Shared by the redundancy graph (GSP side) and the kernel builder (QCSP
+Shared by the redundancy graph (GSP side) and the greedy walk (QCSP
 side).  The public functions take real input (dtype bool, int, uint or
 float; InputError otherwise) and promote it to float64.  Zero-norm rows
 get cosine 0 by convention, which makes an all-zero token maximally
@@ -17,7 +17,7 @@ G = H @ H.T, whose diagonal gives the squared norms, and the relevance
 reads its tokens in the syrk and, with a query, in one gemv, and
 `Prepared.unit` computes the unit rows only for code that reads them.
 GSP reads its even x odd cosine block from S (or forms it the same way
-from the rows), and the kernel builder turns S into L = diag(r) S
+from the rows), and the greedy walk turns S into L = diag(r) S
 diag(r) in place, both through `scale_outer`.  It is the only place
 relevance is scored: `relevance_scores` returns its raw relevance.
 `l2_normalize_rows`, with no row blocks, sees only the pooled query,
@@ -80,7 +80,7 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-# the largest Gram prepare builds; the kernel and the greedy walk run in
+# the largest Gram prepare builds; the greedy walk scales it into L and runs in
 # its buffer, so this bounds a selection's n x n memory
 MAX_GRAM_BYTES = 2 << 30
 
@@ -98,9 +98,12 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     squared norm overflows, or underflows to 0 or to a subnormal, is
     divided by its max-abs first, so [1e200] * 4, [1e-200] * 4 and
     [1e-160, 0] all become unit rows.  A row holding a NaN or an infinity
-    comes out all NaN.  InputError unless m's dtype is real.
+    comes out all NaN.  InputError unless m is a 2-d array of real dtype.
     """
-    m = np.ascontiguousarray(_real_array(m, "rows"))
+    m = _real_array(m, "rows")
+    if m.ndim != 2:
+        raise InputError(f"rows must be a 2-d array, got shape {m.shape}")
+    m = np.ascontiguousarray(m)
     # the rows that overflow, underflow or hold a NaN are redone below
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         norms = np.sqrt(np.add.reduce(m * m, axis=1))
@@ -179,9 +182,10 @@ class Prepared:
     relevance: normalized relevance in (0, 1]; all ones without a query.
     relevance_raw: cos(h_i, pooled query) in [-1, 1]; None without a query.
     gram: the cosines S = (rows @ rows.T) * (inv_i * inv_j), exactly
-        symmetric, or None when they were not built.  A kernel built from
-        this instance takes the buffer over and scales it into L, so views
-        of it taken earlier (GSP's cross block) change with it.
+        symmetric, or None when they were not built.  A greedy walk of this
+        instance (qcsp.GreedyState) takes the buffer, sets gram to None and
+        scales it into L, so views of it taken earlier (GSP's cross block)
+        change with it.
     unit: the (n, d) unit token rows, l2_normalize_rows(tokens), computed on
         first read and kept; no selection reads them.
     """
@@ -200,11 +204,6 @@ class Prepared:
     @cached_property
     def unit(self) -> np.ndarray:
         return l2_normalize_rows(self.tokens)
-
-    def take_gram(self) -> np.ndarray | None:
-        """Hand the Gram buffer over to a caller that overwrites it."""
-        gram, self.gram = self.gram, None
-        return gram
 
 
 def _rows_in_range(h: np.ndarray, sq: np.ndarray) -> np.ndarray | None:

@@ -196,7 +196,7 @@ def make_greedy_instance(rng: SplitMix64, d: int = 32):
     return h_v, h_q, k
 
 
-def marginal_gain_errors(kernel, k: int) -> tuple[list[float], list[float], list[int]]:
+def marginal_gain_errors(prep, r, k: int) -> tuple[list[float], list[float], list[int]]:
     """Two per-step error families for the recorded greedy gains.
 
     First: |gain - det(L_{S+j})/det(L_S)| / (1 + ratio), skipping steps
@@ -210,14 +210,14 @@ def marginal_gain_errors(kernel, k: int) -> tuple[list[float], list[float], list
     sign or indexing defect in the update shatters it.
 
     Ratios are taken as exp(logdet_{t} - logdet_{t-1}) from slogdet, so
-    long walks, whose determinants underflow, are checked as well.  L is
-    copied before the walk, which takes the kernel's matrix over.  The
-    walk's order is returned third.
+    long walks, whose determinants underflow, are checked as well.  The
+    walk of the prepared instance prep and relevance r takes prep's Gram,
+    so L is copied first.  The walk's order is returned third.
     """
-    l = kernel.matrix.copy()
-    state = qcsp.GreedyState(kernel)
+    l = qcsp.kernel_matrix(prep, r)
+    state = qcsp.GreedyState(prep, r)
     state.extend(k)
-    m = l + qcsp.EPS * np.eye(kernel.n)
+    m = l + qcsp.EPS * np.eye(prep.n)
     mixed, shifted = [], []
     log_prev = 0.0
     log_prev_m = 0.0
@@ -264,9 +264,8 @@ def check_greedy_suite(instances: int = 500, seed: int = 6) -> list[CheckResult]
     for _ in range(instances):
         h_v, h_q, k = make_greedy_instance(rng)
         prep = similarity.prepare(h_v, h_q)
-        kernel = qcsp.build_kernel(prep, prep.relevance)
-        l = kernel.matrix.copy()
-        mixed, shifted, picked = marginal_gain_errors(kernel, k)
+        l = qcsp.kernel_matrix(prep, prep.relevance)
+        mixed, shifted, picked = marginal_gain_errors(prep, prep.relevance, k)
         if mixed:
             worst_gain_err = max(worst_gain_err, max(mixed))
         if shifted:
@@ -318,11 +317,10 @@ def check_flushed_walk(instances: int = 3, seed: int = 15) -> list[CheckResult]:
         h_v = gaussian_matrix(rng.next_u64() >> 1, n, d)
         h_q = gaussian_matrix(rng.next_u64() >> 1, 1 + rng.next_below(4), d)
         prep = similarity.prepare(h_v, h_q)
-        kernel = qcsp.build_kernel(prep, prep.relevance)
-        l = kernel.matrix
+        l = qcsp.kernel_matrix(prep, prep.relevance)
         order, gains = oracle.greedy_walk(l, k, qcsp.EPS)
-        m = l + qcsp.EPS * np.eye(n)  # a new matrix: the walk overwrites l
-        state = qcsp.GreedyState(kernel)
+        m = l + qcsp.EPS * np.eye(n)
+        state = qcsp.GreedyState(prep, prep.relevance)
         state.extend(k)
         if (state.flushes < 2 or state.exhausted or len(order) < k
                 or state.order[:k].tolist() != order):
@@ -367,8 +365,8 @@ def check_psd_preservation(instances: int = 1000, seed: int = 8) -> CheckResult:
         d = 2 + rng.next_below(31)
         h_v = gaussian_matrix(rng.next_u64() >> 1, n, d)
         r = np.array([rng.next_float() for _ in range(n)])
-        kernel = qcsp.build_kernel(h_v, r)
-        lam = float(np.linalg.eigvalsh(kernel.matrix).min())
+        l = qcsp.kernel_matrix(similarity.prepare(h_v), r)
+        lam = float(np.linalg.eigvalsh(l).min())
         worst = min(worst, lam + 1e-8 * n)
     return CheckResult("psd-preservation", worst >= 0.0, instances, worst,
                        0.0, "min_shifted_eig")

@@ -201,3 +201,15 @@ def test_flops_strictly_monotonic():
 def test_flops_profile_validation():
     with pytest.raises(ValueError):
         ModelProfile(0, 16, 64)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: flops_estimate(-1, ModelProfile(2, 16, 64)), "token count"),
+    # the CLI refuses such a distance first, so the library's own check is
+    # reached from here alone
+    (lambda: similarity_by_distance_profile(gaussian_matrix(4, 9, 5), GridShape(3, 3), 0),
+     "max_dist must be >= 1"),
+])
+def test_analysis_guards_name_their_parameter(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

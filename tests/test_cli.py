@@ -331,11 +331,15 @@ def test_analyze_stdout_default(toks, capsys):
 
 
 def test_analyze_max_dist_below_one_exits_2(toks, capsys):
-    # 0 is a value, not "unset": it must not fall back to the default
-    for dist in ("0", "-1"):
+    # 0 is a value, not "unset": it must not fall back to the default; past
+    # the 3x3 grid's largest distance, h + w - 2 = 4, is refused as well
+    for dist in ("0", "-1", "5"):
         assert main(["analyze", "--tokens", toks, "--grid-h", "3", "--grid-w", "3",
                      "--max-dist", dist]) == 2
-    capsys.readouterr()
+        assert "--max-dist must lie in [1, 4]" in capsys.readouterr().err
+    assert main(["analyze", "--tokens", toks, "--grid-h", "3", "--grid-w", "3",
+                 "--max-dist", "4"]) == 0
+    assert capsys.readouterr().out.rstrip().splitlines()[-1].startswith("4,")
 
 
 def test_analyze_one_cell_grid_defaults_max_dist_to_one(tmp_path, capsys):

@@ -9,10 +9,10 @@ import pytest
 from tokensieve import fusion, gsp, oracle, qcsp, similarity
 from tokensieve.fusion import script_select, select
 from tokensieve.gsp import gsp_select
-from tokensieve.qcsp import EPS, GreedyState, build_kernel, greedy_map
+from tokensieve.qcsp import EPS, GreedyState, build_kernel, greedy_map, kernel_matrix
 from tokensieve.rng import SplitMix64, gaussian_matrix
 from tokensieve.similarity import (InputError, l2_normalize_rows, mean_pool,
-                                   min_max_normalize, relevance_scores)
+                                   min_max_normalize, prepare, relevance_scores)
 
 
 def reference_script(h_v, h_q, m, tau=0.3, gamma=5.0, gsp_keep=None):
@@ -26,7 +26,7 @@ def reference_script(h_v, h_q, m, tau=0.3, gamma=5.0, gsp_keep=None):
         r = np.ones(n)
     else:
         r = min_max_normalize(relevance_scores(h_v, mean_pool(h_q)))
-    walked, _ = oracle.greedy_walk(build_kernel(h_v, r).matrix, n, EPS)
+    walked, _ = oracle.greedy_walk(kernel_matrix(prepare(h_v), r), n, EPS)
     # the walk stops where the kernel's rank runs out; the unwalked tokens
     # follow in ascending order, as the program pads its budget
     order = walked + sorted(set(range(n)) - set(walked))
@@ -305,8 +305,10 @@ def test_script_selection_normalizes_only_the_pooled_query(monkeypatch):
 
 def test_benchmark_tracer_wraps_names_the_program_keeps(monkeypatch):
     # the benchmark's tracer wraps layer functions by name (including the
-    # re-exports kept in fusion and qcsp, and reads DppKernel.unit), so a
-    # change that drops one of them breaks the benchmark, not the selection
+    # re-exports kept in fusion and qcsp, and fusion.build_kernel as the
+    # qcsp.kernel span) and reads state.kernel.n and state.kernel.unit after
+    # each extend, so a change that drops one of them breaks the benchmark,
+    # not the selection
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -315,7 +317,16 @@ def test_benchmark_tracer_wraps_names_the_program_keeps(monkeypatch):
     spec.loader.exec_module(spans)
 
     h_v, h_q = gaussian_matrix(5, 196, 32), gaussian_matrix(6, 4, 32)
-    untraced = script_select(h_v, h_q, 22).kept
+    lengths = []
+    extend = GreedyState.extend
+
+    def recording_extend(self, k):
+        extend(self, k)
+        lengths.append(self.t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GreedyState, "extend", recording_extend)
+        untraced = script_select(h_v, h_q, 22).kept
     owners = (similarity, gsp, qcsp, fusion, qcsp.GreedyState)
     before = [dict(vars(owner)) for owner in owners]
     tracer = spans.Tracer()
@@ -327,4 +338,7 @@ def test_benchmark_tracer_wraps_names_the_program_keeps(monkeypatch):
         tracer.uninstall()
     assert traced == untraced
     assert len(tracer.walks) == 1
+    assert [s.name for s in tracer.spans].count("qcsp.kernel") == 1
+    # the walk's (T, n, d), as the tracer reads them from the state
+    assert list(tracer.walks.values()) == [(max(lengths), 196, 32)]
     assert [dict(vars(owner)) for owner in owners] == before

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from tokensieve import qcsp
-from tokensieve.qcsp import EPS, GreedyState, build_kernel
+from tokensieve.qcsp import EPS, GreedyState, kernel_matrix
 from tokensieve.rng import gaussian_matrix
 from tokensieve.similarity import prepare
 from tokensieve.synth import duplicate_blocks
@@ -30,9 +30,8 @@ def walk_against_dpstrf(h, q):
     L + EPS*I.  Returns the walk and the steps whose tokens differ."""
     prep = prepare(h, q)
     n = prep.n
-    kernel = build_kernel(prep, prep.relevance)
-    m = kernel.matrix + EPS * np.eye(n)  # a new matrix: the walk takes L over
-    state = GreedyState(kernel)
+    m = kernel_matrix(prep, prep.relevance) + EPS * np.eye(n)
+    state = GreedyState(prep, prep.relevance)
     state.extend(n)
     c, piv, rank, info = lapack.dpstrf(m, lower=1, tol=-1)
     # M's eigenvalues are at least EPS, over dpstrf's default tolerance

@@ -153,3 +153,20 @@ def test_hadamard_margin_examples():
 def test_hadamard_requires_unit_diagonal():
     with pytest.raises(ValueError):
         oracle.hadamard_margin(2.0 * np.eye(3))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: oracle.brute_force_map(np.eye(3), 0), r"k must lie in \[1, 3\], got 0"),
+    (lambda: oracle.brute_force_map(np.eye(3), 4), r"k must lie in \[1, 3\], got 4"),
+    (lambda: oracle.rho_metrics(np.eye(1)), "square matrix with k >= 2"),
+    (lambda: oracle.rho_metrics(np.ones((2, 3))), "square matrix with k >= 2"),
+    (lambda: oracle.refined_upper_bound(1, 0.0), "k >= 2"),
+    (lambda: oracle.refined_upper_bound(3, -0.6), r"rho_avg must lie in \[-0.5, 1\]"),
+    (lambda: oracle.equicorrelation_matrix(0, 0.0), "k must be >= 1"),
+    (lambda: oracle.greedy_regularized(np.eye(3), 4), r"k must lie in \[1, 3\], got 4"),
+    (lambda: oracle.greedy_walk(np.eye(3), 0, 1e-6), r"k must lie in \[1, 3\], got 0"),
+    (lambda: oracle.regularized_optimum(np.eye(30), 15), r"C\(30,15\) exceeds"),
+])
+def test_oracle_guards_name_their_parameter(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -3,43 +3,45 @@ import pytest
 
 from tokensieve import qcsp, similarity
 from tokensieve.fusion import select
-from tokensieve.qcsp import GreedyState, build_kernel, greedy_map
+from tokensieve.qcsp import GreedyState, build_kernel, greedy_map, kernel_matrix
 from tokensieve.rng import SplitMix64, gaussian_matrix
 from tokensieve.similarity import (l2_normalize_rows, mean_pool,
                                    min_max_normalize, prepare, relevance_scores)
 
 
-def random_kernel(seed, n=12, d=6):
+def random_instance(seed, n=12, d=6):
+    """Prepared Gaussian tokens and the normalized relevance of a query."""
     rng = SplitMix64(seed)
     h = gaussian_matrix(rng.next_u64() >> 1, n, d)
     q = gaussian_matrix(rng.next_u64() >> 1, 2, d)
     r = min_max_normalize(relevance_scores(h, mean_pool(q)))
-    return build_kernel(h, r)
+    return prepare(h), r
 
 
 def test_kernel_orthonormal_unit_relevance():
-    k = build_kernel(np.eye(4), np.ones(4))
-    np.testing.assert_allclose(k.matrix, np.eye(4), atol=1e-15)
+    l = kernel_matrix(prepare(np.eye(4)), np.ones(4))
+    np.testing.assert_allclose(l, np.eye(4), atol=1e-15)
 
 
 def test_kernel_uniform_relevance_scales_similarity():
-    h = gaussian_matrix(3, 6, 4)
-    kc = build_kernel(h, np.full(6, 0.5))
-    k1 = build_kernel(h, np.ones(6))
-    np.testing.assert_allclose(kc.matrix, 0.25 * k1.matrix, atol=1e-15)
+    # kernel_matrix copies, so one instance gives both
+    prep = prepare(gaussian_matrix(3, 6, 4))
+    kc = kernel_matrix(prep, np.full(6, 0.5))
+    k1 = kernel_matrix(prep, np.ones(6))
+    np.testing.assert_allclose(kc, 0.25 * k1, atol=1e-15)
 
 
 def test_kernel_identical_tokens_analytic():
     h = np.array([[2.0, 0.0], [4.0, 0.0]])  # same direction
-    k = build_kernel(h, np.array([1.0, 0.5]))
-    np.testing.assert_allclose(k.matrix, [[1.0, 0.5], [0.5, 0.25]], atol=1e-15)
+    l = kernel_matrix(prepare(h), np.array([1.0, 0.5]))
+    np.testing.assert_allclose(l, [[1.0, 0.5], [0.5, 0.25]], atol=1e-15)
 
 
 def test_kernel_entry_row_diag_consistency():
     # the walk's gains start at L's diagonal
-    k = random_kernel(0)
-    l = k.matrix.copy()
-    assert np.array_equal(GreedyState(k).v_sq, np.diag(l))
+    prep, r = random_instance(0)
+    l = kernel_matrix(prep, r)
+    assert np.array_equal(GreedyState(prep, r).v_sq, np.diag(l))
 
 
 def test_materialized_kernel_is_exactly_symmetric():
@@ -51,24 +53,26 @@ def test_materialized_kernel_is_exactly_symmetric():
     r = np.linspace(0.0, 1.0, n)
     unit = l2_normalize_rows(h)
     inv = prepare(h).inv_norm
-    l = build_kernel(h, r).matrix
+    l = kernel_matrix(prepare(h), r)
     assert np.array_equal(l, l.T)
     assert np.array_equal(l, ((h @ h.T) * (inv[:, None] * inv)) * (r[:, None] * r))
     np.testing.assert_allclose(l, (unit @ unit.T) * (r[:, None] * r), atol=1e-15)
-    # the same from a prepared instance, whose Gram buffer the kernel scales
+    # the same in the Gram buffer of a prepared instance, which the walk
+    # scales in place: kernel_matrix copies it bit for bit
     prep = prepare(h, gaussian_matrix(9, 3, 32))
     s = prep.gram.copy()
     r = prep.relevance
-    l = build_kernel(prep, r).matrix
+    l = kernel_matrix(prep, r)
     assert np.array_equal(l, l.T)
     assert np.array_equal(l, s * (r[:, None] * r))
+    assert np.array_equal(GreedyState(prep, r)._a, l)
 
 
 def test_kernel_needs_the_prepared_gram():
     h = gaussian_matrix(10, 8, 4)
     prep = prepare(h)
     build_kernel(prep, prep.relevance)
-    # the first kernel took the Gram over
+    # the first walk took the Gram over
     with pytest.raises(ValueError, match="no Gram"):
         build_kernel(prep, prep.relevance)
     with pytest.raises(ValueError, match="no Gram"):
@@ -76,31 +80,30 @@ def test_kernel_needs_the_prepared_gram():
 
 
 def test_kernel_validates_relevance_range():
-    with pytest.raises(ValueError):
-        build_kernel(np.eye(3), np.array([0.5, 1.5, 0.2]))
-    with pytest.raises(ValueError):
-        build_kernel(np.eye(3), np.ones(2))
+    for build in (build_kernel, lambda h, r: kernel_matrix(prepare(h), r)):
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            build(np.eye(3), np.array([0.5, 1.5, 0.2]))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            build(np.eye(3), np.ones(2))
 
 
 def test_greedy_identity_tie_break():
-    k = build_kernel(np.eye(4), np.ones(4))
-    assert greedy_map(k, 1) == [0]
+    assert greedy_map(build_kernel(np.eye(4), np.ones(4)), 1) == [0]
 
 
 def test_greedy_prefers_orthogonal_pair():
     # 0.6-0.8 is exactly unit norm in floats, so every diagonal is 1.0
     # and the first pick falls to the lowest index
     h = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-    k = build_kernel(h, np.ones(3))
-    l = k.matrix.copy()
-    picked = greedy_map(k, 2)
+    prep = prepare(h)
+    l = kernel_matrix(prep, np.ones(3))
+    picked = greedy_map(GreedyState(prep, np.ones(3)), 2)
     assert sorted(picked) == [0, 1]
     assert np.linalg.det(l[np.ix_(picked, picked)]) == pytest.approx(1.0)
 
 
 def test_greedy_full_budget():
-    k = random_kernel(5, n=9)
-    picked = greedy_map(k, 9)
+    picked = greedy_map(GreedyState(*random_instance(5, n=9)), 9)
     assert sorted(picked) == list(range(9))
 
 
@@ -112,16 +115,14 @@ def test_qcsp_mode_relevance_wins():
 
 def test_greedy_duplicate_tie_break():
     h = np.array([[1.0, 0.0]] * 3)
-    k = build_kernel(h, np.ones(3))
-    assert greedy_map(k, 1) == [0]
+    assert greedy_map(build_kernel(h, np.ones(3)), 1) == [0]
 
 
 def test_duplicate_deferred_to_last():
     # a duplicate retains only the eps-scale residual, so the distinct
     # token goes second and the duplicate is still returned for k = n
     h = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    k = build_kernel(h, np.ones(3))
-    state = GreedyState(k)
+    state = build_kernel(h, np.ones(3))
     state.extend(3)
     order = [int(i) for i in state.order[:3]]
     assert order == [0, 2, 1]
@@ -132,8 +133,7 @@ def test_duplicate_deferred_to_last():
 def test_exhaustion_pads_ascending():
     # force the no-positive-gain branch: selection must still return
     # exactly k indices, padded in ascending index order
-    k = random_kernel(4, n=5)
-    state = GreedyState(k)
+    state = GreedyState(*random_instance(4, n=5))
     state.v_sq[:] = 0.0
     state.extend(4)
     assert state.exhausted
@@ -142,16 +142,16 @@ def test_exhaustion_pads_ascending():
 
 
 def test_prefix_consistency():
-    # a walk takes its kernel over, so each walk gets a fresh one
+    # a walk takes its instance's Gram, so each walk gets a fresh instance
     for seed in range(10):
-        full = greedy_map(random_kernel(seed, n=15, d=5), 15)
+        full = greedy_map(GreedyState(*random_instance(seed, n=15, d=5)), 15)
         for budget in (1, 4, 9):
-            assert greedy_map(random_kernel(seed, n=15, d=5), budget) == full[:budget]
+            walk = GreedyState(*random_instance(seed, n=15, d=5))
+            assert greedy_map(walk, budget) == full[:budget]
 
 
 def test_extend_is_incremental():
-    k = random_kernel(3, n=14, d=6)
-    state = GreedyState(k)
+    state = GreedyState(*random_instance(3, n=14, d=6))
     state.extend(4)
     head = [int(i) for i in state.order[:4]]
     state.extend(10)
@@ -165,8 +165,7 @@ def test_empty_input_raises_the_budget_error():
 
 
 def test_extend_validates_budget():
-    k = random_kernel(2, n=5)
-    state = GreedyState(k)
+    state = GreedyState(*random_instance(2, n=5))
     with pytest.raises(ValueError):
         state.extend(0)
     with pytest.raises(ValueError):
@@ -176,19 +175,21 @@ def test_extend_validates_budget():
 @pytest.mark.parametrize("k", [2.0, True, "3", np.int64(3)])
 def test_walk_takes_an_integer_k_only(k):
     # greedy_map hands k to GreedyState.extend, which checks it
+    def fresh():
+        return GreedyState(*random_instance(2, n=5))
     if isinstance(k, np.integer):
-        assert greedy_map(random_kernel(2, n=5), k) == greedy_map(random_kernel(2, n=5), 3)
+        assert greedy_map(fresh(), k) == greedy_map(fresh(), 3)
         return
-    for run in (greedy_map, lambda kernel, k: GreedyState(kernel).extend(k)):
+    for run in (greedy_map, GreedyState.extend):
         with pytest.raises(ValueError, match="^k must be an integer"):
-            run(random_kernel(2, n=5), k)
+            run(fresh(), k)
 
 
 def test_gains_match_det_ratios():
     for seed in range(10):
-        k = random_kernel(seed, n=8, d=16)
-        l = k.matrix.copy()
-        state = GreedyState(k)
+        prep, r = random_instance(seed, n=8, d=16)
+        l = kernel_matrix(prep, r)
+        state = GreedyState(prep, r)
         state.extend(4)
         det_prev = 1.0
         for t in range(state.t):
@@ -203,8 +204,7 @@ def test_gains_match_det_ratios():
 
 
 def test_gains_are_non_increasing():
-    k = random_kernel(7, n=16, d=6)
-    state = GreedyState(k)
+    state = GreedyState(*random_instance(7, n=16, d=6))
     state.extend(8)
     g = state.gains[:8]
     assert all(g[i] >= g[i + 1] - 1e-12 for i in range(7))
@@ -221,7 +221,7 @@ def flush_instance(seed):
     h = rng.standard_normal((n, d))
     h[rng.integers(0, n, size=4)] = h[rng.integers(0, n, size=4)]
     h[rng.integers(0, n, size=3)] = 0.0
-    return build_kernel(h, min_max_normalize(rng.standard_normal(n))), d
+    return prepare(h), min_max_normalize(rng.standard_normal(n)), d
 
 
 def set_panel_rows(monkeypatch, rows):
@@ -230,9 +230,9 @@ def set_panel_rows(monkeypatch, rows):
     monkeypatch.setattr(qcsp, "flush_rows", lambda n: rows)
 
 
-def walk(kernel, k, monkeypatch, rows):
+def walk(prep, r, k, monkeypatch, rows):
     set_panel_rows(monkeypatch, rows)
-    state = GreedyState(kernel)
+    state = GreedyState(prep, r)
     state.extend(k)
     return state
 
@@ -259,14 +259,14 @@ def test_panel_size_is_about_one_l2():
 
 
 def test_flushed_walk_matches_unflushed_walk(monkeypatch):
-    # a flushing walk overwrites its kernel, so each walk gets a fresh one
+    # a walk takes its instance's Gram, so each walk gets a fresh instance
     for seed in range(40):
-        kernel, _ = flush_instance(seed)
-        n = kernel.n
-        ref = walk(kernel, n, monkeypatch, n)  # the panel holds the whole walk
+        prep, r, _ = flush_instance(seed)
+        n = prep.n
+        ref = walk(prep, r, n, monkeypatch, n)  # the panel holds the whole walk
         assert ref.flushes == 0
         for rows in (1, 2, 5):
-            state = walk(flush_instance(seed)[0], n, monkeypatch, rows)
+            state = walk(*flush_instance(seed)[:2], n, monkeypatch, rows)
             assert state.flushes > 0
             assert np.array_equal(state.order, ref.order), (seed, rows)
             assert state.exhausted == ref.exhausted
@@ -278,10 +278,10 @@ def test_flushed_walk_matches_unflushed_walk(monkeypatch):
 
 def test_flushed_walk_is_resumable_mid_panel(monkeypatch):
     for seed in range(10):
-        kernel, _ = flush_instance(seed)
-        n = kernel.n
-        whole = walk(kernel, n, monkeypatch, 4)
-        rounds = GreedyState(flush_instance(seed)[0])
+        prep, r, _ = flush_instance(seed)
+        n = prep.n
+        whole = walk(prep, r, n, monkeypatch, 4)
+        rounds = GreedyState(*flush_instance(seed)[:2])
         for k in (1, 3, 6, 7, 13, n - 2, n):  # most end inside a panel
             rounds.extend(k)
         assert np.array_equal(rounds.order, whole.order)
@@ -297,11 +297,11 @@ def test_walk_in_short_rounds_matches_one_extend(panel_rows, monkeypatch):
         set_panel_rows(monkeypatch, panel_rows)
     rng = np.random.default_rng(17)
     for seed in range(12):
-        kernel, _ = flush_instance(seed)
-        n = kernel.n
-        whole = GreedyState(kernel)
+        prep, r, _ = flush_instance(seed)
+        n = prep.n
+        whole = GreedyState(prep, r)
         whole.extend(n)
-        rounds = GreedyState(flush_instance(seed)[0])
+        rounds = GreedyState(*flush_instance(seed)[:2])
         t = 0
         while t < n:
             t = min(n, t + int(rng.integers(1, 8)))
@@ -316,24 +316,27 @@ def test_flushed_walk_keeps_shifted_gain_identity(monkeypatch):
     from tokensieve import verify
     set_panel_rows(monkeypatch, 2)
     for seed in [*range(40), 136]:
-        kernel, _ = flush_instance(seed)
+        prep, r, _ = flush_instance(seed)
         # to k = n, far past the rank; slogdet keeps the oracle's ratios
         # exact where the determinants of L + eps*I underflow
-        _, shifted, _ = verify.marginal_gain_errors(kernel, kernel.n)
+        _, shifted, _ = verify.marginal_gain_errors(prep, r, prep.n)
         assert max(shifted) <= 1e-9, seed
 
 
-def test_a_walk_takes_the_kernels_matrix_when_it_is_built():
-    kernel, d = flush_instance(3)
-    n = kernel.n
-    l = kernel.matrix
-    state = GreedyState(kernel)
-    assert kernel.matrix is None and state._a is l
-    with pytest.raises(ValueError, match="another greedy walk"):
-        GreedyState(kernel)
+def test_a_second_walk_on_one_prepared_raises():
+    prep, r, d = flush_instance(3)
+    n = prep.n
+    gram = prep.gram
+    state = build_kernel(prep, r)
+    # the walk runs in the Gram's own buffer
+    assert prep.gram is None and state._a is gram
+    for second in (GreedyState, build_kernel, kernel_matrix):
+        with pytest.raises(ValueError, match="an earlier walk took it"):
+            second(prep, r)
     # what the benchmark's tracer reads after a walk stays readable
     state.extend(n)
-    assert kernel.n == n and kernel.unit.shape == (n, d)
+    assert state.kernel is prep
+    assert state.kernel.n == n and state.kernel.unit.shape == (n, d)
 
 
 def test_tie_break_follows_token_index_after_a_flush(monkeypatch):
@@ -345,7 +348,7 @@ def test_tie_break_follows_token_index_after_a_flush(monkeypatch):
     h = np.array([[1.0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1],
                   [1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]])
     r = np.array([0.75, 0.5, 0.5, 0.75, 0.9, 1.0])
-    state = walk(build_kernel(h, r), 2, monkeypatch, 1)
+    state = walk(prepare(h), r, 2, monkeypatch, 1)
     perm = state._perm
     assert state.flushes == 1
     assert np.array_equal(perm[:2], state.order[:2])
@@ -355,18 +358,18 @@ def test_tie_break_follows_token_index_after_a_flush(monkeypatch):
     assert np.array_equal(perm[:3], state.order[:3])
     assert state.gains[2] == 0.75 ** 2
     assert [int(i) for i in state.order[:3]] == [5, 4, 0]
-    unflushed = walk(build_kernel(h, r), 3, monkeypatch, 3)
+    unflushed = walk(prepare(h), r, 3, monkeypatch, 3)
     assert unflushed.flushes == 0
     assert np.array_equal(unflushed.order[:3], state.order[:3])
 
 
 def test_materialized_panel_is_allocated_once(monkeypatch):
     for rows in (None, 3):  # a walk that never flushes and a flushing one
-        kernel, _ = flush_instance(4)
+        prep, r, _ = flush_instance(4)
         if rows is not None:
             set_panel_rows(monkeypatch, rows)
-        n = kernel.n
-        state = GreedyState(kernel)
+        n = prep.n
+        state = GreedyState(prep, r)
         buf = state._panel
         assert buf.shape == (min(n, qcsp.flush_rows(n)), n)
         state.extend(n)
@@ -380,9 +383,9 @@ def test_positions_track_the_selection(monkeypatch):
     for rows in (1, 2, 5):
         set_panel_rows(monkeypatch, rows)
         for seed in range(40):
-            kernel, _ = flush_instance(seed)
-            n = kernel.n
-            state = GreedyState(kernel)
+            prep, r, _ = flush_instance(seed)
+            n = prep.n
+            state = GreedyState(prep, r)
             for t in range(1, n + 1):
                 state.extend(t)
                 if state.exhausted:
@@ -404,7 +407,7 @@ def test_padding_after_a_flush_takes_each_token_once(monkeypatch):
     r = min_max_normalize(np.arange(12.0))
     for ks in ([12], [10, 11, 12], [11, 12]):
         set_panel_rows(monkeypatch, 2)
-        state = GreedyState(build_kernel(h, r))
+        state = build_kernel(h, r)
         for k in ks:
             state.extend(k)
         assert state.exhausted and state.flushes == 4
@@ -415,12 +418,12 @@ def test_padding_after_a_flush_takes_each_token_once(monkeypatch):
 
 def test_full_panel_is_flushed_only_when_another_step_runs(monkeypatch):
     rows = 3
-    state = walk(random_kernel(3, n=14, d=6), rows, monkeypatch, rows)
+    state = walk(*random_instance(3, n=14, d=6), rows, monkeypatch, rows)
     assert state.t == rows and state.flushes == 0 and not state.exhausted
     state.extend(rows + 1)
     assert state.flushes == 1
     # the same steps as a walk whose panel never fills
-    ref = walk(random_kernel(3, n=14, d=6), rows + 1, monkeypatch, 14)
+    ref = walk(*random_instance(3, n=14, d=6), rows + 1, monkeypatch, 14)
     assert ref.flushes == 0
     assert np.array_equal(state.order[:rows + 1], ref.order[:rows + 1])
     assert np.array_equal(state.gains[:rows + 1], ref.gains[:rows + 1])
@@ -431,8 +434,8 @@ def test_walk_flushes_only_before_a_positive_gain(monkeypatch):
     # a walk of T positive gains makes one flush per B steps before step T
     for rows in (1, 2, 3, 4, 5, 7):
         for seed in range(40):
-            kernel, _ = flush_instance(seed)
-            state = walk(kernel, kernel.n, monkeypatch, rows)
+            prep, r, _ = flush_instance(seed)
+            state = walk(prep, r, prep.n, monkeypatch, rows)
             t = int(np.count_nonzero(state.gains > 0.0))
             assert state.exhausted, (seed, rows)
             assert state.flushes == max(0, (t - 1) // rows), (seed, rows)

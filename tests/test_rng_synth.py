@@ -104,3 +104,22 @@ def test_synth_seed_determinism():
                   lambda s: synth.duplicate_blocks(9, 5, 3, s),
                   lambda s: synth.two_region_grid(3, 4, 5, s)):
         np.testing.assert_array_equal(maker(7), maker(7))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: synth.random_tokens(0, 4, 0), "n and d must be >= 1"),
+    (lambda: synth.random_tokens(4, 0, 0), "n and d must be >= 1"),
+    (lambda: synth.duplicate_blocks(4, 0, 2, 0), "n and d must be >= 1"),
+    (lambda: synth.two_region_grid(0, 2, 4, 0), "height >= 1"),
+    (lambda: synth.two_region_grid(2, 1, 4, 0), "width >= 2"),
+    (lambda: synth.two_region_grid(2, 2, 0, 0), "d >= 1"),
+    (lambda: synth.equicorrelated_tokens(3, 2, 0.5), "d >= n, got n=3, d=2"),
+])
+def test_synth_guards_name_their_parameter(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_equicorrelated_single_token_is_a_unit_row():
+    # with one token there is no pair, so rho is ignored
+    np.testing.assert_array_equal(synth.equicorrelated_tokens(1, 3, 0.7), [[1.0, 0.0, 0.0]])

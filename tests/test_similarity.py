@@ -269,6 +269,8 @@ def test_mean_pool():
     (min_max_normalize, np.zeros(0), ValueError, "nonempty vector"),
     (l2_normalize_rows, np.ones((2, 3)) + 1j, InputError, "rows must hold real numbers"),
     (l2_normalize_rows, np.array([["1", "2"]]), InputError, "rows must hold real numbers"),
+    (l2_normalize_rows, np.ones(3), InputError, r"rows must be a 2-d array, got shape \(3,\)"),
+    (l2_normalize_rows, 2.0, InputError, r"rows must be a 2-d array, got shape \(\)"),
 ])
 def test_public_functions_refuse_what_they_cannot_read(func, arg, error, match):
     with pytest.raises(error, match=match):

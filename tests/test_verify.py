@@ -3,7 +3,7 @@ import numpy as np
 from tokensieve import verify
 from tokensieve.qcsp import build_kernel, greedy_map
 from tokensieve.rng import SplitMix64, gaussian_matrix
-from tokensieve.similarity import min_max_normalize
+from tokensieve.similarity import min_max_normalize, prepare
 
 
 def test_run_all_small_is_green():
@@ -48,8 +48,7 @@ def test_marginal_gain_errors_shapes():
     rng = SplitMix64(77)
     h = gaussian_matrix(rng.next_below(2**32), 10, 32)
     r = min_max_normalize(np.abs(gaussian_matrix(5, 1, 10)[0]))
-    kernel = build_kernel(h, r)
-    mixed, shifted, order = verify.marginal_gain_errors(kernel, 4)
+    mixed, shifted, order = verify.marginal_gain_errors(prepare(h), r, 4)
     # the plain det ratio is only checked while the prefix det is well
     # above float noise; the shifted identity holds on every step
     assert len(shifted) == 4
@@ -58,7 +57,7 @@ def test_marginal_gain_errors_shapes():
     # the recursion is exact Cholesky on the shifted kernel, so this
     # companion identity holds to float precision
     assert max(shifted) <= 1e-12
-    # the order of the walk it ran, as greedy_map walks a fresh kernel
+    # the order of the walk it ran, as greedy_map walks a fresh instance
     assert order == greedy_map(build_kernel(h, r), 4)
 
 
