@@ -12,7 +12,7 @@ from .analysis import (GridShape, ModelProfile, flops_estimate,
 from .fusion import MODES, script_select, select
 from .gsp import (DEFAULT_GAMMA, DEFAULT_TAU, BipartiteRedundancyGraph,
                   RedundancyScores, build_graph, gsp_select, redundancy_scores)
-from .qcsp import GreedyState, build_kernel, greedy_map, kernel_matrix
+from .qcsp import GreedyState, kernel_matrix
 from .similarity import (InputError, Prepared, l2_normalize_rows, mean_pool,
                          min_max_normalize, prepare, relevance_scores)
 from .tensor_io import (MatrixFormatError, Selection, SelectionFormatError,
@@ -36,9 +36,7 @@ __all__ = [
     "Selection",
     "SelectionFormatError",
     "build_graph",
-    "build_kernel",
     "flops_estimate",
-    "greedy_map",
     "gsp_select",
     "kernel_matrix",
     "l2_normalize_rows",

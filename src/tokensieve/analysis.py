@@ -6,9 +6,10 @@ of a token's 3x3 Moore neighborhood onto its exact first principal
 direction, one SVD per neighborhood; a neighborhood flat to rounding
 scores 0, textured regions approach log(number of bins).
 
-The token rows pass through similarity.prepare, so a non-finite token
-raises similarity.InputError naming its row, and the distance profile,
-which builds the full unit-row Gram, is bounded by MAX_GRAM_BYTES.
+The token rows pass through similarity.prepare before anything reads
+them, so a non-real dtype or a non-finite token (named by its row)
+raises similarity.InputError, and the distance profile, which builds
+the full unit-row Gram, is bounded by MAX_GRAM_BYTES.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ def local_entropy_map(h_v: np.ndarray, grid: GridShape) -> np.ndarray:
     matrix_rank tolerance on the uncentered rows): what is left after
     centering is rounding, and the entropy is 0.
     """
-    h_v = np.asarray(h_v, dtype=np.float64)
-    grid.check(h_v.shape[0])
-    prepare(h_v, gram=False)  # the input contract only; the SVDs read h_v
+    prep = prepare(h_v, gram=False)  # the input contract; the SVDs read tokens
+    grid.check(prep.n)
+    h_v = prep.tokens
     eps = np.finfo(np.float64).eps
     out = np.zeros(h_v.shape[0])
     for row in range(grid.height):
@@ -95,10 +96,10 @@ def mean_neighbor_similarity(h_v: np.ndarray, grid: GridShape) -> np.ndarray:
     A token with no neighbors (the one token of a 1x1 grid) scores NaN, as
     the distance profile does for a distance with no pairs.
     """
-    h_v = np.asarray(h_v, dtype=np.float64)
-    grid.check(h_v.shape[0])
-    unit = prepare(h_v, gram=False).unit
-    out = np.full(h_v.shape[0], np.nan)
+    prep = prepare(h_v, gram=False)
+    grid.check(prep.n)
+    unit = prep.unit
+    out = np.full(prep.n, np.nan)
     for row in range(grid.height):
         for col in range(grid.width):
             tok = row * grid.width + col

@@ -25,11 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from .gsp import DEFAULT_GAMMA, DEFAULT_TAU, gsp_select
-from .qcsp import EPS, build_kernel, greedy_map
 from .rng import SplitMix64
 # mean_pool, min_max_normalize and relevance_scores are no longer called here;
 # they stay importable from this module because the benchmark's tracer
-# (perfbench/spans.py) wraps them by name
+# (perfbench/spans.py) wraps them by name, and it wraps the walk's
+# construction as this module's build_kernel
+from .qcsp import EPS, GreedyState as build_kernel
 from .similarity import _integer, mean_pool, min_max_normalize, prepare, relevance_scores  # noqa: F401
 from .tensor_io import Selection
 
@@ -118,13 +119,12 @@ def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
         kept = gsp_select(prep, tau, gamma, keep=m)
         tag = "gsp-only"
         params.update(tau=tau, gamma=gamma)
-    elif mode == "qcsp":
-        kept = greedy_map(build_kernel(prep, prep.relevance), m)
-        tag = "qcsp-only"
-        params["eps"] = EPS
-    elif mode == "diversity":
-        # the walk with uniform relevance: diversity with no query signal
-        kept = greedy_map(build_kernel(prep, np.ones(n)), m)
+    elif mode in ("qcsp", "diversity"):
+        # diversity is the walk with uniform relevance: no query signal
+        state = build_kernel(prep, prep.relevance if mode == "qcsp" else np.ones(n))
+        state.extend(m)
+        kept = state.order[:m].tolist()
+        tag = "qcsp-only" if mode == "qcsp" else tag
         params["eps"] = EPS
     elif mode == "random":
         kept = SplitMix64(seed).sample_without_replacement(n, m)

@@ -14,10 +14,10 @@ mean_sim averages over exactly those neighbors.  A token with no
 neighbor above the threshold falls back to its mean similarity against
 all cross-side tokens.  Low score = structurally non-redundant = kept.
 
-Given a prepared instance that holds S, the graph is a strided view of
-it and costs no arithmetic; otherwise the block is one gemm of the
-prepared raw rows, H[0::2] @ H[1::2].T, scaled by the outer product of
-their inverse norms, as S itself is.
+The graph reads a prepared instance (similarity.prepare).  When it holds
+S, the graph is a strided view of it and costs no arithmetic; otherwise
+the block is one gemm of the prepared raw rows, H[0::2] @ H[1::2].T,
+scaled by the outer product of their inverse norms, as S itself is.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .similarity import Prepared, _integer, prepare, scale_outer
+from .similarity import Prepared, _integer, scale_outer
 
 DEFAULT_TAU = 0.3
 DEFAULT_GAMMA = 5.0
@@ -56,9 +56,9 @@ class RedundancyScores:
     used_fallback: np.ndarray  # bool per token
 
 
-def build_graph(h_v: np.ndarray | Prepared, tau: float = DEFAULT_TAU,
+def build_graph(prep: Prepared, tau: float = DEFAULT_TAU,
                 gamma: float = DEFAULT_GAMMA) -> BipartiteRedundancyGraph:
-    """The redundancy graph of token rows, or of a prepared instance.
+    """The redundancy graph of a prepared instance.
 
     Raises ValueError when gamma * (1 - tau) + log(ceil(n/2)) reaches
     log(float64 max), about 709.78: then the score ceil(n/2) * exp(gamma *
@@ -68,7 +68,6 @@ def build_graph(h_v: np.ndarray | Prepared, tau: float = DEFAULT_TAU,
         raise ValueError(f"tau must lie in (-1, 1), got {tau}")
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    prep = h_v if isinstance(h_v, Prepared) else prepare(h_v, gram=False)
     if prep.n < 1:
         raise ValueError("build_graph needs n >= 1")
     log_max = math.log(np.finfo(np.float64).max)
@@ -110,15 +109,15 @@ def redundancy_scores(g: BipartiteRedundancyGraph) -> RedundancyScores:
     return RedundancyScores(score, degree, mean_sim, used_fallback)
 
 
-def gsp_select(h_v: np.ndarray | Prepared, tau: float = DEFAULT_TAU,
+def gsp_select(prep: Prepared, tau: float = DEFAULT_TAU,
                gamma: float = DEFAULT_GAMMA, *, keep: int) -> list[int]:
-    """The indices of the `keep` lowest-redundancy tokens, ascending.
+    """The indices of the `keep` lowest-redundancy tokens of a prepared
+    instance, ascending.
 
     Ties in score break toward the lower original index.  A keep that is
     not an integer in [1, n] (bools included) raises ValueError.
     """
     keep = _integer("keep", keep)
-    prep = h_v if isinstance(h_v, Prepared) else prepare(h_v, gram=False)
     if not (1 <= keep <= prep.n):
         raise ValueError(f"keep must lie in [1, {prep.n}], got {keep}")
     scores = redundancy_scores(build_graph(prep, tau, gamma)).score

@@ -65,7 +65,7 @@ import numpy as np
 
 # l2_normalize_rows is no longer called here; it stays importable from this
 # module because the benchmark's tracer (perfbench/spans.py) wraps it by name
-from .similarity import Prepared, _integer, l2_normalize_rows, prepare, scale_outer  # noqa: F401
+from .similarity import Prepared, _integer, _real_array, l2_normalize_rows, scale_outer  # noqa: F401
 
 EPS = 1e-6
 # the walk's panel holds max(PANEL_MIN_ROWS, PANEL_BYTES / (8 n)) coefficient
@@ -80,11 +80,12 @@ def flush_rows(n: int) -> int:
 
 
 def _relevance(prep: Prepared, r_norm: np.ndarray) -> np.ndarray:
-    """r_norm as float64, checked against an instance that holds its Gram."""
-    r = np.asarray(r_norm, dtype=np.float64)
+    """r_norm as float64, checked against an instance that holds its Gram;
+    the range test is written so that a NaN fails it."""
+    r = _real_array(r_norm, "relevance")
     if r.ndim != 1 or prep.n != r.shape[0]:
         raise ValueError(f"shape mismatch: tokens {prep.rows.shape}, relevance {r.shape}")
-    if r.size and (r.min() < -1e-12 or r.max() > 1.0 + 1e-12):
+    if r.size and not (r.min() >= -1e-12 and r.max() <= 1.0 + 1e-12):
         raise ValueError("normalized relevance must lie in [0, 1]")
     if prep.gram is None:
         raise ValueError("the prepared instance holds no Gram: it was prepared with "
@@ -120,8 +121,8 @@ class GreedyState:
         and the rows it holds.
     _perm: position -> token index.
 
-    A relevance that is not a vector in [0, 1] of the instance's length,
-    or an instance that holds no Gram, raises ValueError.
+    A relevance that is not a real vector in [0, 1] (no NaN) of the
+    instance's length, or an instance that holds no Gram, raises ValueError.
     """
 
     def __init__(self, prep: Prepared, r_norm: np.ndarray):
@@ -270,15 +271,3 @@ def _move_upper(a: np.ndarray, lo: int, hi: int) -> None:
     triangle over position hi's (lo < hi), against positions after lo."""
     a[lo + 1:hi, hi] = a[lo, lo + 1:hi]
     a[hi, hi + 1:] = a[lo, hi + 1:]
-
-
-def greedy_map(state: GreedyState, k: int) -> list[int]:
-    """Exactly k distinct indices in selection order: the walk extended to k."""
-    state.extend(k)
-    return [int(i) for i in state.order[:k]]
-
-
-def build_kernel(h_v: np.ndarray | Prepared, r_norm: np.ndarray) -> GreedyState:
-    """The greedy walk of token rows (or a prepared instance) and a
-    normalized relevance: GreedyState(prepare(h_v), r_norm)."""
-    return GreedyState(h_v if isinstance(h_v, Prepared) else prepare(h_v), r_norm)

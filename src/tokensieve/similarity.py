@@ -138,14 +138,20 @@ def min_max_normalize(v: np.ndarray) -> np.ndarray:
     A constant vector maps to all ones: uniform relevance must degrade
     the kernel to pure diversity, not to zero.  The floor keeps every
     token selectable when the budget approaches n.  InputError unless v's
-    dtype is real.
+    dtype is real and its values are finite.
     """
     v = _real_array(v, "values")
     if v.ndim != 1 or v.size == 0:
         raise ValueError("min_max_normalize needs a nonempty vector")
-    lo, hi = v.min(), v.max()
+    # min and max carry a NaN or an infinity through
+    lo, hi = float(v.min()), float(v.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError("values must be finite")
     if hi == lo:
         return np.ones_like(v)
+    if hi - lo == math.inf:
+        # a span of finite values that overflows: halved, every difference fits
+        v, lo, hi = v / 2.0, lo / 2.0, hi / 2.0
     return np.maximum((v - lo) / (hi - lo), RELEVANCE_FLOOR)
 
 

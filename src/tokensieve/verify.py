@@ -402,8 +402,9 @@ def check_relevance_dominance(instances: int = 100, seed: int = 10) -> CheckResu
                          0.05 + 0.95 * rng.next_float()), reverse=True)
         hi_first = rng.next_below(2) == 0
         r = np.array(r_pair if hi_first else r_pair[::-1])
-        picked = qcsp.greedy_map(qcsp.build_kernel(h_v, r), 1)
-        if picked[0] != int(np.argmax(r)):
+        state = qcsp.GreedyState(similarity.prepare(h_v), r)
+        state.extend(1)
+        if state.order[0] != np.argmax(r):
             violations += 1
     return CheckResult("relevance-dominance", violations == 0, instances,
                        float(violations), 0.0, "violations")
@@ -434,7 +435,8 @@ def check_bipartite_count(sizes=(64, 576, 2880), seed: int = 12) -> CheckResult:
     rng = SplitMix64(seed)
     worst = np.inf  # min distance of the ratio from the [0.49, 0.51] edges
     for n in sizes:
-        g = gsp.build_graph(synth.random_tokens(n, 8, rng.next_u64() >> 1))
+        h_v = synth.random_tokens(n, 8, rng.next_u64() >> 1)
+        g = gsp.build_graph(similarity.prepare(h_v, gram=False))
         expected = math.ceil(n / 2) * math.floor(n / 2)
         if g.num_similarity_evaluations != expected:
             return CheckResult("bipartite-count", False, len(sizes), -1.0, 0.0,

@@ -15,7 +15,7 @@ import pytest
 
 from tokensieve import analysis, fusion, qcsp, verify
 from tokensieve.rng import SplitMix64, gaussian_matrix
-from tokensieve.similarity import mean_pool, min_max_normalize, relevance_scores
+from tokensieve.similarity import mean_pool, min_max_normalize, prepare, relevance_scores
 
 
 def _emit(num: int, name: str, passed: bool, detail: str) -> None:
@@ -136,10 +136,11 @@ def test_c10_ablation_ordering():
     for seed in range(50):
         h_v, h_q, planted = _planted_instance(1000 + 17 * seed)
         r = min_max_normalize(relevance_scores(h_v, mean_pool(h_q)))
-        walk = qcsp.build_kernel(h_v, r)
+        walk = qcsp.GreedyState(prepare(h_v), r)
+        walk.extend(PLANT_Q)
         script_r.append(_recall(
             fusion.script_select(h_v, h_q, PLANT_Q).kept, planted))
-        qcsp_r.append(_recall(qcsp.greedy_map(walk, PLANT_Q), planted))
+        qcsp_r.append(_recall(walk.order[:PLANT_Q].tolist(), planted))
         random_r.append(_recall(
             fusion.select("random", h_v, None, PLANT_Q, seed=seed).kept, planted))
     ms, mq, mr = (float(np.mean(x)) for x in (script_r, qcsp_r, random_r))

@@ -182,6 +182,21 @@ def test_non_finite_token_raises_input_error(diagnostic):
         diagnostic(h, GridShape(3, 3))
 
 
+@pytest.mark.parametrize("diagnostic", [
+    local_entropy_map,
+    mean_neighbor_similarity,
+    lambda h, grid: similarity_by_distance_profile(h, grid, 2),
+], ids=["entropy", "neighbor", "profile"])
+@pytest.mark.parametrize("tokens", [
+    gaussian_matrix(4, 9, 5) + 1j,
+    gaussian_matrix(4, 9, 5).astype(str),
+], ids=["complex", "string"])
+def test_non_real_tokens_raise_input_error(diagnostic, tokens):
+    # refused by the input contract before anything casts them
+    with pytest.raises(InputError, match="tokens must hold real numbers"):
+        diagnostic(tokens, GridShape(3, 3))
+
+
 def test_profile_gram_over_the_limit_raises_input_error(monkeypatch):
     monkeypatch.setattr(similarity, "MAX_GRAM_BYTES", 8 * 9 * 9 - 1)
     with pytest.raises(InputError, match="9 tokens"):

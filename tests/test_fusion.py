@@ -9,7 +9,7 @@ import pytest
 from tokensieve import fusion, gsp, oracle, qcsp, similarity
 from tokensieve.fusion import script_select, select
 from tokensieve.gsp import gsp_select
-from tokensieve.qcsp import EPS, GreedyState, build_kernel, greedy_map, kernel_matrix
+from tokensieve.qcsp import EPS, GreedyState, kernel_matrix
 from tokensieve.rng import SplitMix64, gaussian_matrix
 from tokensieve.similarity import (InputError, l2_normalize_rows, mean_pool,
                                    min_max_normalize, prepare, relevance_scores)
@@ -21,7 +21,7 @@ def reference_script(h_v, h_q, m, tau=0.3, gamma=5.0, gsp_keep=None):
     n = len(h_v)
     if gsp_keep is None:
         gsp_keep = min(n, 2 * m)
-    g = set(gsp_select(h_v, tau, gamma, keep=gsp_keep))
+    g = set(gsp_select(prepare(h_v, gram=False), tau, gamma, keep=gsp_keep))
     if h_q is None:
         r = np.ones(n)
     else:
@@ -81,9 +81,11 @@ def test_walk_stops_at_mth_intersection_member(monkeypatch):
     sel = script_select(h_v, h_q, m)
     monkeypatch.undo()
 
-    g = set(gsp_select(h_v, keep=2 * m))
+    g = set(gsp_select(prepare(h_v, gram=False), keep=2 * m))
     r = min_max_normalize(relevance_scores(h_v, mean_pool(h_q)))
-    order = greedy_map(build_kernel(h_v, r), n)
+    state = GreedyState(prepare(h_v), r)
+    state.extend(n)
+    order = state.order.tolist()
     positions = [t for t, idx in enumerate(order) if idx in g]
     assert sel.stage_tags == ["intersection"] * m
     assert max(lengths) == positions[m - 1] + 1
@@ -95,7 +97,7 @@ def test_intersection_prefix_case():
     e = np.eye(4)
     h_v = np.stack([e[0], e[1], e[2], e[3], e[3], e[3]])
     q = np.array([[0.44, 0.0, 0.9, 0.0]])
-    g = set(gsp_select(h_v, keep=3))
+    g = set(gsp_select(prepare(h_v, gram=False), keep=3))
     assert g == {0, 1, 2}
     sel = script_select(h_v, q, 2, gsp_keep=3)
     assert sel.kept == [2, 0]
@@ -107,11 +109,11 @@ def test_fill_after_sparse_intersection():
     # ahead of it: intersection member first, then fill from the front
     h_v = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     q = np.array([[1.0, 0.0]])
-    g = set(gsp_select(h_v, keep=1))
+    g = set(gsp_select(prepare(h_v, gram=False), keep=1))
     assert g == {3}
-    order = greedy_map(
-        build_kernel(h_v, min_max_normalize(relevance_scores(h_v, q[0]))), 4)
-    assert order == [0, 1, 2, 3]
+    state = GreedyState(prepare(h_v), min_max_normalize(relevance_scores(h_v, q[0])))
+    state.extend(4)
+    assert state.order.tolist() == [0, 1, 2, 3]
     sel = script_select(h_v, q, 2, gsp_keep=1)
     assert sel.kept == [3, 0]
     assert sel.stage_tags == ["intersection", "qcsp-fill"]
@@ -205,6 +207,27 @@ def test_diversity_baseline():
     assert sorted(select("diversity", h, None, 3).kept) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_walk_modes_match_the_reference_walk(seed):
+    # qcsp walks the query's relevance; diversity, given the same query,
+    # walks uniform relevance.  m stays within the kernel's rank, so the
+    # oracle's unblocked walk needs no padding
+    rng = SplitMix64(500 + seed)
+    n = 8 + rng.next_below(40)
+    d = 4 + rng.next_below(16)
+    m = 1 + rng.next_below(min(n, d))
+    h_v = gaussian_matrix(rng.next_u64() >> 1, n, d)
+    h_q = gaussian_matrix(rng.next_u64() >> 1, 3, d)
+    relevance = prepare(h_v, h_q, gram=False).relevance
+    for mode, r, tag in (("qcsp", relevance, "qcsp-only"),
+                         ("diversity", np.ones(n), "baseline")):
+        sel = select(mode, h_v, h_q, m)
+        walked, _ = oracle.greedy_walk(kernel_matrix(prepare(h_v, h_q), r), m, EPS)
+        assert sel.kept == walked, (seed, mode)
+        assert sel.stage_tags == [tag] * m
+        assert sel.params == {"mode": mode, "m": m, "eps": EPS}
+
+
 def test_baselines_reject_budgets_outside_one_to_n():
     h_v, h_q = gaussian_matrix(5, 14, 6), gaussian_matrix(6, 2, 6)
     for m in (0, 15):
@@ -222,7 +245,7 @@ def test_selectors_reject_non_finite_input():
     h_v[5, 3] = np.nan
     for run in (lambda: script_select(h_v, h_q, 6),
                 lambda: select("qcsp", h_v, h_q, 6),
-                lambda: gsp_select(h_v, keep=6),
+                lambda: select("gsp", h_v, h_q, 6),
                 lambda: select("diversity", h_v, None, 6),
                 lambda: select("topk", h_v, h_q, 6)):
         with pytest.raises(InputError, match="token row 5"):
@@ -266,9 +289,9 @@ def test_select_prepares_once_per_call(monkeypatch):
         calls.append(1)
         return similarity.prepare(*args, **kwargs)
 
-    # the stages given raw tokens would prepare through their own modules
-    for module in (fusion, gsp, qcsp):
-        monkeypatch.setattr(module, "prepare", counted)
+    # the stages take the one prepared instance and cannot prepare again
+    assert not hasattr(gsp, "prepare") and not hasattr(qcsp, "prepare")
+    monkeypatch.setattr(fusion, "prepare", counted)
     h_v, h_q = gaussian_matrix(5, 30, 6), gaussian_matrix(6, 3, 6)
     for mode in fusion.MODES:
         for query in ((h_q,) if mode == "topk" else (h_q, None)):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tokensieve.fusion import select
 from tokensieve.gsp import (BipartiteRedundancyGraph, build_graph, gsp_select,
                             redundancy_scores)
 from tokensieve.rng import gaussian_matrix
@@ -13,9 +14,10 @@ from tokensieve.similarity import InputError, prepare
 def test_graph_cross_block_is_even_rows_by_odd_columns(n):
     h = gaussian_matrix(n, n, 6)
     prep = prepare(h)
-    g = build_graph(h)
+    rows = prepare(h, gram=False)
+    g = build_graph(rows)
     assert g.n == n
-    inv = prepare(h, gram=False).inv_norm
+    inv = rows.inv_norm
     np.testing.assert_array_equal(g.cross_sim,
                                   (h[0::2] @ h[1::2].T) * (inv[0::2, None] * inv[1::2]))
     np.testing.assert_allclose(g.cross_sim, prep.unit[0::2] @ prep.unit[1::2].T, atol=1e-15)
@@ -28,18 +30,18 @@ def test_graph_cross_block_is_even_rows_by_odd_columns(n):
 
 def test_graph_rejects_no_tokens():
     with pytest.raises(ValueError):
-        build_graph(np.zeros((0, 3)))
+        build_graph(prepare(np.zeros((0, 3)), gram=False))
 
 
 def test_graph_two_identical_tokens():
     h = np.array([[1.0, 0.0], [1.0, 0.0]])
-    g = build_graph(h)
+    g = build_graph(prepare(h, gram=False))
     assert g.cross_sim.shape == (1, 1)
     np.testing.assert_allclose(g.cross_sim, [[1.0]])
 
 
 def test_graph_single_token():
-    g = build_graph(np.array([[1.0, 0.0]]))
+    g = build_graph(prepare(np.array([[1.0, 0.0]]), gram=False))
     assert g.cross_sim.size == 0
     # no opposite side: trivially non-redundant, score 0 by the fallback
     s = redundancy_scores(g)
@@ -51,7 +53,7 @@ def test_graph_single_token():
 
 def test_graph_eval_count():
     for n in (1, 2, 5, 8, 13):
-        g = build_graph(gaussian_matrix(n, n, 6))
+        g = build_graph(prepare(gaussian_matrix(n, n, 6), gram=False))
         assert g.num_similarity_evaluations == math.ceil(n / 2) * (n // 2)
 
 
@@ -112,33 +114,33 @@ def test_score_odd_token_count():
 
 
 def test_select_keep_all():
-    h = gaussian_matrix(3, 7, 5)
+    h = prepare(gaussian_matrix(3, 7, 5), gram=False)
     kept = gsp_select(h, keep=7)
     assert kept == list(range(7))
 
 
 def test_select_drops_duplicates():
     # three copies plus one orthogonal: the orthogonal token scores lowest
-    h = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]])
+    h = prepare(np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]]), gram=False)
     kept = gsp_select(h, keep=1)
     assert kept == [3]
 
 
 def test_select_tie_break_low_index():
-    h = np.array([[1.0, 0.0]] * 4)
+    h = prepare(np.array([[1.0, 0.0]] * 4), gram=False)
     kept = gsp_select(h, keep=2)
     assert kept == [0, 1]
 
 
 def test_select_output_sorted_and_tagged():
-    h = gaussian_matrix(8, 30, 6)
+    h = prepare(gaussian_matrix(8, 30, 6), gram=False)
     kept = gsp_select(h, keep=12)
     assert kept == sorted(kept)
     assert len(set(kept)) == 12
 
 
 def test_select_prefers_low_scores():
-    h = gaussian_matrix(2, 16, 4)
+    h = prepare(gaussian_matrix(2, 16, 4), gram=False)
     scores = redundancy_scores(build_graph(h)).score
     kept = gsp_select(h, keep=5)
     worst_kept = max(scores[i] for i in kept)
@@ -155,7 +157,7 @@ def test_select_prefers_low_scores():
     (np.int64(3), None),
 ])
 def test_select_takes_an_integer_keep_in_one_to_n(keep, match):
-    h = gaussian_matrix(3, 7, 5)
+    h = prepare(gaussian_matrix(3, 7, 5), gram=False)
     if match is None:
         assert gsp_select(h, keep=keep) == gsp_select(h, keep=int(keep))
     else:
@@ -166,11 +168,11 @@ def test_select_takes_an_integer_keep_in_one_to_n(keep, match):
 def test_select_checks_raw_tokens_before_it_reads_n():
     # a 0-d input is refused by the input contract, not by a len() call
     with pytest.raises(InputError, match="2-d array"):
-        gsp_select(np.float64(1.0), keep=1)
+        select("gsp", np.float64(1.0), None, 1)
 
 
 def test_build_graph_validates_params():
-    h = gaussian_matrix(1, 4, 3)
+    h = prepare(gaussian_matrix(1, 4, 3), gram=False)
     with pytest.raises(ValueError):
         build_graph(h, tau=1.0)
     with pytest.raises(ValueError):
@@ -180,7 +182,8 @@ def test_build_graph_validates_params():
 def test_build_graph_rejects_a_gamma_that_can_overflow_a_score():
     # four near-duplicate rows and one orthogonal row; at gamma = 5 token 3
     # has the lowest score among the duplicates
-    h = np.array([[1.0, 0.03], [1.0, 0.02], [1.0, 0.01], [1.0, 0.0], [0.0, 1.0]])
+    h = prepare(np.array([[1.0, 0.03], [1.0, 0.02], [1.0, 0.01], [1.0, 0.0], [0.0, 1.0]]),
+                gram=False)
     assert gsp_select(h, gamma=5.0, keep=2) == [3, 4]
     with pytest.raises(ValueError, match="overflow"):
         build_graph(h, gamma=2000.0)

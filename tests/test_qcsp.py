@@ -3,9 +3,9 @@ import pytest
 
 from tokensieve import qcsp, similarity
 from tokensieve.fusion import select
-from tokensieve.qcsp import GreedyState, build_kernel, greedy_map, kernel_matrix
+from tokensieve.qcsp import GreedyState, kernel_matrix
 from tokensieve.rng import SplitMix64, gaussian_matrix
-from tokensieve.similarity import (l2_normalize_rows, mean_pool,
+from tokensieve.similarity import (InputError, l2_normalize_rows, mean_pool,
                                    min_max_normalize, prepare, relevance_scores)
 
 
@@ -16,6 +16,13 @@ def random_instance(seed, n=12, d=6):
     q = gaussian_matrix(rng.next_u64() >> 1, 2, d)
     r = min_max_normalize(relevance_scores(h, mean_pool(q)))
     return prepare(h), r
+
+
+def greedy(prep, r, k):
+    """The first k tokens of the walk of prep and r."""
+    state = GreedyState(prep, r)
+    state.extend(k)
+    return state.order[:k].tolist()
 
 
 def test_kernel_orthonormal_unit_relevance():
@@ -71,24 +78,30 @@ def test_materialized_kernel_is_exactly_symmetric():
 def test_kernel_needs_the_prepared_gram():
     h = gaussian_matrix(10, 8, 4)
     prep = prepare(h)
-    build_kernel(prep, prep.relevance)
+    GreedyState(prep, prep.relevance)
     # the first walk took the Gram over
     with pytest.raises(ValueError, match="no Gram"):
-        build_kernel(prep, prep.relevance)
+        GreedyState(prep, prep.relevance)
     with pytest.raises(ValueError, match="no Gram"):
-        build_kernel(prepare(h, gram=False), np.ones(8))
+        GreedyState(prepare(h, gram=False), np.ones(8))
 
 
 def test_kernel_validates_relevance_range():
-    for build in (build_kernel, lambda h, r: kernel_matrix(prepare(h), r)):
+    for build in (GreedyState, kernel_matrix):
         with pytest.raises(ValueError, match=r"in \[0, 1\]"):
-            build(np.eye(3), np.array([0.5, 1.5, 0.2]))
+            build(prepare(np.eye(3)), np.array([0.5, 1.5, 0.2]))
         with pytest.raises(ValueError, match="shape mismatch"):
-            build(np.eye(3), np.ones(2))
+            build(prepare(np.eye(3)), np.ones(2))
+        # min and max carry a NaN through, and the range test fails on it
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+                build(prepare(np.eye(3)), np.array([0.5, bad, 0.2]))
+        with pytest.raises(InputError, match="relevance must hold real numbers"):
+            build(prepare(np.eye(3)), np.array([0.5, 1.0, 0.2]) + 0j)
 
 
 def test_greedy_identity_tie_break():
-    assert greedy_map(build_kernel(np.eye(4), np.ones(4)), 1) == [0]
+    assert greedy(prepare(np.eye(4)), np.ones(4), 1) == [0]
 
 
 def test_greedy_prefers_orthogonal_pair():
@@ -97,13 +110,13 @@ def test_greedy_prefers_orthogonal_pair():
     h = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
     prep = prepare(h)
     l = kernel_matrix(prep, np.ones(3))
-    picked = greedy_map(GreedyState(prep, np.ones(3)), 2)
+    picked = greedy(prep, np.ones(3), 2)
     assert sorted(picked) == [0, 1]
     assert np.linalg.det(l[np.ix_(picked, picked)]) == pytest.approx(1.0)
 
 
 def test_greedy_full_budget():
-    picked = greedy_map(GreedyState(*random_instance(5, n=9)), 9)
+    picked = greedy(*random_instance(5, n=9), 9)
     assert sorted(picked) == list(range(9))
 
 
@@ -115,14 +128,14 @@ def test_qcsp_mode_relevance_wins():
 
 def test_greedy_duplicate_tie_break():
     h = np.array([[1.0, 0.0]] * 3)
-    assert greedy_map(build_kernel(h, np.ones(3)), 1) == [0]
+    assert greedy(prepare(h), np.ones(3), 1) == [0]
 
 
 def test_duplicate_deferred_to_last():
     # a duplicate retains only the eps-scale residual, so the distinct
     # token goes second and the duplicate is still returned for k = n
     h = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    state = build_kernel(h, np.ones(3))
+    state = GreedyState(prepare(h), np.ones(3))
     state.extend(3)
     order = [int(i) for i in state.order[:3]]
     assert order == [0, 2, 1]
@@ -144,10 +157,9 @@ def test_exhaustion_pads_ascending():
 def test_prefix_consistency():
     # a walk takes its instance's Gram, so each walk gets a fresh instance
     for seed in range(10):
-        full = greedy_map(GreedyState(*random_instance(seed, n=15, d=5)), 15)
+        full = greedy(*random_instance(seed, n=15, d=5), 15)
         for budget in (1, 4, 9):
-            walk = GreedyState(*random_instance(seed, n=15, d=5))
-            assert greedy_map(walk, budget) == full[:budget]
+            assert greedy(*random_instance(seed, n=15, d=5), budget) == full[:budget]
 
 
 def test_extend_is_incremental():
@@ -174,15 +186,12 @@ def test_extend_validates_budget():
 
 @pytest.mark.parametrize("k", [2.0, True, "3", np.int64(3)])
 def test_walk_takes_an_integer_k_only(k):
-    # greedy_map hands k to GreedyState.extend, which checks it
-    def fresh():
-        return GreedyState(*random_instance(2, n=5))
+    # GreedyState.extend checks k before it walks
     if isinstance(k, np.integer):
-        assert greedy_map(fresh(), k) == greedy_map(fresh(), 3)
+        assert greedy(*random_instance(2, n=5), k) == greedy(*random_instance(2, n=5), 3)
         return
-    for run in (greedy_map, GreedyState.extend):
-        with pytest.raises(ValueError, match="^k must be an integer"):
-            run(fresh(), k)
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        GreedyState(*random_instance(2, n=5)).extend(k)
 
 
 def test_gains_match_det_ratios():
@@ -327,10 +336,10 @@ def test_a_second_walk_on_one_prepared_raises():
     prep, r, d = flush_instance(3)
     n = prep.n
     gram = prep.gram
-    state = build_kernel(prep, r)
+    state = GreedyState(prep, r)
     # the walk runs in the Gram's own buffer
     assert prep.gram is None and state._a is gram
-    for second in (GreedyState, build_kernel, kernel_matrix):
+    for second in (GreedyState, kernel_matrix):
         with pytest.raises(ValueError, match="an earlier walk took it"):
             second(prep, r)
     # what the benchmark's tracer reads after a walk stays readable
@@ -407,7 +416,7 @@ def test_padding_after_a_flush_takes_each_token_once(monkeypatch):
     r = min_max_normalize(np.arange(12.0))
     for ks in ([12], [10, 11, 12], [11, 12]):
         set_panel_rows(monkeypatch, 2)
-        state = build_kernel(h, r)
+        state = GreedyState(prepare(h), r)
         for k in ks:
             state.extend(k)
         assert state.exhausted and state.flushes == 4

@@ -6,7 +6,6 @@ import pytest
 from tokensieve import similarity
 from tokensieve.fusion import script_select, select
 from tokensieve.gsp import build_graph
-from tokensieve.qcsp import build_kernel
 from tokensieve.rng import gaussian_matrix
 from tokensieve.similarity import (InputError, l2_normalize_rows, mean_pool,
                                    min_max_normalize, prepare, relevance_scores)
@@ -240,7 +239,7 @@ def test_gram_size_limit_is_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(similarity, "_gram_and_norms", must_not_run)
     for run in (lambda: prepare(h), lambda: prepare(h, q),
                 lambda: script_select(h, q, 3), lambda: select("qcsp", h, q, 3),
-                lambda: build_kernel(h, np.ones(n))):
+                lambda: select("diversity", h, None, 3)):
         with pytest.raises(InputError, match=f"{n} tokens"):
             run()
     monkeypatch.setattr(similarity, "l2_normalize_rows", l2_normalize_rows)
@@ -271,6 +270,9 @@ def test_mean_pool():
     (l2_normalize_rows, np.array([["1", "2"]]), InputError, "rows must hold real numbers"),
     (l2_normalize_rows, np.ones(3), InputError, r"rows must be a 2-d array, got shape \(3,\)"),
     (l2_normalize_rows, 2.0, InputError, r"rows must be a 2-d array, got shape \(\)"),
+    (min_max_normalize, np.array([1.0, np.nan]), InputError, "values must be finite"),
+    (min_max_normalize, np.array([0.0, np.inf]), InputError, "values must be finite"),
+    (min_max_normalize, np.array([-np.inf, 0.0]), InputError, "values must be finite"),
 ])
 def test_public_functions_refuse_what_they_cannot_read(func, arg, error, match):
     with pytest.raises(error, match=match):
@@ -320,6 +322,12 @@ def test_min_max_examples():
                                   [1.0, 1.0])
     np.testing.assert_allclose(min_max_normalize(np.array([-1.0, 1.0])),
                                [1e-6, 1.0])
+    # finite values whose span max - min overflows
+    np.testing.assert_array_equal(min_max_normalize(np.array([-1e308, 0.0, 1e308])),
+                                  [1e-6, 0.5, 1.0])
+    big = np.finfo(np.float64).max
+    np.testing.assert_array_equal(min_max_normalize(np.array([big, -big, 0.0])),
+                                  [1.0, 1e-6, 0.5])
 
 
 def test_min_max_range_property():

@@ -1,7 +1,7 @@
 import numpy as np
 
 from tokensieve import verify
-from tokensieve.qcsp import build_kernel, greedy_map
+from tokensieve.qcsp import GreedyState
 from tokensieve.rng import SplitMix64, gaussian_matrix
 from tokensieve.similarity import min_max_normalize, prepare
 
@@ -57,8 +57,10 @@ def test_marginal_gain_errors_shapes():
     # the recursion is exact Cholesky on the shifted kernel, so this
     # companion identity holds to float precision
     assert max(shifted) <= 1e-12
-    # the order of the walk it ran, as greedy_map walks a fresh instance
-    assert order == greedy_map(build_kernel(h, r), 4)
+    # the order of the walk it ran, as a fresh walk of the tokens gives it
+    state = GreedyState(prepare(h), r)
+    state.extend(4)
+    assert order == state.order[:4].tolist()
 
 
 def test_suite_flags_sabotaged_gains(monkeypatch):
