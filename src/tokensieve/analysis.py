@@ -9,7 +9,9 @@ scores 0, textured regions approach log(number of bins).
 The token rows pass through similarity.prepare before anything reads
 them, so a non-real dtype or a non-finite token (named by its row)
 raises similarity.InputError, and the distance profile, which builds
-the full unit-row Gram, is bounded by MAX_GRAM_BYTES.
+the full unit-row Gram, is bounded by MAX_GRAM_BYTES.  Every count (grid
+side, profile dimension, token count, max_dist) goes through
+similarity._integer: a bool, a float or a string raises ValueError.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .similarity import prepare
+from .similarity import _integer, prepare
 
 ENTROPY_BINS = 20
 ENTROPY_EPS = 1e-8
@@ -28,6 +30,10 @@ ENTROPY_EPS = 1e-8
 class GridShape:
     height: int
     width: int
+
+    def __post_init__(self):
+        _integer("height", self.height)
+        _integer("width", self.width)
 
     def check(self, n: int) -> None:
         if self.height < 1 or self.width < 1 or self.height * self.width != n:
@@ -41,6 +47,8 @@ class ModelProfile:
     ffn_dim: int
 
     def __post_init__(self):
+        for name in ("layers", "hidden_dim", "ffn_dim"):
+            _integer(name, getattr(self, name))
         if min(self.layers, self.hidden_dim, self.ffn_dim) < 1:
             raise ValueError("profile dimensions must be positive")
 
@@ -114,11 +122,12 @@ def similarity_by_distance_profile(h_v: np.ndarray, grid: GridShape,
     """Mean cosine over unordered token pairs at Manhattan distance 1..max_dist
     (NaN past the grid's largest), from one pass over the Gram and nothing
     else n^2-sized."""
-    grid.check(len(h_v))
-    if max_dist < 1:
+    if _integer("max_dist", max_dist) < 1:
         raise ValueError("max_dist must be >= 1")
+    prep = prepare(h_v)
+    grid.check(prep.n)
     h, w = grid.height, grid.width
-    gram = prepare(h_v).gram.reshape(h, w, h, w)
+    gram = prep.gram.reshape(h, w, h, w)
     col_dist = np.abs(np.subtract.outer(np.arange(w), np.arange(w)))
     within_row = np.triu(np.ones((w, w), dtype=bool), 1)
     sums, counts = np.zeros((2, h + w - 1))  # by distance 0..h+w-2
@@ -139,7 +148,7 @@ def similarity_by_distance_profile(h_v: np.ndarray, grid: GridShape,
 def flops_estimate(n_tokens: int, profile: ModelProfile) -> float:
     """Prefill FLOPs: per layer 4nd^2 (projections) + 2n^2 d (attention)
     + 2ndm (FFN).  Only ratios between token counts are meaningful."""
-    if n_tokens < 0:
+    if _integer("token count", n_tokens) < 0:
         raise ValueError("token count must be nonnegative")
     n = float(n_tokens)
     d = float(profile.hidden_dim)

@@ -1,6 +1,8 @@
 """Intersection fusion of the redundancy-pruned and query-conditioned
 selections, and `select`, which builds the Selection document of every
 mode: the fusion, its two stages alone, and the ablation baselines.
+`_fuse` is the fusion's scan: it returns the kept indices and their
+tags, and `select` resolves gsp_keep and records the params.
 
 The fused rule: take the redundancy-filtered candidate set G, walk the
 full greedy MAP order, and keep each G-member encountered until the
@@ -35,15 +37,9 @@ from .similarity import _integer, mean_pool, min_max_normalize, prepare, relevan
 from .tensor_io import Selection
 
 
-def _fuse(prep, m: int, tau: float, gamma: float, gsp_keep: int | None) -> Selection:
-    """The fused selection of a prepared instance holding its Gram, for a
-    budget m in [1, n]; kept order follows the greedy-order scan."""
-    n = prep.n
-    if gsp_keep is None:
-        gsp_keep = min(n, 2 * m)
-    if not 1 <= gsp_keep <= n:
-        raise ValueError(f"gsp_keep must lie in [1, {n}], got {gsp_keep}")
-
+def _fuse(prep, m: int, tau: float, gamma: float, gsp_keep: int) -> tuple[list[int], list[str]]:
+    """The fused scan of a prepared instance holding its Gram, for a budget
+    m in [1, n]: the kept indices in greedy-order scan order, and their tags."""
     # both stages read the one Gram; GSP reads it before the walk scales it
     # into L in place
     g_members = set(gsp_select(prep, tau, gamma, keep=gsp_keep))
@@ -74,13 +70,7 @@ def _fuse(prep, m: int, tau: float, gamma: float, gsp_keep: int | None) -> Selec
             if idx not in kept_set:
                 kept.append(idx)
                 tags.append("qcsp-fill")
-    return Selection(
-        kept=kept,
-        n_original=n,
-        stage_tags=tags,
-        params={"mode": "script", "m": m, "tau": tau, "gamma": gamma,
-                "gsp_keep": gsp_keep, "eps": EPS},
-    )
+    return kept, tags
 
 
 MODES = ("script", "gsp", "qcsp", "random", "topk", "diversity")
@@ -111,11 +101,15 @@ def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
     n = prep.n
     if not 1 <= m <= n:
         raise ValueError(f"budget must lie in [1, {n}], got {m}")
-    if mode == "script":
-        return _fuse(prep, m, tau, gamma, gsp_keep)
     params = {"mode": mode, "m": m}
     tag = "baseline"
-    if mode == "gsp":
+    if mode == "script":
+        gsp_keep = min(n, 2 * m) if gsp_keep is None else gsp_keep
+        if not 1 <= gsp_keep <= n:
+            raise ValueError(f"gsp_keep must lie in [1, {n}], got {gsp_keep}")
+        kept, tags = _fuse(prep, m, tau, gamma, gsp_keep)
+        params.update(tau=tau, gamma=gamma, gsp_keep=gsp_keep, eps=EPS)
+    elif mode == "gsp":
         kept = gsp_select(prep, tau, gamma, keep=m)
         tag = "gsp-only"
         params.update(tau=tau, gamma=gamma)
@@ -132,7 +126,7 @@ def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
     else:
         # top-m by raw relevance, descending; ties to the lower index
         kept = np.argsort(-prep.relevance_raw, kind="stable")[:m].tolist()
-    return Selection(kept, n, [tag] * m, params)
+    return Selection(kept, n, tags if mode == "script" else [tag] * m, params)
 
 
 def script_select(h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,

@@ -23,6 +23,7 @@ scaled by the outer product of their inverse norms, as S itself is.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +61,15 @@ def build_graph(prep: Prepared, tau: float = DEFAULT_TAU,
                 gamma: float = DEFAULT_GAMMA) -> BipartiteRedundancyGraph:
     """The redundancy graph of a prepared instance.
 
-    Raises ValueError when gamma * (1 - tau) + log(ceil(n/2)) reaches
-    log(float64 max), about 709.78: then the score ceil(n/2) * exp(gamma *
-    (1 - tau)) of a token at full degree and mean_sim 1 could overflow.
+    Raises ValueError naming tau or gamma when it is a bool or not a real
+    number (numpy floats are real), and when gamma * (1 - tau) +
+    log(ceil(n/2)) reaches log(float64 max), about 709.78: then the score
+    ceil(n/2) * exp(gamma * (1 - tau)) of a token at full degree and
+    mean_sim 1 could overflow.
     """
+    for name, value in (("tau", tau), ("gamma", gamma)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
     if not (-1.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (-1, 1), got {tau}")
     if not gamma > 0.0:

@@ -122,10 +122,11 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
 
 def mean_pool(q: np.ndarray) -> np.ndarray:
     """Elementwise mean over rows (the pooled query embedding); InputError
-    unless q's dtype is real."""
+    unless q is a 2-d array of real dtype with at least one row."""
     q = _real_array(q, "query")
-    if q.ndim != 2 or q.shape[0] < 1:
-        raise ValueError("mean_pool needs at least one row")
+    if q.ndim != 2 or q.shape[0] == 0:
+        raise InputError(f"the query must be a 2-d array of at least one row, "
+                         f"got shape {q.shape}")
     return q.mean(axis=0)
 
 
@@ -278,13 +279,9 @@ def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
         if n == 0:
             raise InputError("the token matrix has 0 rows, so there is no relevance "
                              "to score against the query")
-        q = _real_array(h_q, "query")
-        if q.ndim != 2 or q.shape[0] == 0:
-            raise InputError(f"the query must be a 2-d array of at least one row, "
-                             f"got shape {q.shape}")
         # a mean that overflows is caught as non-finite below
         with np.errstate(over="ignore"):
-            mu = mean_pool(q)
+            mu = mean_pool(h_q)
         if mu.shape[0] != h_v.shape[1]:
             raise InputError(f"query width {mu.shape[0]} does not match token width "
                              f"{h_v.shape[1]}")

@@ -126,10 +126,10 @@ def _read_csv(path) -> np.ndarray:
 class Selection:
     """Ordered retained-token indices plus provenance.
 
-    kept[i] came from the stage named by stage_tags[i]; every index is
-    distinct and < n_original, n_original >= 0, and params is a dict (a
-    JSON object).  budget equals len(kept) for all pipeline outputs, but
-    degenerate (budget 0) documents are representable.
+    kept[i] came from the stage named by stage_tags[i]; the indices are
+    distinct integers (Python or numpy, no bools) < n_original, itself such
+    an integer >= 0; params is a dict (a JSON object).  budget is len(kept),
+    at least 1 for pipeline outputs, but budget 0 documents are representable.
     """
 
     kept: list[int]
@@ -142,6 +142,9 @@ class Selection:
         return len(self.kept)
 
     def validate(self) -> "Selection":
+        for x in (self.n_original, *self.kept):
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise SelectionFormatError(f"kept and n_original must be integers, got {x!r}")
         if self.n_original < 0:
             raise SelectionFormatError(f"n_original must be >= 0, got {self.n_original}")
         if not isinstance(self.params, dict):
@@ -199,8 +202,8 @@ def read_selection(path) -> Selection:
         budget = doc.get("budget", s.budget)
     except (KeyError, TypeError) as exc:
         raise SelectionFormatError(f"{path}: missing or malformed field ({exc})") from None
-    # JSON integers only: 1.7, "3" and true are not indices
-    if not all(type(x) is int for x in (s.n_original, budget, *s.kept)):
+    # a JSON integer: 1.7, "3" and true are not; validate checks kept and n_original
+    if type(budget) is not int:
         raise SelectionFormatError(f"{path}: kept, n_original and budget must be integers")
     if s.budget != budget:
         raise SelectionFormatError(f"{path}: budget field disagrees with kept length")

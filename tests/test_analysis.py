@@ -224,7 +224,37 @@ def test_flops_profile_validation():
     # reached from here alone
     (lambda: similarity_by_distance_profile(gaussian_matrix(4, 9, 5), GridShape(3, 3), 0),
      "max_dist must be >= 1"),
+    # counts go through similarity._integer: floats, NaN, bools and strings
+    # are refused by name
+    (lambda: flops_estimate(float("nan"), ModelProfile(2, 16, 64)),
+     "^token count must be an integer, got nan"),
+    (lambda: flops_estimate(2.5, ModelProfile(2, 16, 64)), "^token count must be an integer"),
+    (lambda: flops_estimate(True, ModelProfile(2, 16, 64)), "^token count must be an integer"),
+    (lambda: ModelProfile(1.5, 2, 3), "^layers must be an integer"),
+    (lambda: ModelProfile(2, 16.0, 64), "^hidden_dim must be an integer"),
+    (lambda: ModelProfile(2, 16, True), "^ffn_dim must be an integer"),
+    (lambda: GridShape(2.0, 2), "^height must be an integer"),
+    (lambda: GridShape(2, "2"), "^width must be an integer"),
+    (lambda: similarity_by_distance_profile(gaussian_matrix(4, 9, 5), GridShape(3, 3), 2.5),
+     "^max_dist must be an integer"),
 ])
 def test_analysis_guards_name_their_parameter(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("diagnostic", [
+    local_entropy_map,
+    mean_neighbor_similarity,
+    lambda h, grid: similarity_by_distance_profile(h, grid, 1),
+], ids=["entropy", "neighbor", "profile"])
+def test_a_0d_input_raises_input_error(diagnostic):
+    # refused by the input contract before anything reads its length
+    with pytest.raises(InputError, match=r"tokens must be a 2-d array.*got shape \(\)"):
+        diagnostic(np.float64(1.0), GridShape(1, 1))
+
+
+def test_analysis_counts_take_numpy_integers():
+    assert flops_estimate(np.int64(64), ModelProfile(np.int32(2), 16, 64)) == \
+        flops_estimate(64, ModelProfile(2, 16, 64))
+    assert GridShape(np.int64(2), 3) == GridShape(2, 3)

@@ -172,6 +172,31 @@ def test_select_takes_integer_parameters_only():
     assert type(sel.params["m"]) is int and type(sel.params["seed"]) is int
 
 
+@pytest.mark.parametrize("mode", ["script", "gsp"])
+@pytest.mark.parametrize("name, kwargs", [
+    ("gamma", {"gamma": True}), ("gamma", {"gamma": np.True_}), ("gamma", {"gamma": "5"}),
+    ("tau", {"tau": "0.3"}), ("tau", {"tau": False}), ("tau", {"tau": None}),
+], ids=["gamma-bool", "gamma-numpy-bool", "gamma-str", "tau-str", "tau-bool", "tau-none"])
+def test_select_takes_a_real_tau_and_gamma_only(mode, name, kwargs):
+    h_v = gaussian_matrix(5, 14, 6)
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        select(mode, h_v, None, 3, **kwargs)
+    # numpy floats are real numbers, recorded as given
+    sel = select(mode, h_v, None, 3, tau=np.float32(0.25), gamma=np.float64(4.0))
+    assert sel == select(mode, h_v, None, 3, tau=float(np.float32(0.25)), gamma=4.0)
+    assert type(sel.params["tau"]) is np.float32
+
+
+def test_script_params_keep_their_key_order():
+    h_v, h_q = gaussian_matrix(5, 14, 6), gaussian_matrix(6, 2, 6)
+    keys = ["mode", "m", "tau", "gamma", "gsp_keep", "eps"]
+    for gsp_keep, recorded in ((None, 6), (9, 9)):
+        params = select("script", h_v, h_q, 3, gsp_keep=gsp_keep).params
+        assert list(params) == keys
+        assert params == {"mode": "script", "m": 3, "tau": 0.3, "gamma": 5.0,
+                          "gsp_keep": recorded, "eps": EPS}
+
+
 def test_select_rejects_an_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode 'fused'"):
         select("fused", gaussian_matrix(5, 14, 6), None, 3)

@@ -273,6 +273,10 @@ def test_mean_pool():
     (min_max_normalize, np.array([1.0, np.nan]), InputError, "values must be finite"),
     (min_max_normalize, np.array([0.0, np.inf]), InputError, "values must be finite"),
     (min_max_normalize, np.array([-np.inf, 0.0]), InputError, "values must be finite"),
+    (mean_pool, np.ones(3), InputError,
+     r"^the query must be a 2-d array of at least one row, got shape \(3,\)"),
+    (mean_pool, np.zeros((0, 3)), InputError,
+     r"^the query must be a 2-d array of at least one row, got shape \(0, 3\)"),
 ])
 def test_public_functions_refuse_what_they_cannot_read(func, arg, error, match):
     with pytest.raises(error, match=match):

@@ -232,3 +232,25 @@ def test_read_selection_rejects_bad_documents(tmp_path, text, match):
     p.write_text(text)
     with pytest.raises(SelectionFormatError, match=match):
         read_selection(p)
+
+
+@pytest.mark.parametrize("kept, n_original", [([1.5], 3), ([True], 3), ([1], 3.0),
+                                              ([np.float64(1.0)], 3), ([1], np.True_)],
+                         ids=["float-index", "bool-index", "float-n", "numpy-float-index",
+                              "numpy-bool-n"])
+def test_write_selection_refuses_non_integer_indices(tmp_path, kept, n_original):
+    p = tmp_path / "s.json"
+    write_selection(Selection([0], 3, ["baseline"], {"mode": "random"}), p)
+    before = p.read_bytes()
+    with pytest.raises(SelectionFormatError, match="must be integers"):
+        write_selection(Selection(kept, n_original, ["baseline"], {}), p)
+    assert p.read_bytes() == before
+
+
+def test_write_selection_takes_numpy_integer_indices(tmp_path):
+    p = tmp_path / "s.json"
+    write_selection(Selection([np.int64(2), np.uint8(0)], np.int32(4),
+                              ["baseline", "baseline"], {}), p)
+    assert json.loads(p.read_text())["kept"] == [2, 0]
+    back = read_selection(p)
+    assert back.kept == [2, 0] and back.n_original == 4
