@@ -63,11 +63,12 @@ def cmd_score(args) -> int:
     else:
         raw_col = [""] * n
         norm_col = [""] * n
+    fallback = scores.used_fallback
     lines = ["index,redundancy_score,degree,mean_sim,used_fallback,relevance_raw,relevance_norm"]
     for i in range(n):
         lines.append(",".join([
             str(i), "%.9g" % scores.score[i], str(int(scores.degree[i])),
-            "%.9g" % scores.mean_sim[i], str(bool(scores.used_fallback[i])).lower(),
+            "%.9g" % scores.mean_sim[i], str(bool(fallback[i])).lower(),
             raw_col[i], norm_col[i],
         ]))
     text = "\n".join(lines) + "\n"

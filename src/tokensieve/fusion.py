@@ -11,10 +11,10 @@ are filled with the earliest not-yet-kept tokens of the same greedy
 order.  Because greedy selection is prefix-consistent, walking one
 length-n order is equivalent to re-running it with increasing budgets.
 
-The walk stops exactly where the answer is known.  While m - len(kept)
-members are still missing and g_unseen G-members lie ahead, each missing
-member costs at least one more step, so the state is grown by
-min(m - len(kept), g_unseen) steps per round.  The walk therefore ends
+The walk stops exactly where the answer is known.  The scan keeps
+target = min(m, |G|) members; while target - len(kept) of them are still
+missing, each costs at least one more step, so the state is grown by
+target - len(kept) steps per round.  The walk therefore ends
 at the m-th G-member and never passes it (if G holds fewer than m, it
 ends at the last G-member or at step m, whichever is later).  The
 per-step arithmetic does not depend on how the walk is split into
@@ -46,16 +46,15 @@ def _fuse(prep, m: int, tau: float, gamma: float, gsp_keep: int) -> tuple[list[i
     state = build_kernel(prep, prep.relevance)
 
     kept: list[int] = []
-    g_unseen = len(g_members)
-    while len(kept) < m and g_unseen > 0:
-        # the g_unseen members all lie in the n - t unwalked positions,
-        # so this never asks for more than n steps
+    target = min(m, len(g_members))
+    while len(kept) < target:
+        # the len(g_members) - len(kept) members not yet kept all lie in the
+        # n - t unwalked positions, so this never asks for more than n steps
         scanned = state.t
-        state.extend(scanned + min(m - len(kept), g_unseen))
+        state.extend(scanned + target - len(kept))
         for idx in state.order[scanned: state.t].tolist():
             if idx in g_members:
                 kept.append(idx)
-                g_unseen -= 1
 
     tags = ["intersection"] * len(kept)
     if len(kept) < m:

@@ -18,6 +18,7 @@ The graph reads a prepared instance (similarity.prepare).  When it holds
 S, the graph is a strided view of it and costs no arithmetic; otherwise
 the block is one gemm of the prepared raw rows, H[0::2] @ H[1::2].T,
 scaled by the outer product of their inverse norms, as S itself is.
+Scoring sums under one n^2/4-byte bool mask, with no float copy of S.
 """
 
 from __future__ import annotations
@@ -54,7 +55,10 @@ class RedundancyScores:
     score: np.ndarray
     degree: np.ndarray
     mean_sim: np.ndarray
-    used_fallback: np.ndarray  # bool per token
+
+    @property
+    def used_fallback(self) -> np.ndarray:  # bool per token: no neighbor at tau
+        return self.degree == 0
 
 
 def build_graph(prep: Prepared, tau: float = DEFAULT_TAU,
@@ -93,26 +97,21 @@ def redundancy_scores(g: BipartiteRedundancyGraph) -> RedundancyScores:
     score = np.zeros(n)
     degree = np.zeros(n, dtype=np.int64)
     mean_sim = np.zeros(n)
-    used_fallback = np.zeros(n, dtype=bool)
 
     sims = g.cross_sim
     above = sims >= g.tau
-    masked = sims * above
     # even-index tokens reduce the rows (axis 1), odd-index ones the columns
     for parity in (0, 1):
         axis = 1 - parity
         d = above.sum(axis=axis)
-        has_neighbors = d > 0
-        mu_above = masked.sum(axis=axis) / np.maximum(d, 1)
         # with no opposite side (n = 1) the mean is 0: a fallback score of 0
-        mu_all = sims.sum(axis=axis) / max(sims.shape[axis], 1)
-        mu = np.where(has_neighbors, mu_above, mu_all)
-        score[parity::2] = np.where(has_neighbors, d * np.exp(g.gamma * (mu - g.tau)), mu_all)
+        mu = np.where(d > 0, np.add.reduce(sims, axis=axis, where=above) / np.maximum(d, 1),
+                      sims.sum(axis=axis) / max(sims.shape[axis], 1))
+        score[parity::2] = np.where(d > 0, d * np.exp(g.gamma * (mu - g.tau)), mu)
         degree[parity::2] = d
         mean_sim[parity::2] = mu
-        used_fallback[parity::2] = ~has_neighbors
 
-    return RedundancyScores(score, degree, mean_sim, used_fallback)
+    return RedundancyScores(score, degree, mean_sim)
 
 
 def gsp_select(prep: Prepared, tau: float = DEFAULT_TAU,

@@ -22,6 +22,20 @@ Candidates whose v^2 has fallen to <= 0 are never picked; if none are
 positive the kernel rank is exhausted and the remaining budget is
 padded by ascending index so callers always get exactly k indices.
 
+Write L = B B^T, with rows b_i = r_i * h_i / |h_i|.  After the steps of a
+selected set S, every unselected gain is
+
+    v_i^2 = eps * b_i^T (B_S^T B_S + eps*I)^-1 b_i,
+
+the push-through identity I - B_S^T (B_S B_S^T + eps*I)^-1 B_S =
+eps * (B_S^T B_S + eps*I)^-1 applied to the Schur complement of L + eps*I.
+While |S| < d, the width of B, v_i^2 is about b_i's squared distance from
+the span of the selected rows.  Past d (|S| >= d) v_i^2 is about eps times
+b_i's leverage under their scatter B_S^T B_S, so each step is a greedy
+D-optimal design step, with relevance entering through the scale of b_i;
+to first order all gains then scale with eps, and the argmax does not
+depend on it.
+
 The walk is a pivoted Cholesky of L + eps*I, run with deferred updates
 as LAPACK's dpstrf does.  The coefficient rows e of the steps since the
 last flush form a panel P of B = min(n, flush_rows(n)) rows, one column

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .similarity import _integer
+
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -21,7 +23,7 @@ class SplitMix64:
     """Scalar splitmix64 stream over Python integers."""
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        self.state = _integer("seed", seed) & _MASK
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK
@@ -40,6 +42,7 @@ class SplitMix64:
 
     def sample_without_replacement(self, n: int, m: int) -> list[int]:
         """m distinct indices from [0, n), in draw order (partial Fisher-Yates)."""
+        n, m = _integer("n", n), _integer("m", m)
         if m > n:
             raise ValueError(f"cannot draw {m} distinct indices from {n}")
         pool = list(range(n))
@@ -58,7 +61,7 @@ def _mix_stream(seed: int, offset: int, count: int) -> np.ndarray:
     because the state after i steps is seed + i*GAMMA mod 2^64.
     """
     idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z = (np.uint64(seed & _MASK) + idx * np.uint64(_GAMMA)).astype(np.uint64)
+    z = (np.uint64(_integer("seed", seed) & _MASK) + idx * np.uint64(_GAMMA)).astype(np.uint64)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
@@ -66,12 +69,13 @@ def _mix_stream(seed: int, offset: int, count: int) -> np.ndarray:
 
 def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """count floats in (0, 1], from the splitmix64 stream."""
-    bits = _mix_stream(seed, offset, count)
+    bits = _mix_stream(seed, _integer("offset", offset), _integer("count", count))
     return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
 
 def normal_stream(seed: int, count: int) -> np.ndarray:
     """count standard normals via Box-Muller over consecutive uniform pairs."""
+    count = _integer("count", count)
     pairs = (count + 1) // 2
     u1 = uniform_stream(seed, pairs, offset=0)
     u2 = uniform_stream(seed, pairs, offset=pairs)
@@ -84,4 +88,5 @@ def normal_stream(seed: int, count: int) -> np.ndarray:
 
 
 def gaussian_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
+    rows, cols = _integer("rows", rows), _integer("cols", cols)
     return normal_stream(seed, rows * cols).reshape(rows, cols)

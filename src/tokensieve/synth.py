@@ -10,10 +10,12 @@ import numpy as np
 
 from .rng import gaussian_matrix
 from .oracle import equicorrelation_matrix
+from .similarity import _integer
 
 
 def random_tokens(n: int, d: int, seed: int) -> np.ndarray:
     """iid standard normal rows."""
+    n, d = _integer("n", n), _integer("d", d)
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     return gaussian_matrix(seed, n, d)
@@ -21,6 +23,7 @@ def random_tokens(n: int, d: int, seed: int) -> np.ndarray:
 
 def duplicate_blocks(n: int, d: int, block: int, seed: int) -> np.ndarray:
     """n rows made of n/block distinct rows, each repeated block times."""
+    n, d, block = _integer("n", n), _integer("d", d), _integer("block", block)
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     if block < 1 or n % block != 0:
@@ -33,6 +36,7 @@ def two_region_grid(grid_h: int, grid_w: int, d: int, seed: int) -> np.ndarray:
     """Grid whose left half-columns hold one constant row and whose right
     half-columns hold iid noise; the flat/textured contrast drives the
     entropy and neighbor-similarity diagnostics."""
+    grid_h, grid_w, d = _integer("grid_h", grid_h), _integer("grid_w", grid_w), _integer("d", d)
     if grid_h < 1 or grid_w < 2 or d < 1:
         raise ValueError("two-region grid needs height >= 1, width >= 2, d >= 1")
     n = grid_h * grid_w
@@ -60,6 +64,7 @@ def equicorrelated_tokens(n: int, d: int, rho: float) -> np.ndarray:
     with a = sqrt(1-rho), b = (sqrt(1+(n-1)rho) - a)/n, zero-padded to
     d columns.
     """
+    n, d = _integer("n", n), _integer("d", d)
     if n < 1 or d < n:
         raise ValueError(f"equicorrelated pattern needs d >= n, got n={n}, d={d}")
     if n >= 2:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,9 +160,9 @@ def test_c11_flops_ratio_anchor():
 
 
 def test_c12_desk_scale_bench():
-    env = dict(os.environ)
-    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=str(src))
     cmd = [sys.executable, "-m", "tokensieve", "bench", "--n", "2880",
            "--d", "1024", "--keep", "320", "--mode", "script",
            "--repeats", "5"]

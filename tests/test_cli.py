@@ -1,4 +1,5 @@
 import importlib
+import os
 import shutil
 import subprocess
 import sys
@@ -379,6 +380,7 @@ def test_console_script_entry_resolves_to_a_working_main(capsys):
 
 
 def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     r = subprocess.run([sys.executable, "-m", "tokensieve", "--help"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=env)
     assert r.returncode == 0

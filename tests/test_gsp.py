@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,3 +196,34 @@ def test_build_graph_rejects_a_gamma_that_can_overflow_a_score():
     scores = redundancy_scores(build_graph(h, gamma=gamma)).score
     assert np.isfinite(scores).all() and scores.max() > 1e307
     assert gsp_select(h, gamma=gamma, keep=2) == [3, 4]
+
+
+def traced_peak(call):
+    """The peak bytes traced while call() runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_scoring_allocates_the_bool_mask_and_no_float_copy_of_the_block():
+    # Gaussian rows in 128 dims: about a quarter of the tokens have a cosine
+    # at or above tau, so both branches run
+    n = 2048
+    g = build_graph(prepare(gaussian_matrix(12, n, 128)))
+    assert g.cross_sim.base is not None  # a view of the Gram
+    peak, s = traced_peak(lambda: redundancy_scores(g))
+    assert s.used_fallback.any() and not s.used_fallback.all()
+    # the n^2/4-byte mask plus O(n); a float copy of the block is 2 n^2
+    assert peak < n * n // 2
+
+
+def test_gsp_without_a_gram_peaks_at_its_block_and_mask():
+    n = 2048
+    prep = prepare(gaussian_matrix(12, n, 128), gram=False)
+    peak, kept = traced_peak(lambda: gsp_select(prep, keep=n // 4))
+    assert len(kept) == n // 4
+    # the 2 n^2-byte cross block, the n^2/4-byte mask, and O(n) beside them
+    assert peak < 9 * n * n // 4 + (1 << 20)

@@ -123,3 +123,32 @@ def test_synth_guards_name_their_parameter(call, match):
 def test_equicorrelated_single_token_is_a_unit_row():
     # with one token there is no pair, so rho is ignored
     np.testing.assert_array_equal(synth.equicorrelated_tokens(1, 3, 0.7), [[1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: SplitMix64(1.5), "seed"),
+    (lambda: SplitMix64(0).sample_without_replacement(5.0, 2), "n"),
+    (lambda: SplitMix64(0).sample_without_replacement(5, True), "m"),
+    (lambda: uniform_stream(0, 2.0), "count"),
+    (lambda: uniform_stream(0, 2, offset=1.0), "offset"),
+    (lambda: normal_stream(0.5, 2), "seed"),
+    (lambda: gaussian_matrix(1, True, 3), "rows"),
+    (lambda: gaussian_matrix(1, 3, 2.0), "cols"),
+    (lambda: synth.random_tokens(4, 2.0, 0), "d"),
+    (lambda: synth.duplicate_blocks(4, 2, 2.0, 0), "block"),
+    (lambda: synth.two_region_grid(2, 4.0, 3, 0), "grid_w"),
+    (lambda: synth.equicorrelated_tokens(4.0, 6, 0.5), "n"),
+])
+def test_counts_that_are_not_integers_raise_a_value_error_naming_them(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_numpy_integer_counts_give_the_python_integer_streams():
+    assert SplitMix64(np.uint64(42)).next_u64() == reference_output(42, 0)
+    assert (SplitMix64(np.int64(4)).sample_without_replacement(np.int32(50), np.int64(20))
+            == SplitMix64(4).sample_without_replacement(50, 20))
+    np.testing.assert_array_equal(gaussian_matrix(np.int64(5), np.int32(8), np.int64(6)),
+                                  gaussian_matrix(5, 8, 6))
+    np.testing.assert_array_equal(synth.duplicate_blocks(np.int64(12), 6, np.int32(3), 2),
+                                  synth.duplicate_blocks(12, 6, 3, 2))
