@@ -11,7 +11,8 @@ them, so a non-real dtype or a non-finite token (named by its row)
 raises similarity.InputError, and the distance profile, which builds
 the full unit-row Gram, is bounded by MAX_GRAM_BYTES.  Every count (grid
 side, profile dimension, token count, max_dist) goes through
-similarity._integer: a bool, a float or a string raises ValueError.
+similarity._integer: a bool, a float, a string or a value below its
+bound (0 for the token count, 1 for the others) raises ValueError.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ class GridShape:
     width: int
 
     def __post_init__(self):
-        _integer("height", self.height)
-        _integer("width", self.width)
+        _integer("height", self.height, 1)
+        _integer("width", self.width, 1)
 
     def check(self, n: int) -> None:
-        if self.height < 1 or self.width < 1 or self.height * self.width != n:
+        if self.height * self.width != n:
             raise ValueError(f"grid {self.height}x{self.width} does not tile {n} tokens")
 
 
@@ -48,9 +49,7 @@ class ModelProfile:
 
     def __post_init__(self):
         for name in ("layers", "hidden_dim", "ffn_dim"):
-            _integer(name, getattr(self, name))
-        if min(self.layers, self.hidden_dim, self.ffn_dim) < 1:
-            raise ValueError("profile dimensions must be positive")
+            _integer(name, getattr(self, name), 1)
 
 
 def _moore_neighborhood(row: int, col: int, grid: GridShape) -> list[int]:
@@ -122,8 +121,7 @@ def similarity_by_distance_profile(h_v: np.ndarray, grid: GridShape,
     """Mean cosine over unordered token pairs at Manhattan distance 1..max_dist
     (NaN past the grid's largest), from one pass over the Gram and nothing
     else n^2-sized."""
-    if _integer("max_dist", max_dist) < 1:
-        raise ValueError("max_dist must be >= 1")
+    _integer("max_dist", max_dist, 1)
     prep = prepare(h_v)
     grid.check(prep.n)
     h, w = grid.height, grid.width
@@ -148,8 +146,7 @@ def similarity_by_distance_profile(h_v: np.ndarray, grid: GridShape,
 def flops_estimate(n_tokens: int, profile: ModelProfile) -> float:
     """Prefill FLOPs: per layer 4nd^2 (projections) + 2n^2 d (attention)
     + 2ndm (FFN).  Only ratios between token counts are meaningful."""
-    if _integer("token count", n_tokens) < 0:
-        raise ValueError("token count must be nonnegative")
+    _integer("token count", n_tokens, 0)
     n = float(n_tokens)
     d = float(profile.hidden_dim)
     m = float(profile.ffn_dim)

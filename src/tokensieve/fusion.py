@@ -82,9 +82,10 @@ def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
 
     Every mode checks and prepares its inputs in one `prepare` call: tokens
     or a query that break similarity's input contract raise InputError, and
-    a budget outside [1, n], or an m, gsp_keep or seed that is not an
-    integer (bools included), ValueError.  Only script, qcsp and diversity
-    build the 8*n^2-byte Gram the walk runs in (and so check its size).
+    an m, gsp_keep or seed that is not an integer (bools included), a
+    budget m outside [1, n], a script gsp_keep outside [1, n] or a negative
+    seed, ValueError.  Only script, qcsp and diversity build the
+    8*n^2-byte Gram the walk runs in (and so check its size).
 
     The document's params hold the mode, m and only the inputs that mode
     reads: script tau, gamma, gsp_keep and eps; gsp tau and gamma; qcsp
@@ -94,18 +95,15 @@ def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if mode == "topk" and h_q is None:
         raise ValueError("mode topk needs a query")
-    m, seed = _integer("m", m), _integer("seed", seed)
+    m, seed = _integer("m", m), _integer("seed", seed, 0)
     gsp_keep = None if gsp_keep is None else _integer("gsp_keep", gsp_keep)
     prep = prepare(h_v, h_q, gram=mode in ("script", "qcsp", "diversity"))
     n = prep.n
-    if not 1 <= m <= n:
-        raise ValueError(f"budget must lie in [1, {n}], got {m}")
+    _integer("budget", m, 1, n)
     params = {"mode": mode, "m": m}
     tag = "baseline"
     if mode == "script":
-        gsp_keep = min(n, 2 * m) if gsp_keep is None else gsp_keep
-        if not 1 <= gsp_keep <= n:
-            raise ValueError(f"gsp_keep must lie in [1, {n}], got {gsp_keep}")
+        gsp_keep = min(n, 2 * m) if gsp_keep is None else _integer("gsp_keep", gsp_keep, 1, n)
         kept, tags = _fuse(prep, m, tau, gamma, gsp_keep)
         params.update(tau=tau, gamma=gamma, gsp_keep=gsp_keep, eps=EPS)
     elif mode == "gsp":

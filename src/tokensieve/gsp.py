@@ -24,12 +24,11 @@ Scoring sums under one n^2/4-byte bool mask, with no float copy of S.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .similarity import Prepared, _integer, scale_outer
+from .similarity import Prepared, _integer, _real, scale_outer
 
 DEFAULT_TAU = 0.3
 DEFAULT_GAMMA = 5.0
@@ -71,15 +70,12 @@ def build_graph(prep: Prepared, tau: float = DEFAULT_TAU,
     ceil(n/2) * exp(gamma * (1 - tau)) of a token at full degree and
     mean_sim 1 could overflow.
     """
-    for name, value in (("tau", tau), ("gamma", gamma)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+    tau, gamma = _real("tau", tau), _real("gamma", gamma)
     if not (-1.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (-1, 1), got {tau}")
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if prep.n < 1:
-        raise ValueError("build_graph needs n >= 1")
+    _integer("n", prep.n, 1)
     log_max = math.log(np.finfo(np.float64).max)
     if gamma * (1.0 - tau) + math.log((prep.n + 1) // 2) >= log_max:
         raise ValueError(f"gamma {gamma} can overflow the scores of {prep.n} tokens at tau "
@@ -89,7 +85,7 @@ def build_graph(prep: Prepared, tau: float = DEFAULT_TAU,
     else:
         cross = prep.rows[0::2] @ prep.rows[1::2].T
         scale_outer(cross, prep.inv_norm[0::2], prep.inv_norm[1::2])
-    return BipartiteRedundancyGraph(cross, float(tau), float(gamma))
+    return BipartiteRedundancyGraph(cross, tau, gamma)
 
 
 def redundancy_scores(g: BipartiteRedundancyGraph) -> RedundancyScores:
@@ -122,9 +118,7 @@ def gsp_select(prep: Prepared, tau: float = DEFAULT_TAU,
     Ties in score break toward the lower original index.  A keep that is
     not an integer in [1, n] (bools included) raises ValueError.
     """
-    keep = _integer("keep", keep)
-    if not (1 <= keep <= prep.n):
-        raise ValueError(f"keep must lie in [1, {prep.n}], got {keep}")
+    keep = _integer("keep", keep, 1, prep.n)
     scores = redundancy_scores(build_graph(prep, tau, gamma)).score
     # stable mergesort on score preserves index order within ties
     ranked = np.argsort(scores, kind="stable")

@@ -64,11 +64,14 @@ sits at t), before the token at t moves to position p.  A flush with f
 tokens selected costs about (n-f)^2*B/2 multiply-adds and no swaps, and
 each step after the first flush reads and updates only the n-t-1
 positions after its winner, plus a pass over the panel, at most B*(n-t)
-doubles.  The walk owns one n x n buffer, the Gram's, 8*n^2 bytes: a
-GreedyState takes it from its prepared instance, scales it into L and
-overwrites it, so a second walk on one instance raises, and
-similarity.prepare refuses an instance whose Gram would exceed
-similarity.MAX_GRAM_BYTES.  kernel_matrix copies L for code that reads it.
+doubles.  A flush at step t writes its GEMM products into A's rows of
+positions [0, t): they hold selected tokens that nothing reads again,
+and B*(n-t) <= t*n, so a flush allocates nothing.  The walk owns one
+n x n buffer, the Gram's, 8*n^2 bytes: a GreedyState takes it from its
+prepared instance, scales it into L and overwrites it, so a second walk
+on one instance raises, and similarity.prepare refuses an instance
+whose Gram would exceed similarity.MAX_GRAM_BYTES.  kernel_matrix copies
+L for code that reads it.
 """
 
 from __future__ import annotations
@@ -159,9 +162,7 @@ class GreedyState:
     def extend(self, k: int) -> None:
         """Grow the selection order to length k (no-op if already there); a k
         that is not an integer in [1, n] (bools included) raises ValueError."""
-        n, k = self.kernel.n, _integer("k", k)
-        if not 1 <= k <= n:
-            raise ValueError(f"k must lie in [1, {n}], got {k}")
+        k = _integer("k", k, 1, self.kernel.n)
         if k <= self.t:
             return
         if not self.exhausted:
@@ -269,7 +270,7 @@ class GreedyState:
                 src = dst + int(np.argmax(self._perm[dst:] == j))
                 if src != dst:
                     self._swap(dst, src, b)
-        buf = np.empty(b * (n - t))
+        buf = a[:t].reshape(-1)  # selected rows, dead (see the module)
         for i0 in range(t, n, b):
             i1 = min(n, i0 + b)
             prod = np.matmul(panel[:, i0:i1].T, panel[:, i0:],

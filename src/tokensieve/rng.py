@@ -4,7 +4,9 @@ All randomness in the package (synthetic data, benchmarks, random
 baselines) flows through splitmix64 so that selections are reproducible
 across implementations, not just across runs of this one.  The i-th
 64-bit output for seed s is mix64(s + i * GAMMA) with the constants
-below; see the README for the exact recurrence.
+below; see the README for the exact recurrence.  Seeds and counts are
+non-negative integers (similarity._integer); next_below needs n >= 1,
+and sample_without_replacement m <= n.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class SplitMix64:
     """Scalar splitmix64 stream over Python integers."""
 
     def __init__(self, seed: int):
-        self.state = _integer("seed", seed) & _MASK
+        self.state = _integer("seed", seed, 0) & _MASK
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK
@@ -37,14 +39,13 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def next_below(self, n: int) -> int:
-        # floor(u * n / 2^64); bias < n / 2^64 is irrelevant at these sizes
-        return (self.next_u64() * n) >> 64
+        # floor(n * u / 2^64); bias < n / 2^64 is irrelevant at these sizes
+        return (_integer("n", n, 1) * self.next_u64()) >> 64
 
     def sample_without_replacement(self, n: int, m: int) -> list[int]:
         """m distinct indices from [0, n), in draw order (partial Fisher-Yates)."""
-        n, m = _integer("n", n), _integer("m", m)
-        if m > n:
-            raise ValueError(f"cannot draw {m} distinct indices from {n}")
+        n = _integer("n", n, 0)
+        m = _integer("m", m, 0, n)
         pool = list(range(n))
         out = []
         for t in range(m):
@@ -61,7 +62,7 @@ def _mix_stream(seed: int, offset: int, count: int) -> np.ndarray:
     because the state after i steps is seed + i*GAMMA mod 2^64.
     """
     idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z = (np.uint64(_integer("seed", seed) & _MASK) + idx * np.uint64(_GAMMA)).astype(np.uint64)
+    z = (np.uint64(_integer("seed", seed, 0) & _MASK) + idx * np.uint64(_GAMMA)).astype(np.uint64)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
@@ -69,13 +70,13 @@ def _mix_stream(seed: int, offset: int, count: int) -> np.ndarray:
 
 def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """count floats in (0, 1], from the splitmix64 stream."""
-    bits = _mix_stream(seed, _integer("offset", offset), _integer("count", count))
+    bits = _mix_stream(seed, _integer("offset", offset, 0), _integer("count", count, 0))
     return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
 
 def normal_stream(seed: int, count: int) -> np.ndarray:
     """count standard normals via Box-Muller over consecutive uniform pairs."""
-    count = _integer("count", count)
+    count = _integer("count", count, 0)
     pairs = (count + 1) // 2
     u1 = uniform_stream(seed, pairs, offset=0)
     u2 = uniform_stream(seed, pairs, offset=pairs)
@@ -88,5 +89,5 @@ def normal_stream(seed: int, count: int) -> np.ndarray:
 
 
 def gaussian_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
-    rows, cols = _integer("rows", rows), _integer("cols", cols)
+    rows, cols = _integer("rows", rows, 0), _integer("cols", cols, 0)
     return normal_stream(seed, rows * cols).reshape(rows, cols)

@@ -51,6 +51,7 @@ takes out of the range, so that check costs O(n) on top of them.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,14 +71,30 @@ def _real_array(a, name: str) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
-def _integer(name: str, value) -> int:
-    """value as a Python int; ValueError naming name for a bool or a non-index."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """value as a Python int.  ValueError naming name for a bool or a
+    non-index, and for a value outside [lo, hi] (None: no bound; a hi
+    needs a lo): "{name} must lie in [{lo}, {hi}], got {v}", or with no
+    hi "{name} must be >= {lo}, got {v}"."""
+    try:
+        v = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        v = None
+    if v is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if hi is not None and not lo <= v <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {v}")
+    if lo is not None and v < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {v}")
+    return v
+
+
+def _real(name: str, value) -> float:
+    """value as a Python float; ValueError naming name for a bool or a value
+    that is not a real number (numpy floats and integers are real)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 # the largest Gram prepare builds; the greedy walk scales it into L and runs in

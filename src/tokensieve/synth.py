@@ -10,23 +10,18 @@ import numpy as np
 
 from .rng import gaussian_matrix
 from .oracle import equicorrelation_matrix
-from .similarity import _integer
+from .similarity import _integer, _real
 
 
 def random_tokens(n: int, d: int, seed: int) -> np.ndarray:
     """iid standard normal rows."""
-    n, d = _integer("n", n), _integer("d", d)
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
-    return gaussian_matrix(seed, n, d)
+    return gaussian_matrix(seed, _integer("n", n, 1), _integer("d", d, 1))
 
 
 def duplicate_blocks(n: int, d: int, block: int, seed: int) -> np.ndarray:
     """n rows made of n/block distinct rows, each repeated block times."""
-    n, d, block = _integer("n", n), _integer("d", d), _integer("block", block)
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
-    if block < 1 or n % block != 0:
+    n, d, block = _integer("n", n, 1), _integer("d", d, 1), _integer("block", block, 1)
+    if n % block != 0:
         raise ValueError(f"block size {block} must divide n={n}")
     distinct = gaussian_matrix(seed, n // block, d)
     return np.repeat(distinct, block, axis=0)
@@ -36,23 +31,20 @@ def two_region_grid(grid_h: int, grid_w: int, d: int, seed: int) -> np.ndarray:
     """Grid whose left half-columns hold one constant row and whose right
     half-columns hold iid noise; the flat/textured contrast drives the
     entropy and neighbor-similarity diagnostics."""
-    grid_h, grid_w, d = _integer("grid_h", grid_h), _integer("grid_w", grid_w), _integer("d", d)
-    if grid_h < 1 or grid_w < 2 or d < 1:
-        raise ValueError("two-region grid needs height >= 1, width >= 2, d >= 1")
-    n = grid_h * grid_w
-    split = grid_w // 2
+    flat = constant_region_mask(grid_h, grid_w)
+    d = _integer("d", d, 1)
     constant_row = gaussian_matrix(seed, 1, d)
-    noise = gaussian_matrix(seed + 1, n, d)
-    out = np.empty((n, d))
-    cols = np.arange(n) % grid_w
-    flat = cols < split
+    noise = gaussian_matrix(seed + 1, flat.size, d)
+    out = np.empty((flat.size, d))
     out[flat] = constant_row
     out[~flat] = noise[~flat]
     return out
 
 
 def constant_region_mask(grid_h: int, grid_w: int) -> np.ndarray:
-    """Boolean mask of the constant (left) block of two_region_grid."""
+    """Boolean mask of the constant (left) block of two_region_grid; the
+    grid needs height >= 1 and width >= 2."""
+    grid_h, grid_w = _integer("grid_h", grid_h, 1), _integer("grid_w", grid_w, 2)
     return (np.arange(grid_h * grid_w) % grid_w) < (grid_w // 2)
 
 
@@ -64,9 +56,8 @@ def equicorrelated_tokens(n: int, d: int, rho: float) -> np.ndarray:
     with a = sqrt(1-rho), b = (sqrt(1+(n-1)rho) - a)/n, zero-padded to
     d columns.
     """
-    n, d = _integer("n", n), _integer("d", d)
-    if n < 1 or d < n:
-        raise ValueError(f"equicorrelated pattern needs d >= n, got n={n}, d={d}")
+    n = _integer("n", n, 1)
+    d, rho = _integer("d", d, n), _real("rho", rho)
     if n >= 2:
         lo = -1.0 / (n - 1)
         if not lo <= rho <= 1.0:

@@ -504,8 +504,7 @@ def check_entropy_direction(seeds: int = 20, base_seed: int = 14) -> CheckResult
 def run_all(seed: int = 0, instances: int = 200) -> list[CheckResult]:
     """The full suite at cmd_verify scale; acceptance tests call the
     individual checks with their own (larger) counts."""
-    if instances < 1:
-        raise ValueError(f"instances must be >= 1, got {instances}")
+    instances = similarity._integer("instances", instances, 1)
     small = max(20, instances // 4)
     results = [
         check_det_volume(instances, seed),

@@ -13,7 +13,8 @@ from tokensieve.similarity import InputError
 
 
 def test_grid_shape_validates():
-    # validation happens when the shape meets a token count
+    # a side below 1 is refused when the shape is made, a shape that does
+    # not tile the tokens when it meets their count
     with pytest.raises(ValueError):
         GridShape(0, 3).check(0)
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -412,6 +414,22 @@ def test_materialized_panel_is_allocated_once(monkeypatch):
         state.extend(n)
         assert (state.flushes > 0) == (rows is not None)
         assert np.shares_memory(state._panel, buf)
+
+
+def test_a_flush_allocates_nothing_past_the_panel():
+    # a flush writes its products into A's rows of selected positions; a
+    # separate (n - t)-row buffer would be 1.5 MiB at the first flush here
+    n = 1024
+    prep = prepare(gaussian_matrix(8, n, 400))
+    tracemalloc.start()
+    try:
+        state = GreedyState(prep, np.ones(n))
+        state.extend(400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.flushes == 1 and state._panel.shape == (256, n)
+    assert peak <= state._panel.nbytes + 2**20
 
 
 def test_positions_track_the_selection(monkeypatch):

@@ -52,7 +52,7 @@ def test_sample_without_replacement():
 
 
 def test_sample_without_replacement_rejects_more_than_n():
-    with pytest.raises(ValueError, match="cannot draw 6 distinct indices from 5"):
+    with pytest.raises(ValueError, match=r"^m must lie in \[0, 5\], got 6"):
         SplitMix64(4).sample_without_replacement(5, 6)
 
 
@@ -107,13 +107,13 @@ def test_synth_seed_determinism():
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: synth.random_tokens(0, 4, 0), "n and d must be >= 1"),
-    (lambda: synth.random_tokens(4, 0, 0), "n and d must be >= 1"),
-    (lambda: synth.duplicate_blocks(4, 0, 2, 0), "n and d must be >= 1"),
-    (lambda: synth.two_region_grid(0, 2, 4, 0), "height >= 1"),
-    (lambda: synth.two_region_grid(2, 1, 4, 0), "width >= 2"),
-    (lambda: synth.two_region_grid(2, 2, 0, 0), "d >= 1"),
-    (lambda: synth.equicorrelated_tokens(3, 2, 0.5), "d >= n, got n=3, d=2"),
+    (lambda: synth.random_tokens(0, 4, 0), "^n must be >= 1, got 0"),
+    (lambda: synth.random_tokens(4, 0, 0), "^d must be >= 1, got 0"),
+    (lambda: synth.duplicate_blocks(4, 0, 2, 0), "^d must be >= 1, got 0"),
+    (lambda: synth.two_region_grid(0, 2, 4, 0), "^grid_h must be >= 1, got 0"),
+    (lambda: synth.two_region_grid(2, 1, 4, 0), "^grid_w must be >= 2, got 1"),
+    (lambda: synth.two_region_grid(2, 2, 0, 0), "^d must be >= 1, got 0"),
+    (lambda: synth.equicorrelated_tokens(3, 2, 0.5), "^d must be >= 3, got 2"),
 ])
 def test_synth_guards_name_their_parameter(call, match):
     with pytest.raises(ValueError, match=match):
