@@ -23,8 +23,7 @@ import numpy as np
 
 from . import analysis, fusion, gsp, synth, verify
 from .gsp import DEFAULT_GAMMA, DEFAULT_TAU
-from .rng import gaussian_matrix
-from .similarity import InputError, prepare
+from .similarity import InputError, _integer, prepare
 from .tensor_io import (MatrixFormatError, SelectionFormatError, read_matrix,
                         write_matrix, write_selection)
 
@@ -87,19 +86,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.n < 1 or args.d < 1 or not 1 <= args.keep <= args.n or args.repeats < 1:
-        raise ValueError(f"invalid bench sizes n={args.n} d={args.d} keep={args.keep} "
-                         f"repeats={args.repeats}")
-    h_v = gaussian_matrix(args.seed, args.n, args.d)
-    h_q = gaussian_matrix(args.seed + 1, 8, args.d)
-    print(f"bench mode={args.mode} n={args.n} d={args.d} keep={args.keep} "
-          f"repeats={args.repeats}")
+    # random_tokens checks n and d and select checks --keep as its budget;
+    # the header prints with the result, so a refused size prints nothing
+    repeats = _integer("repeats", args.repeats, 1)
+    h_v = synth.random_tokens(args.n, args.d, args.seed)
+    h_q = synth.random_tokens(8, args.d, args.seed + 1)
     times = []
-    for _ in range(args.repeats):
+    for _ in range(repeats):
         start = time.perf_counter()
         fusion.select(args.mode, h_v, h_q, args.keep, args.tau, args.gamma,
                       args.gsp_keep, args.seed)
         times.append(time.perf_counter() - start)
+    print(f"bench mode={args.mode} n={args.n} d={args.d} keep={args.keep} "
+          f"repeats={repeats}")
     print(f"median={np.median(times):.4f}s min={min(times):.4f}s")
     return 0
 

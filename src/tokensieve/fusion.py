@@ -83,9 +83,10 @@ def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
     Every mode checks and prepares its inputs in one `prepare` call: tokens
     or a query that break similarity's input contract raise InputError, and
     an m, gsp_keep or seed that is not an integer (bools included), a
-    budget m outside [1, n], a script gsp_keep outside [1, n] or a negative
-    seed, ValueError.  Only script, qcsp and diversity build the
-    8*n^2-byte Gram the walk runs in (and so check its size).
+    budget m outside [1, n], a script gsp_keep outside [1, n] or a seed
+    outside SplitMix64's [0, 2^64 - 1], ValueError.  Only script, qcsp and
+    diversity build the 8*n^2-byte Gram the walk runs in (and so check its
+    size).
 
     The document's params hold the mode, m and only the inputs that mode
     reads: script tau, gamma, gsp_keep and eps; gsp tau and gamma; qcsp
@@ -95,7 +96,7 @@ def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if mode == "topk" and h_q is None:
         raise ValueError("mode topk needs a query")
-    m, seed = _integer("m", m), _integer("seed", seed, 0)
+    m, rng = _integer("m", m), SplitMix64(seed)
     gsp_keep = None if gsp_keep is None else _integer("gsp_keep", gsp_keep)
     prep = prepare(h_v, h_q, gram=mode in ("script", "qcsp", "diversity"))
     n = prep.n
@@ -118,8 +119,8 @@ def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
         tag = "qcsp-only" if mode == "qcsp" else tag
         params["eps"] = EPS
     elif mode == "random":
-        kept = SplitMix64(seed).sample_without_replacement(n, m)
-        params["seed"] = seed
+        kept = rng.sample_without_replacement(n, m)
+        params["seed"] = rng.seed
     else:
         # top-m by raw relevance, descending; ties to the lower index
         kept = np.argsort(-prep.relevance_raw, kind="stable")[:m].tolist()

@@ -191,6 +191,8 @@ def regularized_optimum(l: np.ndarray, k: int) -> tuple[tuple[int, ...], float]:
     """Exhaustive max of log det(I + L_S), for checking the greedy guarantee."""
     l = np.asarray(l, dtype=np.float64)
     n = l.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
     if math.comb(n, k) > SUBSET_GUARD:
         raise ValueError(f"C({n},{k}) exceeds the {SUBSET_GUARD} subset guard")
     best_subset, best_val = None, -np.inf

@@ -4,9 +4,9 @@ All randomness in the package (synthetic data, benchmarks, random
 baselines) flows through splitmix64 so that selections are reproducible
 across implementations, not just across runs of this one.  The i-th
 64-bit output for seed s is mix64(s + i * GAMMA) with the constants
-below; see the README for the exact recurrence.  Seeds and counts are
-non-negative integers (similarity._integer); next_below needs n >= 1,
-and sample_without_replacement m <= n.
+below; see the README for the exact recurrence.  A seed lies in
+[0, 2^64 - 1] and counts are non-negative integers (similarity._integer);
+next_below needs n >= 1, and sample_without_replacement m <= n.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ _MASK = (1 << 64) - 1
 
 
 class SplitMix64:
-    """Scalar splitmix64 stream over Python integers."""
+    """Scalar splitmix64 stream over Python integers; .seed is its seed."""
 
     def __init__(self, seed: int):
-        self.state = _integer("seed", seed, 0) & _MASK
+        self.seed = self.state = _integer("seed", seed, 0, _MASK)
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK
@@ -62,7 +62,7 @@ def _mix_stream(seed: int, offset: int, count: int) -> np.ndarray:
     because the state after i steps is seed + i*GAMMA mod 2^64.
     """
     idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z = (np.uint64(_integer("seed", seed, 0) & _MASK) + idx * np.uint64(_GAMMA)).astype(np.uint64)
+    z = (np.uint64(_integer("seed", seed, 0, _MASK)) + idx * np.uint64(_GAMMA)).astype(np.uint64)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))

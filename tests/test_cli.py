@@ -243,7 +243,21 @@ def test_bench_invalid_sizes(capsys):
     assert main(["bench", "--n", "4", "--d", "4", "--keep", "9"]) == 2
     assert main(["bench", "--n", "4", "--d", "4", "--keep", "1",
                  "--repeats", "0"]) == 2
-    assert "repeats=0" in capsys.readouterr().err
+    assert "repeats must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes, message", [
+    (["--n", "0", "--d", "4", "--keep", "1"], "n must be >= 1, got 0"),
+    (["--n", "4", "--d", "0", "--keep", "1"], "d must be >= 1, got 0"),
+    (["--n", "4", "--d", "4", "--keep", "9"], "budget must lie in [1, 4], got 9"),
+    (["--n", "4", "--d", "4", "--keep", "1", "--repeats", "0"], "repeats must be >= 1, got 0"),
+])
+def test_bench_names_a_refused_size_and_prints_nothing(sizes, message, capsys):
+    # each size is checked by the library call that reads it
+    assert main(["bench", *sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_synth_equicorrelated_gram(tmp_path, capsys):

@@ -166,6 +166,8 @@ def test_hadamard_requires_unit_diagonal():
     (lambda: oracle.greedy_regularized(np.eye(3), 4), r"k must lie in \[1, 3\], got 4"),
     (lambda: oracle.greedy_walk(np.eye(3), 0, 1e-6), r"k must lie in \[1, 3\], got 0"),
     (lambda: oracle.regularized_optimum(np.eye(30), 15), r"C\(30,15\) exceeds"),
+    (lambda: oracle.regularized_optimum(np.eye(3), 5), r"k must lie in \[1, 3\], got 5"),
+    (lambda: oracle.regularized_optimum(np.eye(3), 0), r"k must lie in \[1, 3\], got 0"),
 ])
 def test_oracle_guards_name_their_parameter(call, match):
     with pytest.raises(ValueError, match=match):

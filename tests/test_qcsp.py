@@ -1,4 +1,6 @@
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,3 +496,36 @@ def test_walk_flushes_only_before_a_positive_gain(monkeypatch):
             t = int(np.count_nonzero(state.gains > 0.0))
             assert state.exhausted, (seed, rows)
             assert state.flushes == max(0, (t - 1) // rows), (seed, rows)
+
+
+def test_bench_walk_instrumentation_times_every_part(monkeypatch):
+    # scripts/bench_walk.py times a walk's parts by replacing _flush and
+    # _swap and swapping qcsp.np for a proxy during flushes; a refactor of
+    # either would silently zero its figures
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_walk", root / "scripts" / "bench_walk.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    h, q = gaussian_matrix(5, 300, 40), gaussian_matrix(6, 2, 40)
+    set_panel_rows(monkeypatch, 8)
+
+    def walk_60():
+        prep = prepare(h, q)
+        state = GreedyState(prep, prep.relevance)
+        state.extend(60)
+        return state
+
+    plain = walk_60()
+    flush, swap = GreedyState._flush, GreedyState._swap
+    timer = script._Parts(qcsp, np)
+    try:
+        timed = walk_60()
+    finally:
+        timer.restore()
+    assert GreedyState._flush is flush and GreedyState._swap is swap and qcsp.np is np
+    assert timed.flushes == 7
+    assert sorted(timer.acc) == ["flush_s", "flush_swaps_s", "gemm_s", "step_swaps_s",
+                                 "subtract_s"]
+    assert all(seconds > 0 for seconds in timer.acc.values()), timer.acc
+    assert np.array_equal(timed.order, plain.order)
+    assert np.array_equal(timed.gains, plain.gains)

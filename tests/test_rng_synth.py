@@ -92,11 +92,15 @@ def test_two_region_grid_structure():
     assert len({row.tobytes() for row in noise}) == len(noise)
 
 
-def test_equicorrelated_gram():
-    m = synth.equicorrelated_tokens(4, 8, 0.5)
-    gram = m @ m.T
-    np.testing.assert_allclose(gram, oracle.equicorrelation_matrix(4, 0.5),
-                               atol=1e-6)
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+@pytest.mark.parametrize("rho", ["lowest", 0.0, 0.5, 1.0])
+def test_equicorrelated_tokens_square_to_the_target_gram(n, rho):
+    # the one check of the closed-form factor: its square is the target Gram;
+    # the lowest rho is -1/(n - 1), and a single row takes any rho
+    rho = -1.0 / max(n - 1, 1) if rho == "lowest" else rho
+    m = synth.equicorrelated_tokens(n, n + 3, rho)
+    np.testing.assert_allclose(m @ m.T, oracle.equicorrelation_matrix(n, rho),
+                               rtol=0, atol=1e-12)
 
 
 def test_synth_seed_determinism():
@@ -123,25 +127,6 @@ def test_synth_guards_name_their_parameter(call, match):
 def test_equicorrelated_single_token_is_a_unit_row():
     # with one token there is no pair, so rho is ignored
     np.testing.assert_array_equal(synth.equicorrelated_tokens(1, 3, 0.7), [[1.0, 0.0, 0.0]])
-
-
-@pytest.mark.parametrize("call, name", [
-    (lambda: SplitMix64(1.5), "seed"),
-    (lambda: SplitMix64(0).sample_without_replacement(5.0, 2), "n"),
-    (lambda: SplitMix64(0).sample_without_replacement(5, True), "m"),
-    (lambda: uniform_stream(0, 2.0), "count"),
-    (lambda: uniform_stream(0, 2, offset=1.0), "offset"),
-    (lambda: normal_stream(0.5, 2), "seed"),
-    (lambda: gaussian_matrix(1, True, 3), "rows"),
-    (lambda: gaussian_matrix(1, 3, 2.0), "cols"),
-    (lambda: synth.random_tokens(4, 2.0, 0), "d"),
-    (lambda: synth.duplicate_blocks(4, 2, 2.0, 0), "block"),
-    (lambda: synth.two_region_grid(2, 4.0, 3, 0), "grid_w"),
-    (lambda: synth.equicorrelated_tokens(4.0, 6, 0.5), "n"),
-])
-def test_counts_that_are_not_integers_raise_a_value_error_naming_them(call, name):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-        call()
 
 
 def test_numpy_integer_counts_give_the_python_integer_streams():
