@@ -12,7 +12,9 @@ raises similarity.InputError, and the distance profile, which builds
 the full unit-row Gram, is bounded by MAX_GRAM_BYTES.  Every count (grid
 side, profile dimension, token count, max_dist) goes through
 similarity._integer: a bool, a float, a string or a value below its
-bound (0 for the token count, 1 for the others) raises ValueError.
+bound (0 for the token count, 1 for the others) raises ValueError, and
+so does a max_dist past the grid's largest Manhattan distance
+(GridShape.reach), checked before any work.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ class GridShape:
     def check(self, n: int) -> None:
         if self.height * self.width != n:
             raise ValueError(f"grid {self.height}x{self.width} does not tile {n} tokens")
+
+    def reach(self, max_dist: int | None = None) -> int:
+        """The distance profile's reach: max_dist checked against the grid's
+        largest Manhattan distance, height + width - 2 (1 on a 1x1 grid),
+        or that distance when max_dist is None."""
+        top = max(1, self.height + self.width - 2)
+        return top if max_dist is None else _integer("max_dist", max_dist, 1, top)
 
 
 @dataclass(frozen=True)
@@ -117,14 +126,16 @@ def mean_neighbor_similarity(h_v: np.ndarray, grid: GridShape) -> np.ndarray:
 
 
 def similarity_by_distance_profile(h_v: np.ndarray, grid: GridShape,
-                                   max_dist: int) -> np.ndarray:
+                                   max_dist: int | None = None) -> np.ndarray:
     """Mean cosine over unordered token pairs at Manhattan distance 1..max_dist
-    (NaN past the grid's largest), from one pass over the Gram and nothing
-    else n^2-sized."""
-    _integer("max_dist", max_dist, 1)
+    (grid.reach: at most the grid's largest, which is the default), from one
+    pass over the Gram and nothing else n^2-sized."""
+    max_dist = grid.reach(max_dist)
     prep = prepare(h_v)
     grid.check(prep.n)
     h, w = grid.height, grid.width
+    if h + w == 2:
+        return np.full(1, np.nan)  # a 1x1 grid has no pair at any distance
     gram = prep.gram.reshape(h, w, h, w)
     col_dist = np.abs(np.subtract.outer(np.arange(w), np.arange(w)))
     within_row = np.triu(np.ones((w, w), dtype=bool), 1)
@@ -137,10 +148,7 @@ def similarity_by_distance_profile(h_v: np.ndarray, grid: GridShape,
         dist = (dr + col_dist[keep]).ravel()
         sums += np.bincount(dist, block[keep].ravel(), h + w - 1)
         counts += (h - dr) * np.bincount(dist, minlength=h + w - 1)
-    out = np.full(max_dist, np.nan)
-    top = min(max_dist, h + w - 2)
-    out[:top] = sums[1:top + 1] / counts[1:top + 1]
-    return out
+    return sums[1:max_dist + 1] / counts[1:max_dist + 1]
 
 
 def flops_estimate(n_tokens: int, profile: ModelProfile) -> float:

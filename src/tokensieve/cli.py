@@ -10,6 +10,11 @@ input that breaks the data contract such as non-finite values, a
 query/token width mismatch, or, in the modes that run the greedy walk,
 more tokens than a kernel of similarity.MAX_GRAM_BYTES holds; failed
 verification), 2 usage errors (bad flags or parameter values).
+
+The commands keep no copy of a library rule: each value is checked by
+the call that reads it, a seed by rng (a command drawing several streams
+takes them from rng.derived_seeds) and --max-dist by
+analysis.GridShape.reach, before any token file is read.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 
 from . import analysis, fusion, gsp, synth, verify
 from .gsp import DEFAULT_GAMMA, DEFAULT_TAU
+from .rng import derived_seeds
 from .similarity import InputError, _integer, prepare
 from .tensor_io import (MatrixFormatError, SelectionFormatError, read_matrix,
                         write_matrix, write_selection)
@@ -89,8 +95,9 @@ def cmd_bench(args) -> int:
     # random_tokens checks n and d and select checks --keep as its budget;
     # the header prints with the result, so a refused size prints nothing
     repeats = _integer("repeats", args.repeats, 1)
-    h_v = synth.random_tokens(args.n, args.d, args.seed)
-    h_q = synth.random_tokens(8, args.d, args.seed + 1)
+    token_seed, query_seed = derived_seeds(args.seed, 2)
+    h_v = synth.random_tokens(args.n, args.d, token_seed)
+    h_q = synth.random_tokens(8, args.d, query_seed)
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -125,12 +132,7 @@ def cmd_synth(args) -> int:
 
 def cmd_analyze(args) -> int:
     grid = analysis.GridShape(args.grid_h, args.grid_w)
-    # a 1x1 grid has no pairs at any distance; its profile is one NaN row
-    top = max(1, grid.height + grid.width - 2)
-    max_dist = top if args.max_dist is None else args.max_dist
-    if not 1 <= max_dist <= top:
-        raise ValueError(f"--max-dist must lie in [1, {top}], the largest distance "
-                         f"on a {grid.height}x{grid.width} grid, got {max_dist}")
+    max_dist = grid.reach(args.max_dist)  # checked before the tokens are read
     h_v = read_matrix(args.tokens)
     entropy = analysis.local_entropy_map(h_v, grid)
     profile = analysis.similarity_by_distance_profile(h_v, grid, max_dist)

@@ -82,9 +82,9 @@ def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
 
     Every mode checks and prepares its inputs in one `prepare` call: tokens
     or a query that break similarity's input contract raise InputError, and
-    an m, gsp_keep or seed that is not an integer (bools included), a
-    budget m outside [1, n], a script gsp_keep outside [1, n] or a seed
-    outside SplitMix64's [0, 2^64 - 1], ValueError.  Only script, qcsp and
+    an m, gsp_keep or seed that is not an integer (bools included), no
+    token row, a budget m outside [1, n], a script gsp_keep outside [1, n]
+    or a seed outside SplitMix64's [0, 2^64 - 1], ValueError.  Only script, qcsp and
     diversity build the 8*n^2-byte Gram the walk runs in (and so check its
     size).
 
@@ -99,7 +99,7 @@ def select(mode: str, h_v: np.ndarray, h_q, m: int, tau: float = DEFAULT_TAU,
     m, rng = _integer("m", m), SplitMix64(seed)
     gsp_keep = None if gsp_keep is None else _integer("gsp_keep", gsp_keep)
     prep = prepare(h_v, h_q, gram=mode in ("script", "qcsp", "diversity"))
-    n = prep.n
+    n = _integer("n", prep.n, 1)
     _integer("budget", m, 1, n)
     params = {"mode": mode, "m": m}
     tag = "baseline"

@@ -26,29 +26,41 @@ UNIT_DIAG_TOL = 1e-9
 PSD_TOL = 1e-8
 
 
+def _matrix(l: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """l as float64 and its order n, for a k in [1, n]."""
+    l = np.asarray(l, dtype=np.float64)
+    n = l.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    return l, n
+
+
+def _best_subset(l: np.ndarray, k: int, value) -> tuple[tuple[int, ...], float]:
+    """The lexicographically smallest size-k subset S maximizing value(L_S),
+    and that value; guarded to C(n, k) <= SUBSET_GUARD subsets."""
+    l, n = _matrix(l, k)
+    if math.comb(n, k) > SUBSET_GUARD:
+        raise ValueError(f"C({n},{k}) exceeds the {SUBSET_GUARD} subset guard")
+    best_subset, best_val = None, -np.inf
+    for subset in itertools.combinations(range(n), k):
+        val = value(l[np.ix_(subset, subset)])
+        # strict > keeps the first (lexicographically smallest) maximizer
+        if val > best_val:
+            best_subset, best_val = subset, val
+    return best_subset, best_val
+
+
 def brute_force_map(l: np.ndarray, k: int) -> tuple[tuple[int, ...], float]:
     """Exhaustive argmax of det(L_S) over all size-k subsets.
 
     Returns the lexicographically smallest argmax and its determinant.
     Guarded to C(n, k) <= 1e6 subsets so it always terminates in tests.
     """
-    l = np.asarray(l, dtype=np.float64)
-    n = l.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    if math.comb(n, k) > SUBSET_GUARD:
-        raise ValueError(f"C({n},{k}) exceeds the {SUBSET_GUARD} subset guard")
-    best_subset = None
-    best_det = -np.inf
-    for subset in itertools.combinations(range(n), k):
-        d = float(np.linalg.det(l[np.ix_(subset, subset)]))
-        if d < DET_TIE_FLOOR:
-            d = 0.0
-        # strict > keeps the first (lexicographically smallest) maximizer
-        if d > best_det:
-            best_det = d
-            best_subset = subset
-    return best_subset, best_det
+    def det(l_s):
+        d = float(np.linalg.det(l_s))
+        return 0.0 if d < DET_TIE_FLOOR else d
+
+    return _best_subset(l, k, det)
 
 
 def gram_det(v_s: np.ndarray) -> float:
@@ -133,10 +145,7 @@ def greedy_regularized(l: np.ndarray, k: int) -> tuple[list[int], float]:
     This regularized objective is monotone submodular, so the greedy
     value is within a (1 - 1/e) factor of the exhaustive optimum.
     """
-    l = np.asarray(l, dtype=np.float64)
-    n = l.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    l, n = _matrix(l, k)
     min_eig = float(np.linalg.eigvalsh(l).min())
     if min_eig < -PSD_TOL:
         raise ValueError(f"matrix is not PSD (min eigenvalue {min_eig})")
@@ -166,10 +175,7 @@ def greedy_walk(l: np.ndarray, k: int, eps: float) -> tuple[list[int], np.ndarra
     and v -= c_t^2.  Stops early, before the pick, once no gain is
     positive.  Returns the order and the recorded gains.
     """
-    l = np.asarray(l, dtype=np.float64)
-    n = l.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    l, n = _matrix(l, k)
     v = np.diagonal(l).copy()
     coeffs = np.zeros((k, n))
     order: list[int] = []
@@ -189,19 +195,12 @@ def greedy_walk(l: np.ndarray, k: int, eps: float) -> tuple[list[int], np.ndarra
 
 def regularized_optimum(l: np.ndarray, k: int) -> tuple[tuple[int, ...], float]:
     """Exhaustive max of log det(I + L_S), for checking the greedy guarantee."""
-    l = np.asarray(l, dtype=np.float64)
-    n = l.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    if math.comb(n, k) > SUBSET_GUARD:
-        raise ValueError(f"C({n},{k}) exceeds the {SUBSET_GUARD} subset guard")
-    best_subset, best_val = None, -np.inf
-    for subset in itertools.combinations(range(n), k):
-        sign, logdet = np.linalg.slogdet(np.eye(k) + l[np.ix_(subset, subset)])
-        val = sign * logdet
-        if val > best_val:
-            best_subset, best_val = subset, val
-    return best_subset, float(best_val)
+    def value(l_s):
+        sign, logdet = np.linalg.slogdet(np.eye(k) + l_s)
+        return sign * logdet
+
+    subset, val = _best_subset(l, k, value)
+    return subset, float(val)
 
 
 def hadamard_margin(l_s: np.ndarray) -> float:

@@ -6,7 +6,9 @@ across implementations, not just across runs of this one.  The i-th
 64-bit output for seed s is mix64(s + i * GAMMA) with the constants
 below; see the README for the exact recurrence.  A seed lies in
 [0, 2^64 - 1] and counts are non-negative integers (similarity._integer);
-next_below needs n >= 1, and sample_without_replacement m <= n.
+next_below needs n >= 1, and sample_without_replacement m <= n.  A
+caller that draws more than one stream takes its seeds from
+derived_seeds, which refuses a seed whose last stream would pass 2^64 - 1.
 """
 
 from __future__ import annotations
@@ -53,6 +55,14 @@ class SplitMix64:
             pool[t], pool[j] = pool[j], pool[t]
             out.append(pool[t])
         return out
+
+
+def derived_seeds(seed: int, count: int) -> range:
+    """The seeds seed, seed + 1, ..., seed + count - 1 of a caller's count
+    streams; ValueError naming the seed when the last would pass 2^64 - 1."""
+    count = _integer("count", count, 1)
+    seed = _integer("seed", seed, 0, _MASK - (count - 1))
+    return range(seed, seed + count)
 
 
 def _mix_stream(seed: int, offset: int, count: int) -> np.ndarray:

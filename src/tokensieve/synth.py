@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rng import gaussian_matrix
+from .rng import derived_seeds, gaussian_matrix
 from .similarity import _integer, _real
 
 
@@ -32,8 +32,9 @@ def two_region_grid(grid_h: int, grid_w: int, d: int, seed: int) -> np.ndarray:
     entropy and neighbor-similarity diagnostics."""
     flat = constant_region_mask(grid_h, grid_w)
     d = _integer("d", d, 1)
-    constant_row = gaussian_matrix(seed, 1, d)
-    noise = gaussian_matrix(seed + 1, flat.size, d)
+    row_seed, noise_seed = derived_seeds(seed, 2)
+    constant_row = gaussian_matrix(row_seed, 1, d)
+    noise = gaussian_matrix(noise_seed, flat.size, d)
     out = np.empty((flat.size, d))
     out[flat] = constant_row
     out[~flat] = noise[~flat]

@@ -61,7 +61,7 @@ def read_matrix(path) -> np.ndarray:
 
 def write_matrix(m: np.ndarray, path) -> None:
     """Write a matrix as CSV if the path ends in ".csv" and as EMB1 otherwise."""
-    m = validate_matrix(np.asarray(m, dtype=np.float32))
+    m = validate_matrix(_float32(m))
     if _is_csv(path):
         with open(path, "w") as f:
             for row in m:
@@ -72,6 +72,22 @@ def write_matrix(m: np.ndarray, path) -> None:
             f.write(MAGIC)
             f.write(struct.pack("<II", m.shape[0], m.shape[1]))
             f.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
+
+
+def _float32(data, where: str = "") -> np.ndarray:
+    """data as float32.  A finite entry past float32's range, which the cast
+    turns into an infinity, raises MatrixFormatError naming it (the first,
+    in row-major order); where prefixes the message."""
+    data = np.asarray(data)
+    with np.errstate(over="ignore"):
+        out = np.asarray(data, dtype=np.float32)
+        if out.ndim == 2 and np.isinf(out).any():
+            over = np.argwhere(np.isinf(out) & np.isfinite(data.astype(np.float64)))
+            if len(over):
+                r, c = over[0]
+                raise MatrixFormatError(f"{where}entry {float(data[r, c]):.9g} at row {r}, "
+                                        f"col {c} lies outside float32's range")
+    return out
 
 
 def _is_csv(path) -> bool:
@@ -119,7 +135,7 @@ def _read_csv(path) -> np.ndarray:
         rows.append(values)
     if not rows:
         raise MatrixFormatError(f"{path}: empty matrix")
-    return np.asarray(rows, dtype=np.float32)
+    return _float32(rows, f"{path}: ")
 
 
 @dataclass

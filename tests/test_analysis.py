@@ -147,10 +147,9 @@ def test_profile_equals_the_mean_over_every_pair():
     grid = GridShape(5, 7)
     repeated = np.repeat(gaussian_matrix(8, 5, 6), 7, axis=0)  # one row per grid row
     for h in (gaussian_matrix(7, 35, 6), repeated):
-        expected = profile_by_pairs(h, grid, 12)
-        got = similarity_by_distance_profile(h, grid, 12)
-        assert np.isnan(got[10:]).all() and np.isnan(expected[10:]).all()
-        np.testing.assert_allclose(got[:10], expected[:10], rtol=0, atol=1e-12)
+        expected = profile_by_pairs(h, grid, 10)  # the 5x7 grid's largest distance
+        got = similarity_by_distance_profile(h, grid, 10)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_profile_needs_nothing_n_squared_beside_the_gram():
@@ -222,10 +221,8 @@ def test_flops_profile_validation():
 # tests/test_counts.py sends each of these counts a bool, a float and a
 # negative value; these are the cases it does not make
 @pytest.mark.parametrize("call, match", [
-    # the CLI refuses such a distance first, so the library's own check is
-    # reached from here alone
     (lambda: similarity_by_distance_profile(gaussian_matrix(4, 9, 5), GridShape(3, 3), 0),
-     "max_dist must be >= 1"),
+     r"max_dist must lie in \[1, 4\], got 0"),
     (lambda: flops_estimate(float("nan"), ModelProfile(2, 16, 64)),
      "^token count must be an integer, got nan"),
     (lambda: GridShape(2, "2"), "^width must be an integer"),

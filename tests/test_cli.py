@@ -260,6 +260,26 @@ def test_bench_names_a_refused_size_and_prints_nothing(sizes, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+# each command with the number of streams it derives from its seed
+@pytest.mark.parametrize("command, streams", [
+    (["bench", "--n", "4", "--d", "4", "--keep", "1", "--repeats", "1"], 2),
+    (["verify", "--instances", "1"], 20),
+    (["synth", "--pattern", "two-region-grid", "--grid-h", "2", "--grid-w", "4",
+      "--d", "3"], 2),
+], ids=["bench", "verify", "synth"])
+def test_a_seed_is_bounded_by_the_streams_derived_from_it(command, streams, tmp_path,
+                                                          capsys):
+    if command[0] == "synth":
+        command = [*command, "--out", str(tmp_path / "g.emb1")]
+    top = 2**64 - streams
+    assert main([*command, "--seed", str(top)]) == 0
+    capsys.readouterr()
+    assert main([*command, "--seed", str(top + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: seed must lie in [0, {top}], got {top + 1}\n"
+
+
 def test_synth_equicorrelated_gram(tmp_path, capsys):
     out = tmp_path / "eq.emb1"
     assert main(["synth", "--pattern", "equicorrelated", "--n", "4",
@@ -351,10 +371,17 @@ def test_analyze_max_dist_below_one_exits_2(toks, capsys):
     for dist in ("0", "-1", "5"):
         assert main(["analyze", "--tokens", toks, "--grid-h", "3", "--grid-w", "3",
                      "--max-dist", dist]) == 2
-        assert "--max-dist must lie in [1, 4]" in capsys.readouterr().err
+        assert "max_dist must lie in [1, 4]" in capsys.readouterr().err
     assert main(["analyze", "--tokens", toks, "--grid-h", "3", "--grid-w", "3",
                  "--max-dist", "4"]) == 0
     assert capsys.readouterr().out.rstrip().splitlines()[-1].startswith("4,")
+
+
+def test_analyze_checks_max_dist_before_it_reads_the_tokens(tmp_path, capsys):
+    # a missing file would exit 1; the reach is refused first
+    assert main(["analyze", "--tokens", str(tmp_path / "missing.emb1"), "--grid-h", "3",
+                 "--grid-w", "3", "--max-dist", "5"]) == 2
+    assert capsys.readouterr().err == "error: max_dist must lie in [1, 4], got 5\n"
 
 
 def test_analyze_one_cell_grid_defaults_max_dist_to_one(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Every public count goes through similarity._integer: a bool, a float
 equal to an integer, a negative value and a value past the count's upper
-bound (2^64 - 1 for a seed) raise ValueError naming the count."""
+bound (2^64 - 1 for a seed, less one for each further stream its caller
+derives from it) raise ValueError naming the count."""
 
 import re
 
@@ -50,7 +51,9 @@ COUNTS = [
     ("two_region_grid-grid_h", lambda v: synth.two_region_grid(v, 4, 3, 0), "grid_h", None),
     ("two_region_grid-grid_w", lambda v: synth.two_region_grid(2, v, 3, 0), "grid_w", None),
     ("two_region_grid-d", lambda v: synth.two_region_grid(2, 4, v, 0), "d", None),
-    ("two_region_grid-seed", lambda v: synth.two_region_grid(2, 4, 3, v), "seed", SEED_MAX),
+    # a caller drawing k + 1 streams from seed, seed + 1, ... refuses a
+    # seed past SEED_MAX - k (rng.derived_seeds)
+    ("two_region_grid-seed", lambda v: synth.two_region_grid(2, 4, 3, v), "seed", SEED_MAX - 1),
     ("constant_region_mask-grid_h", lambda v: synth.constant_region_mask(v, 6), "grid_h", None),
     ("constant_region_mask-grid_w", lambda v: synth.constant_region_mask(4, v), "grid_w", None),
     ("equicorrelated-n", lambda v: synth.equicorrelated_tokens(v, 6, 0.5), "n", None),
@@ -62,7 +65,7 @@ COUNTS = [
     ("ModelProfile-ffn_dim", lambda v: ModelProfile(2, 16, v), "ffn_dim", None),
     ("flops_estimate-n_tokens", lambda v: flops_estimate(v, PROFILE), "token count", None),
     ("profile-max_dist", lambda v: similarity_by_distance_profile(H, GridShape(2, 3), v),
-     "max_dist", None),
+     "max_dist", 3),
     # select names m "budget" when it checks m against the token count
     ("select-m", lambda v: select("script", H, Q, v), "m|budget", N),
     ("select-gsp_keep", lambda v: select("script", H, Q, 2, gsp_keep=v), "gsp_keep", N),
@@ -70,6 +73,8 @@ COUNTS = [
     ("gsp_select-keep", lambda v: gsp_select(prepare(H), keep=v), "keep", N),
     ("extend-k", extend, "k", N),
     ("run_all-instances", lambda v: verify.run_all(instances=v), "instances", None),
+    ("run_all-seed", lambda v: verify.run_all(seed=v, instances=1), "seed", SEED_MAX - 19),
+    ("entropy-base_seed", lambda v: verify.check_entropy_direction(2, v), "seed", SEED_MAX - 2),
 ]
 
 CASES = [pytest.param(call, name, bad, id=f"{label}-{kind}")

@@ -259,6 +259,13 @@ def test_baselines_reject_budgets_outside_one_to_n():
         for mode in ("random", "topk", "diversity"):
             with pytest.raises(ValueError, match="budget must lie in"):
                 select(mode, h_v, h_q, m)
+    # no token rows: n is named, not an empty budget range; topk needs a
+    # query, which prepare refuses against no tokens before that
+    for mode in fusion.MODES:
+        query, match = (h_q, "token matrix has 0 rows") if mode == "topk" else (
+            None, "^n must be >= 1, got 0$")
+        with pytest.raises(ValueError, match=match):
+            select(mode, np.zeros((0, 6)), query, 1)
 
 
 def test_selectors_reject_non_finite_input():

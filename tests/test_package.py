@@ -20,3 +20,15 @@ def test_readme_library_block_runs():
     assert len(scope["picked"]) == len(scope["order"]) == 6
     assert scope["sel"].params["mode"] == "qcsp"
     assert scope["g"] == sorted(scope["g"]) and len(scope["g"]) == 12
+
+
+def test_only_rng_adds_to_a_seed():
+    # a caller drawing several streams takes them from rng.derived_seeds,
+    # which bounds the seed by its last stream
+    src = Path(tokensieve.__file__).resolve().parent
+    offsets = re.compile(r"seed\s*\+\s*\d|base_seed\s*\+")
+    found = [f"{path.name}:{lineno}: {line.strip()}"
+             for path in sorted(src.glob("*.py")) if path.name != "rng.py"
+             for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+             if offsets.search(line)]
+    assert found == []

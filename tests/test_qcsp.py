@@ -176,7 +176,8 @@ def test_extend_is_incremental():
 
 
 def test_empty_input_raises_the_budget_error():
-    with pytest.raises(ValueError, match=r"budget must lie in \[1, 0\]"):
+    # select names n before the budget, whose range [1, 0] would be empty
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
         select("qcsp", np.zeros((0, 3)), None, 1)
 
 

@@ -129,6 +129,30 @@ def test_non_finite_rejected(tmp_path):
         write_matrix(m, p)
 
 
+def test_csv_value_past_float32_range_is_named_not_warned_about(tmp_path):
+    p = tmp_path / "big.csv"
+    p.write_text("1,2\n3,-1e300\n")
+    with pytest.raises(MatrixFormatError, match=r"big\.csv: entry -1e\+300 at row 1, "
+                                                r"col 1 lies outside float32's range"):
+        read_matrix(p)
+
+
+@pytest.mark.parametrize("name", ["m.emb1", "m.csv"])
+def test_write_matrix_names_a_value_past_float32_range(tmp_path, name):
+    p = tmp_path / name
+    with pytest.raises(MatrixFormatError, match=r"^entry 1e\+300 at row 0, col 0 "
+                                                r"lies outside float32's range$"):
+        write_matrix(np.array([[1e300, 1.0]]), p)
+    assert not p.exists()
+
+
+def test_an_infinity_is_still_non_finite_not_out_of_range(tmp_path):
+    p = tmp_path / "inf.csv"
+    p.write_text("1,inf\n")
+    with pytest.raises(MatrixFormatError, match="^non-finite entry at row 0, col 1$"):
+        read_matrix(p)
+
+
 def test_selection_document_order(tmp_path):
     p = tmp_path / "s.json"
     write_selection(Selection([2, 0], 4, ["gsp-only", "gsp-only"], {}), p)

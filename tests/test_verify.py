@@ -1,4 +1,7 @@
+import re
+
 import numpy as np
+import pytest
 
 from tokensieve import verify
 from tokensieve.qcsp import GreedyState
@@ -12,6 +15,16 @@ def test_run_all_small_is_green():
     assert all(r.passed for r in results)
     names = [r.name for r in results]
     assert len(names) == len(set(names))
+
+
+def test_run_all_refuses_a_seed_before_any_check_runs(monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "check_det_volume", ran)
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must lie in [0, {2**64 - 20}], got {2**64 - 19}")):
+        verify.run_all(seed=2**64 - 19, instances=1)
 
 
 def test_expected_checks_present():
