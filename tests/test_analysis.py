@@ -221,8 +221,10 @@ def test_flops_profile_validation():
 # tests/test_counts.py sends each of these counts a bool, a float and a
 # negative value; these are the cases it does not make
 @pytest.mark.parametrize("call, match", [
-    (lambda: similarity_by_distance_profile(gaussian_matrix(4, 9, 5), GridShape(3, 3), 0),
-     r"max_dist must lie in \[1, 4\], got 0"),
+    # the id names the bound a distance of 0 falls below
+    pytest.param(
+        lambda: similarity_by_distance_profile(gaussian_matrix(4, 9, 5), GridShape(3, 3), 0),
+        r"max_dist must lie in \[1, 4\], got 0", id="<lambda>-max_dist must be >= 1"),
     (lambda: flops_estimate(float("nan"), ModelProfile(2, 16, 64)),
      "^token count must be an integer, got nan"),
     (lambda: GridShape(2, "2"), "^width must be an integer"),
