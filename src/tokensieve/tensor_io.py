@@ -40,28 +40,43 @@ class SelectionFormatError(ValueError):
     """Raised when a selection document violates its contract."""
 
 
-def validate_matrix(data: np.ndarray) -> np.ndarray:
+def validate_matrix(data, where: str = "") -> np.ndarray:
+    """data as a float32 matrix.  MatrixFormatError, its message prefixed
+    with where, for a shape other than rows >= 1 by cols >= 1, for a
+    finite entry past float32's range, which the cast turns into an
+    infinity, and otherwise for a non-finite entry (the first, in
+    row-major order)."""
     data = np.asarray(data)
-    if data.ndim != 2:
-        raise MatrixFormatError(f"matrix must be 2-dimensional, got shape {data.shape}")
-    if data.shape[0] < 1 or data.shape[1] < 1:
-        raise MatrixFormatError(f"matrix must have rows >= 1 and cols >= 1, got {data.shape}")
-    if not np.all(np.isfinite(data)):
-        r, c = np.argwhere(~np.isfinite(data))[0]
-        raise MatrixFormatError(f"non-finite entry at row {r}, col {c}")
-    return data
+    with np.errstate(over="ignore"):
+        out = np.asarray(data, dtype=np.float32)
+    if out.ndim != 2:
+        raise MatrixFormatError(f"{where}matrix must be 2-dimensional, got shape {out.shape}")
+    if out.shape[0] < 1 or out.shape[1] < 1:
+        raise MatrixFormatError(
+            f"{where}matrix must have rows >= 1 and cols >= 1, got {out.shape}")
+    bad = ~np.isfinite(out)
+    if bad.any():
+        over = np.argwhere(bad & np.isfinite(data.astype(np.float64)))
+        if len(over):
+            r, c = over[0]
+            raise MatrixFormatError(f"{where}entry {float(data[r, c]):.9g} at row {r}, "
+                                    f"col {c} lies outside float32's range")
+        r, c = np.argwhere(bad)[0]
+        raise MatrixFormatError(f"{where}non-finite entry at row {r}, col {c}")
+    return out
 
 
 def read_matrix(path) -> np.ndarray:
     """Load a matrix as float32, as CSV if the path ends in ".csv" and as
-    EMB1 otherwise; raises MatrixFormatError on any violation."""
+    EMB1 otherwise; raises MatrixFormatError, naming the file, on any
+    violation."""
     data = _read_csv(path) if _is_csv(path) else _read_emb1(path)
-    return validate_matrix(data)
+    return validate_matrix(data, f"{path}: ")
 
 
 def write_matrix(m: np.ndarray, path) -> None:
     """Write a matrix as CSV if the path ends in ".csv" and as EMB1 otherwise."""
-    m = validate_matrix(_float32(m))
+    m = validate_matrix(m)
     if _is_csv(path):
         with open(path, "w") as f:
             for row in m:
@@ -72,22 +87,6 @@ def write_matrix(m: np.ndarray, path) -> None:
             f.write(MAGIC)
             f.write(struct.pack("<II", m.shape[0], m.shape[1]))
             f.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
-
-
-def _float32(data, where: str = "") -> np.ndarray:
-    """data as float32.  A finite entry past float32's range, which the cast
-    turns into an infinity, raises MatrixFormatError naming it (the first,
-    in row-major order); where prefixes the message."""
-    data = np.asarray(data)
-    with np.errstate(over="ignore"):
-        out = np.asarray(data, dtype=np.float32)
-        if out.ndim == 2 and np.isinf(out).any():
-            over = np.argwhere(np.isinf(out) & np.isfinite(data.astype(np.float64)))
-            if len(over):
-                r, c = over[0]
-                raise MatrixFormatError(f"{where}entry {float(data[r, c]):.9g} at row {r}, "
-                                        f"col {c} lies outside float32's range")
-    return out
 
 
 def _is_csv(path) -> bool:
@@ -110,7 +109,7 @@ def _read_emb1(path) -> np.ndarray:
     return data.reshape(rows, cols).astype(np.float32)
 
 
-def _read_csv(path) -> np.ndarray:
+def _read_csv(path) -> list[list[float]]:
     try:
         with open(path) as f:
             lines = f.readlines()
@@ -135,7 +134,7 @@ def _read_csv(path) -> np.ndarray:
         rows.append(values)
     if not rows:
         raise MatrixFormatError(f"{path}: empty matrix")
-    return _float32(rows, f"{path}: ")
+    return rows
 
 
 @dataclass

@@ -65,6 +65,15 @@ def test_prune_missing_file_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_prune_names_the_file_of_a_non_finite_entry(tmp_path, capsys):
+    p = tmp_path / "inf.csv"
+    p.write_text("1,inf\n")
+    code = main(["prune", "--tokens", str(p), "--keep", "1",
+                 "--out", str(tmp_path / "o.json")])
+    assert capsys.readouterr().err == f"error: {p}: non-finite entry at row 0, col 1\n"
+    assert code == 1
+
+
 def test_prune_budget_out_of_range(toks, tmp_path, capsys):
     code = main(["prune", "--tokens", toks, "--keep", "10",
                  "--out", str(tmp_path / "x.json")])

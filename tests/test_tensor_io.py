@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -149,8 +150,23 @@ def test_write_matrix_names_a_value_past_float32_range(tmp_path, name):
 def test_an_infinity_is_still_non_finite_not_out_of_range(tmp_path):
     p = tmp_path / "inf.csv"
     p.write_text("1,inf\n")
-    with pytest.raises(MatrixFormatError, match="^non-finite entry at row 0, col 1$"):
+    with pytest.raises(MatrixFormatError,
+                       match=f"^{re.escape(str(p))}: non-finite entry at row 0, col 1$"):
         read_matrix(p)
+
+
+def test_an_emb1_read_names_the_file_of_a_non_finite_entry(tmp_path):
+    p = tmp_path / "nan.emb1"
+    p.write_bytes(emb1_bytes(2, 2, [1, 0, np.nan, 1]))
+    with pytest.raises(MatrixFormatError,
+                       match=f"^{re.escape(str(p))}: non-finite entry at row 1, col 0$"):
+        read_matrix(p)
+
+
+def test_a_bad_shape_is_named_with_the_prefix_it_is_given():
+    with pytest.raises(MatrixFormatError,
+                       match=r"^m\.csv: matrix must be 2-dimensional, got shape \(3,\)$"):
+        validate_matrix(np.ones(3), "m.csv: ")
 
 
 def test_selection_document_order(tmp_path):

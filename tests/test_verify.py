@@ -1,9 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
-from tokensieve import verify
+from tokensieve import analysis, oracle, qcsp, verify
 from tokensieve.qcsp import GreedyState
 from tokensieve.rng import SplitMix64, gaussian_matrix
 from tokensieve.similarity import min_max_normalize, prepare
@@ -40,13 +41,163 @@ def test_expected_checks_present():
 
 
 def test_check_result_line_format():
-    r = verify.CheckResult("demo", True, 10, 3.0e-9, 1e-6, "max_err")
+    r = verify.CheckResult("demo", 10, 3.0e-9, 1e-6, "max_err")
     line = r.line()
     assert line.startswith("PASS demo")
     assert "instances=10" in line
     assert "max_err=3.000e-09" in line
-    r2 = verify.CheckResult("demo", False, 10, 2.0, 1e-6, "max_err")
+    r2 = verify.CheckResult("demo", 10, 2.0, 1e-6, "max_err")
     assert r2.line().startswith("FAIL demo")
+
+
+@pytest.mark.parametrize("rule, worst, passed", [
+    ("<=", 1.0, True), ("<=", 1.5, False),
+    (">=", 1.0, True), (">=", 0.5, False),
+    (">", 1.5, True), (">", 1.0, False),
+    ("info", -1e300, True),
+])
+def test_check_result_derives_its_pass_rule(rule, worst, passed):
+    assert verify.CheckResult("demo", 1, worst, 1.0, "m", rule).passed is passed
+
+
+@pytest.mark.parametrize("rule, worst", [("<=", 3.0), (">=", 1.0), (">", 1.0)])
+def test_check_result_of_reduces_by_its_rule(rule, worst):
+    r = verify.CheckResult.of("demo", 3, [2.0, 1.0, 3.0], 0.0, "m", rule)
+    assert r.worst == worst and type(r.worst) is float
+
+
+@pytest.mark.parametrize("rule", ["<=", ">=", ">", "info"])
+def test_a_nan_margin_fails_every_rule_but_info(rule):
+    r = verify.CheckResult.of("demo", 3, [0.0, math.nan, 0.0], 0.0, "m", rule)
+    assert math.isnan(r.worst)
+    assert r.passed is (rule == "info")
+    assert r.line().startswith("PASS" if rule == "info" else "FAIL")
+
+
+def test_check_result_refuses_an_unknown_rule():
+    with pytest.raises(ValueError, match="rule must be one of <=, >=, >, info, got '<'"):
+        verify.CheckResult("demo", 1, 0.0, 0.0, "m", "<")
+
+
+@pytest.mark.parametrize("instances", [0, -1])
+def test_check_result_refuses_fewer_than_one_instance(instances):
+    msg = f"instances must be >= 1, got {instances}"
+    with pytest.raises(ValueError, match=msg):
+        verify.CheckResult("demo", instances, 0.0, 0.0, "m")
+    # before the reduction, which has nothing to reduce
+    with pytest.raises(ValueError, match=msg):
+        verify.CheckResult.of("demo", instances, [], 0.0, "m")
+
+
+@pytest.mark.parametrize("check, msg", [
+    (lambda: verify.check_fusion_contract(instances=0), "instances must be >= 1, got 0"),
+    (lambda: verify.check_det_volume(instances=-3), "instances must be >= 1, got -3"),
+    (lambda: verify.check_refined_tightness(grid_points=0), "instances must be >= 1, got 0"),
+    (lambda: verify.check_refined_monotonic(grid_points=1), "instances must be >= 1, got 0"),
+    (lambda: verify.check_bipartite_count(sizes=()), "instances must be >= 1, got 0"),
+    (lambda: verify.check_entropy_direction(seeds=0), "seeds must be >= 1, got 0"),
+    (lambda: verify.check_greedy_suite(instances=0), "instances must be >= 1, got 0"),
+], ids=["fusion-contract", "det-volume", "refined-tightness", "refined-monotonic",
+        "bipartite-count", "entropy-direction", "greedy-suite"])
+def test_no_check_passes_on_no_instances(check, msg):
+    with pytest.raises(ValueError, match=msg):
+        check()
+
+
+def _nan_gains_after_step_0(monkeypatch):
+    orig = qcsp.GreedyState._steps
+
+    def nan_gains(self, t_start, t_stop):
+        done, exhausted = orig(self, t_start, t_stop)
+        self.gains[max(t_start, 1):done] = np.nan
+        return done, exhausted
+
+    monkeypatch.setattr(qcsp.GreedyState, "_steps", nan_gains)
+
+
+def _nan_from(owner, name, like_tokens=False):
+    """A sabotage that makes owner.name return NaN (one per token row if
+    like_tokens)."""
+    def nan(*args, **kwargs):
+        return np.full(len(args[0]), np.nan) if like_tokens else math.nan
+
+    return lambda monkeypatch: monkeypatch.setattr(owner, name, nan)
+
+
+def _greedy():
+    return verify.check_greedy_suite(instances=3, seed=0)
+
+
+def _flushed():
+    return verify.check_flushed_walk(instances=1, seed=0)
+
+
+# (the check that must fail, what returns NaN, a run of that check)
+NAN_CASES = [
+    ("marginal-gain", _nan_gains_after_step_0, _greedy),
+    ("shifted-gain-identity", _nan_gains_after_step_0, _greedy),
+    ("flushed-walk", _nan_gains_after_step_0, _flushed),
+    ("flushed-shifted-gain", _nan_gains_after_step_0, _flushed),
+    ("det-volume", _nan_from(oracle, "gram_det"), lambda: verify.check_det_volume(20)),
+    ("hadamard-orthonormal", _nan_from(oracle, "hadamard_margin"),
+     lambda: verify.check_hadamard_orthonormal(20)),
+    ("gershgorin-sandwich", _nan_from(oracle, "gershgorin_lower_bound"),
+     lambda: verify.check_gershgorin_sandwich(20)),
+    ("refined-tightness", _nan_from(oracle, "refined_upper_bound"),
+     lambda: verify.check_refined_tightness(5)),
+    ("refined-monotonic", _nan_from(oracle, "refined_upper_bound"),
+     lambda: verify.check_refined_monotonic(5)),
+    ("hadamard-upper-bound", _nan_from(np.linalg, "det"),
+     lambda: verify.check_hadamard_upper_bound(20)),
+    ("flops-ratios", _nan_from(analysis, "flops_estimate"), verify.check_flops_ratios),
+    ("entropy-direction", _nan_from(analysis, "local_entropy_map", like_tokens=True),
+     lambda: verify.check_entropy_direction(2)),
+]
+
+
+@pytest.mark.parametrize("name, sabotage, run", NAN_CASES, ids=[c[0] for c in NAN_CASES])
+def test_a_nan_error_fails_its_check(monkeypatch, name, sabotage, run):
+    sabotage(monkeypatch)
+    results = run()
+    by_name = {r.name: r for r in (results if isinstance(results, list) else [results])}
+    assert not by_name[name].passed, by_name[name].line()
+
+
+# run_all(seed=0, instances=200) with each figure masked: every status,
+# name, instance count, metric and tol, so dropping a check, loosening a
+# tol or shrinking a count shows here.  The figures are the one part that
+# moves with the BLAS thread count.
+REPORT_SKELETON = """\
+PASS det-volume instances=200 max_rel_err=# tol=1.0e-08
+PASS hadamard-upper-bound instances=200 max_det_minus_1=# tol=1.0e-12
+PASS hadamard-orthonormal instances=50 max_abs_margin=# tol=1.0e-10
+PASS hadamard-rank-deficient instances=50 max_abs_det=# tol=1.0e-10
+PASS gershgorin-sandwich instances=200 min_det_minus_bound=# tol=0.0e+00
+PASS refined-tightness instances=350 max_abs_err=# tol=1.0e-10
+PASS refined-monotonic instances=343 min_decrease=# tol=0.0e+00
+PASS equicorrelation-equivalence instances=100 min_det_gap=# tol=0.0e+00
+PASS negative-correlation-witness instances=1 max_abs_err=# tol=1.0e-12
+PASS marginal-gain instances=200 max_rel_err=# tol=1.0e-06
+PASS shifted-gain-identity instances=200 max_rel_err=# tol=1.0e-09
+PASS greedy-match-rate (info) instances=200 match_fraction=# tol=0.0e+00
+PASS greedy-guarantee instances=200 min_slack=# tol=-1.0e-12
+PASS flushed-walk instances=3 max_gain_err=# tol=1.0e-12
+PASS flushed-shifted-gain instances=3 max_rel_err=# tol=1.0e-09
+PASS prefix-consistency instances=50 violations=# tol=0.0e+00
+PASS psd-preservation instances=200 min_shifted_eig=# tol=0.0e+00
+PASS determinant-expansion instances=200 max_rel_err=# tol=1.0e-08
+PASS relevance-dominance instances=50 violations=# tol=0.0e+00
+PASS diversity-dominance instances=50 violations=# tol=0.0e+00
+PASS bipartite-count instances=3 min_ratio_slack=# tol=0.0e+00
+PASS fusion-contract instances=50 violations=# tol=0.0e+00
+PASS flops-ratios instances=2 max_rel_err=# tol=5.0e-02
+PASS entropy-direction instances=5 min_gap=# tol=0.0e+00
+checks=24 failed=0"""
+
+
+def test_report_skeleton_is_pinned():
+    report = verify.format_report(verify.run_all(seed=0, instances=200))
+    assert re.sub(r"=\S+ tol=", "=# tol=", report) == REPORT_SKELETON
 
 
 def test_format_report_summary():
