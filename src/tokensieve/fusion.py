@@ -4,11 +4,11 @@ mode: the fusion, its two stages alone, and the ablation baselines.
 `_fuse` is the fusion's scan: it returns the kept indices and their
 tags, and `select` resolves gsp_keep and records the params.
 
-The fused rule: take the redundancy-filtered candidate set G, walk the
-full greedy MAP order, and keep each G-member encountered until the
-budget m is met; if the walk runs out of G-members the remaining slots
-are filled with the earliest not-yet-kept tokens of the same greedy
-order.  Because greedy selection is prefix-consistent, walking one
+The fused rule: walk the greedy MAP order and keep the tokens that also
+survived the redundancy filter (the gsp_keep members of G), then fill any
+remaining budget from the top of the order.  The fill runs only when
+gsp_keep < m; it takes the earliest non-members of the order's first m
+steps.  Because greedy selection is prefix-consistent, walking one
 length-n order is equivalent to re-running it with increasing budgets.
 
 The walk stops exactly where the answer is known.  The scan keeps
@@ -56,20 +56,13 @@ def _fuse(prep, m: int, tau: float, gamma: float, gsp_keep: int) -> tuple[list[i
             if idx in g_members:
                 kept.append(idx)
 
-    tags = ["intersection"] * len(kept)
+    fill: list[int] = []
     if len(kept) < m:
-        # not enough intersection members anywhere: fill from the greedy
-        # order itself, earliest first; its first m entries always suffice
+        # every G-member is kept, and the order's first m steps hold at most
+        # len(kept) of them, so they hold the m - len(kept) fill tokens
         state.extend(m)
-        kept_set = set(kept)
-        for idx in state.order[: state.t]:
-            if len(kept) == m:
-                break
-            idx = int(idx)
-            if idx not in kept_set:
-                kept.append(idx)
-                tags.append("qcsp-fill")
-    return kept, tags
+        fill = [i for i in state.order[:m].tolist() if i not in g_members][: m - len(kept)]
+    return kept + fill, ["intersection"] * len(kept) + ["qcsp-fill"] * len(fill)
 
 
 MODES = ("script", "gsp", "qcsp", "random", "topk", "diversity")

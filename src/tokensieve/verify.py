@@ -138,6 +138,7 @@ def check_gershgorin_sandwich(instances: int = 1000, seed: int = 4) -> CheckResu
 
 def check_refined_tightness(grid_points: int = 50) -> CheckResult:
     """The closed-form upper bound is exact on the equicorrelation family."""
+    grid_points = similarity._integer("grid_points", grid_points, 2)
     errs = []
     for k in range(2, 9):
         lo = -1.0 / (k - 1)
@@ -148,6 +149,7 @@ def check_refined_tightness(grid_points: int = 50) -> CheckResult:
 
 
 def check_refined_monotonic(grid_points: int = 50) -> CheckResult:
+    grid_points = similarity._integer("grid_points", grid_points, 2)
     drops = []  # consecutive decreases; each must be strictly positive
     for k in range(2, 9):
         values = [oracle.refined_upper_bound(k, rho)
@@ -428,6 +430,8 @@ def check_diversity_dominance(instances: int = 100, seed: int = 11) -> CheckResu
 # ---------------------------------------------------------------- pipeline level
 
 def check_bipartite_count(sizes=(64, 576, 2880), seed: int = 12) -> CheckResult:
+    # a size has n(n - 1)/2 > 0 pairs
+    sizes = [similarity._integer("size", n, 2) for n in sizes]
     rng = SplitMix64(seed)
     slacks = []  # distances of the ratio from the [0.49, 0.51] edges
     for n in sizes:

@@ -75,6 +75,9 @@ COUNTS = [
     ("run_all-instances", lambda v: verify.run_all(instances=v), "instances", None),
     ("run_all-seed", lambda v: verify.run_all(seed=v, instances=1), "seed", SEED_MAX - 19),
     ("entropy-base_seed", lambda v: verify.check_entropy_direction(2, v), "seed", SEED_MAX - 2),
+    ("refined_tightness-grid_points", verify.check_refined_tightness, "grid_points", None),
+    ("refined_monotonic-grid_points", verify.check_refined_monotonic, "grid_points", None),
+    ("bipartite_count-size", lambda v: verify.check_bipartite_count(sizes=(v,)), "size", None),
 ]
 
 CASES = [pytest.param(call, name, bad, id=f"{label}-{kind}")

@@ -92,13 +92,15 @@ def test_check_result_refuses_fewer_than_one_instance(instances):
 @pytest.mark.parametrize("check, msg", [
     (lambda: verify.check_fusion_contract(instances=0), "instances must be >= 1, got 0"),
     (lambda: verify.check_det_volume(instances=-3), "instances must be >= 1, got -3"),
-    (lambda: verify.check_refined_tightness(grid_points=0), "instances must be >= 1, got 0"),
-    (lambda: verify.check_refined_monotonic(grid_points=1), "instances must be >= 1, got 0"),
+    (lambda: verify.check_refined_tightness(grid_points=0), "grid_points must be >= 2, got 0"),
+    (lambda: verify.check_refined_monotonic(grid_points=1), "grid_points must be >= 2, got 1"),
     (lambda: verify.check_bipartite_count(sizes=()), "instances must be >= 1, got 0"),
+    # one token has no pair to count the graph's evaluations against
+    (lambda: verify.check_bipartite_count(sizes=(1,)), "size must be >= 2, got 1"),
     (lambda: verify.check_entropy_direction(seeds=0), "seeds must be >= 1, got 0"),
     (lambda: verify.check_greedy_suite(instances=0), "instances must be >= 1, got 0"),
 ], ids=["fusion-contract", "det-volume", "refined-tightness", "refined-monotonic",
-        "bipartite-count", "entropy-direction", "greedy-suite"])
+        "bipartite-count", "bipartite-count-one-token", "entropy-direction", "greedy-suite"])
 def test_no_check_passes_on_no_instances(check, msg):
     with pytest.raises(ValueError, match=msg):
         check()
