@@ -7,9 +7,9 @@ diagnostics).
 
 Exit codes: 0 success, 1 runtime, data or property failure (I/O errors,
 input that breaks the data contract such as non-finite values, a
-query/token width mismatch, or, in the modes that run the greedy walk,
-more tokens than a kernel of similarity.MAX_GRAM_BYTES holds; failed
-verification), 2 usage errors (bad flags or parameter values).
+query/token width mismatch, or more tokens than a similarity.MAX_GRAM_BYTES
+kernel holds where the greedy walk runs or analyze writes its profile;
+failed verification), 2 usage errors (bad flags or parameter values).
 
 The commands keep no copy of a library rule: each value is checked by
 the call that reads it, a seed by rng (a command drawing several streams
@@ -134,21 +134,23 @@ def cmd_analyze(args) -> int:
     grid = analysis.GridShape(args.grid_h, args.grid_w)
     max_dist = grid.reach(args.max_dist)  # checked before the tokens are read
     h_v = read_matrix(args.tokens)
-    entropy = analysis.local_entropy_map(h_v, grid)
-    profile = analysis.similarity_by_distance_profile(h_v, grid, max_dist)
-
-    entropy_csv = "index,entropy\n" + "".join(
-        f"{i},{v:.9g}\n" for i, v in enumerate(entropy))
-    profile_csv = "distance,mean_similarity\n" + "".join(
-        f"{dlt + 1},{v:.9g}\n" for dlt, v in enumerate(profile))
-    if args.entropy_out:
-        with open(args.entropy_out, "w") as f:
-            f.write(entropy_csv)
-    if args.profile_out:
-        with open(args.profile_out, "w") as f:
-            f.write(profile_csv)
-    if not args.entropy_out and not args.profile_out:
-        sys.stdout.write(entropy_csv + "\n" + profile_csv)
+    to_stdout = not args.entropy_out and not args.profile_out
+    # only the named tables are made, all before a file is opened
+    tables = []
+    if args.entropy_out or to_stdout:
+        entropy = analysis.local_entropy_map(h_v, grid)
+        tables.append((args.entropy_out, "index,entropy\n" + "".join(
+            f"{i},{v:.9g}\n" for i, v in enumerate(entropy))))
+    if args.profile_out or to_stdout:
+        profile = analysis.similarity_by_distance_profile(h_v, grid, max_dist)
+        tables.append((args.profile_out, "distance,mean_similarity\n" + "".join(
+            f"{dlt + 1},{v:.9g}\n" for dlt, v in enumerate(profile))))
+    if to_stdout:
+        sys.stdout.write("\n".join(text for _, text in tables))
+    for path, text in tables:
+        if path:
+            with open(path, "w") as f:
+                f.write(text)
     return 0
 
 

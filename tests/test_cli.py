@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokensieve import fusion, oracle
+from tokensieve import analysis, fusion, oracle
 from tokensieve.cli import main
 from tokensieve.rng import gaussian_matrix
 from tokensieve.tensor_io import read_matrix, read_selection, write_matrix
@@ -153,14 +153,27 @@ def test_gram_size_limit_exits_1_where_a_gram_is_built(toks, query, tmp_path,
         assert main(["prune", "--tokens", toks, "--query", query, "--keep", "3",
                      "--mode", mode, "--out", out]) == 1, mode
         assert "9 tokens" in capsys.readouterr().err
-    # analyze's distance profile reads the full Gram too
-    assert main(["analyze", "--tokens", toks, "--grid-h", "3", "--grid-w", "3"]) == 1
-    assert "9 tokens" in capsys.readouterr().err
+    # analyze's distance profile reads the full Gram too, when the profile is
+    # written (to stdout with no path, or to --profile-out); a refused run
+    # writes no file, and the entropy table alone builds no Gram
+    analyze = ["analyze", "--tokens", toks, "--grid-h", "3", "--grid-w", "3"]
+    ent, prof = tmp_path / "e.csv", tmp_path / "p.csv"
+    for paths in ([], ["--profile-out", str(prof)],
+                  ["--entropy-out", str(ent), "--profile-out", str(prof)]):
+        assert main(analyze + paths) == 1, paths
+        assert "9 tokens" in capsys.readouterr().err
+        assert not ent.exists() and not prof.exists()
+    assert main(analyze + ["--entropy-out", str(ent)]) == 0
+    limited = ent.read_text()
+    assert len(limited.splitlines()) == 10
     for mode in ("gsp", "topk", "random"):
         assert main(["prune", "--tokens", toks, "--query", query, "--keep", "3",
                      "--mode", mode, "--out", out]) == 0, mode
     assert main(["score", "--tokens", toks, "--query", query,
                  "--out", str(tmp_path / "s.csv")]) == 0
+    monkeypatch.undo()
+    assert main(analyze + ["--entropy-out", str(ent)]) == 0
+    assert ent.read_text() == limited
 
 
 def test_prune_topk_requires_query(toks, tmp_path, capsys):
@@ -367,11 +380,31 @@ def test_analyze_outputs(toks, tmp_path, capsys):
     assert prof.read_text().startswith("distance,mean_similarity")
 
 
-def test_analyze_stdout_default(toks, capsys):
-    assert main(["analyze", "--tokens", toks, "--grid-h", "3",
-                 "--grid-w", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "index,entropy" in out and "distance,mean_similarity" in out
+def test_analyze_stdout_default(toks, tmp_path, capsys):
+    # with no path, stdout is the entropy file, one blank line, the profile file
+    analyze = ["analyze", "--tokens", toks, "--grid-h", "3", "--grid-w", "3"]
+    ent, prof = tmp_path / "e.csv", tmp_path / "p.csv"
+    assert main(analyze + ["--entropy-out", str(ent), "--profile-out", str(prof)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(analyze) == 0
+    assert capsys.readouterr().out == ent.read_text() + "\n" + prof.read_text()
+
+
+def test_analyze_profile_out_alone_runs_no_entropy_map(toks, tmp_path, monkeypatch,
+                                                      capsys):
+    analyze = ["analyze", "--tokens", toks, "--grid-h", "3", "--grid-w", "3"]
+    both = tmp_path / "both.csv"
+    assert main(analyze + ["--entropy-out", str(tmp_path / "e.csv"),
+                           "--profile-out", str(both)]) == 0
+
+    def refuse(*args):
+        raise AssertionError("the entropy map ran for the profile alone")
+
+    monkeypatch.setattr(analysis, "local_entropy_map", refuse)
+    alone = tmp_path / "p.csv"
+    assert main(analyze + ["--profile-out", str(alone)]) == 0
+    assert alone.read_bytes() == both.read_bytes()
+    assert capsys.readouterr().out == ""
 
 
 def test_analyze_max_dist_below_one_exits_2(toks, capsys):
