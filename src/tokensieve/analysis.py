@@ -78,7 +78,9 @@ def local_entropy_map(h_v: np.ndarray, grid: GridShape) -> np.ndarray:
     neighborhood are u[:, 0] * s[0] of the SVD of its centered rows.  A
     neighborhood is flat when s[0] <= max(k, d) * eps * ||hood|| (numpy's
     matrix_rank tolerance on the uncentered rows): what is left after
-    centering is rounding, and the entropy is 0.
+    centering is rounding, and the entropy is 0.  Each neighborhood is first
+    scaled by the power of two that puts its largest |entry| in [0.5, 1), so
+    the map does not change when the tokens are scaled by a power of two.
     """
     prep = prepare(h_v, gram=False)  # the input contract; the SVDs read tokens
     grid.check(prep.n)
@@ -89,6 +91,9 @@ def local_entropy_map(h_v: np.ndarray, grid: GridShape) -> np.ndarray:
         for col in range(grid.width):
             tok = row * grid.width + col
             hood = h_v[_moore_neighborhood(row, col, grid)]
+            top = np.abs(hood).max()
+            if top:  # exact, and no norm below overflows or underflows
+                hood = np.ldexp(hood, -np.frexp(top)[1])
             u, s, _ = np.linalg.svd(hood - hood.mean(axis=0), full_matrices=False)
             if s[0] <= max(hood.shape) * eps * np.linalg.norm(hood):
                 continue

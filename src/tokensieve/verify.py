@@ -172,8 +172,9 @@ def check_equicorrelation_equivalence(families: int = 100, seed: int = 5) -> Che
                 rhos.append(r)
         mats = [oracle.equicorrelation_matrix(k, r) for r in rhos]
         dets = [float(np.linalg.det(m)) for m in mats]
-        avgs = [oracle.rho_metrics(m).rho_avg for m in mats]
-        maxs = [oracle.rho_metrics(m).rho_max for m in mats]
+        metrics = [oracle.rho_metrics(m) for m in mats]
+        avgs = [x.rho_avg for x in metrics]
+        maxs = [x.rho_max for x in metrics]
         ordered = np.argmax(dets) == np.argmin(avgs) == np.argmin(maxs)
         gaps.append(float(np.diff(np.sort(dets)[-2:])[0]) if ordered else -math.inf)
     return CheckResult.of("equicorrelation-equivalence", families, gaps, 0.0,

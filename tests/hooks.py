@@ -1,0 +1,70 @@
+"""The one place where tests patch the greedy walk, load repo scripts by path
+or trace memory, so a refactor of the walk's entry points changes these
+helpers and not the tests that call them."""
+import importlib.util
+import sys
+import tracemalloc
+from pathlib import Path
+
+from tokensieve import qcsp
+
+
+def record_walks(monkeypatch):
+    """The list of (k asked, state.t, state.flushes) after each extend."""
+    log = []
+    extend = qcsp.GreedyState.extend
+
+    def recording(state, k):
+        extend(state, k)
+        log.append((k, state.t, state.flushes))
+
+    monkeypatch.setattr(qcsp.GreedyState, "extend", recording)
+    return log
+
+
+def skew_gains(monkeypatch, skew, first=lambda state: 0):
+    """After each run of steps [t_start, done), set gains[lo:done] to
+    skew(gains[lo:done]), with lo = max(t_start, first(state))."""
+    steps = qcsp.GreedyState._steps
+
+    def skewed(state, t_start, t_stop):
+        done, exhausted = steps(state, t_start, t_stop)
+        lo = max(t_start, first(state))
+        state.gains[lo:done] = skew(state.gains[lo:done])
+        return done, exhausted
+
+    monkeypatch.setattr(qcsp.GreedyState, "_steps", skewed)
+
+
+def set_panel_rows(monkeypatch, rows):
+    # a flush runs its GEMMs over panel-deep row blocks, so with panels this
+    # small a flush spans several blocks and only A's upper triangle is valid
+    monkeypatch.setattr(qcsp, "flush_rows", lambda n: rows)
+
+
+def break_swaps(monkeypatch):
+    """Swaps that leave each moved token with its old position's entries of A."""
+    monkeypatch.setattr(qcsp, "_move_upper", lambda a, lo, hi: None)
+
+
+def load_file(relpath, name, monkeypatch=None):
+    """The module at relpath under the repo root, registered in sys.modules
+    as name for the test (dataclasses look their module up there) when a
+    monkeypatch is given."""
+    path = Path(__file__).resolve().parents[1] / relpath
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_peak(call):
+    """The peak bytes traced while call() runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from hooks import traced_peak
 
 from tokensieve import similarity, synth
 from tokensieve.analysis import (GridShape, ModelProfile, _moore_neighborhood,
@@ -86,6 +85,17 @@ def test_flat_neighborhoods_score_zero():
     assert flat_hoods == 20 * 60
 
 
+def test_entropy_is_invariant_under_power_of_two_scaling():
+    # tokens far from unit scale: no neighborhood's norm may overflow or
+    # underflow in the flatness test, nor its bins go negative
+    grid = GridShape(6, 6)
+    h = synth.two_region_grid(6, 6, 8, 0)
+    e = local_entropy_map(h, grid)
+    assert np.count_nonzero(e) == 24
+    for k in (-1000, -600, 600, 1000):
+        assert np.array_equal(local_entropy_map(np.ldexp(h, k), grid), e), k
+
+
 def test_entropy_is_invariant_under_negation():
     grid = GridShape(24, 24)
     h = gaussian_matrix(0, 576, 1024)
@@ -155,12 +165,7 @@ def test_profile_equals_the_mean_over_every_pair():
 def test_profile_needs_nothing_n_squared_beside_the_gram():
     grid = GridShape(48, 48)
     h = gaussian_matrix(9, 48 * 48, 16)
-    tracemalloc.start()
-    try:
-        similarity_by_distance_profile(h, grid, 94)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: similarity_by_distance_profile(h, grid, 94))
     assert peak <= 1.2 * 8 * (48 * 48) ** 2
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hooks import skew_gains
 
 from tokensieve import analysis, fusion, oracle
 from tokensieve.cli import main
@@ -231,16 +232,7 @@ def test_verify_needs_an_instance(capsys):
 
 
 def test_verify_detects_corrupted_greedy(monkeypatch, capsys):
-    from tokensieve import qcsp
-    orig = qcsp.GreedyState._steps
-
-    def corrupted(self, t_start, t_stop):
-        done, exhausted = orig(self, t_start, t_stop)
-        for t in range(t_start, done):
-            self.gains[t] *= 1.01
-        return done, exhausted
-
-    monkeypatch.setattr(qcsp.GreedyState, "_steps", corrupted)
+    skew_gains(monkeypatch, lambda gains: gains * 1.01)
     code = main(["verify", "--instances", "5"])
     out = capsys.readouterr().out
     assert code == 1

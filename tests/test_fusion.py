@@ -1,10 +1,6 @@
-import importlib.util
-import sys
-import tracemalloc
-from pathlib import Path
-
 import numpy as np
 import pytest
+from hooks import load_file, record_walks, traced_peak
 
 from tokensieve import fusion, gsp, oracle, qcsp, similarity
 from tokensieve.fusion import script_select, select
@@ -70,16 +66,9 @@ def test_walk_stops_at_mth_intersection_member(monkeypatch):
     n, m = 400, 24
     h_v = gaussian_matrix(11, n, 16)
     h_q = gaussian_matrix(12, 2, 16)
-    lengths = []
-    extend = GreedyState.extend
-
-    def recording_extend(self, k):
-        lengths.append(k)
-        extend(self, k)
-
-    monkeypatch.setattr(GreedyState, "extend", recording_extend)
+    walks = record_walks(monkeypatch)
     sel = script_select(h_v, h_q, m)
-    monkeypatch.undo()
+    lengths = [k for k, _, _ in walks]  # before the reference walk extends too
 
     g = set(gsp_select(prepare(h_v, gram=False), keep=2 * m))
     r = min_max_normalize(relevance_scores(h_v, mean_pool(h_q)))
@@ -348,12 +337,7 @@ def test_script_selection_normalizes_only_the_pooled_query(monkeypatch):
     h_v, h_q = gaussian_matrix(7, n, d), gaussian_matrix(8, 4, d)
     for query, normalized in ((h_q, [1]), (None, [])):
         rows.clear()
-        tracemalloc.start()
-        try:
-            script_select(h_v, query, 8)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: script_select(h_v, query, 8))
         assert rows == normalized
         assert peak < 8 * n * d // 4, peak
 
@@ -364,24 +348,13 @@ def test_benchmark_tracer_wraps_names_the_program_keeps(monkeypatch):
     # qcsp.kernel span) and reads state.kernel.n and state.kernel.unit after
     # each extend, so a change that drops one of them breaks the benchmark,
     # not the selection
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
+    spans = load_file("perfbench/spans.py", "perfbench_spans", monkeypatch)
 
     h_v, h_q = gaussian_matrix(5, 196, 32), gaussian_matrix(6, 4, 32)
-    lengths = []
-    extend = GreedyState.extend
-
-    def recording_extend(self, k):
-        extend(self, k)
-        lengths.append(self.t)
-
     with monkeypatch.context() as patch:
-        patch.setattr(GreedyState, "extend", recording_extend)
+        walks = record_walks(patch)
         untraced = script_select(h_v, h_q, 22).kept
+    lengths = [t for _, t, _ in walks]
     owners = (similarity, gsp, qcsp, fusion, qcsp.GreedyState)
     before = [dict(vars(owner)) for owner in owners]
     tracer = spans.Tracer()

@@ -8,7 +8,6 @@ the numerical change behind it.
 """
 
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -17,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hooks import load_file, record_walks
 
-from tokensieve import fusion, qcsp
+from tokensieve import fusion
 from tokensieve.rng import gaussian_matrix
 
 
@@ -93,15 +93,9 @@ def selection_digest(kept, tags) -> str:
 def test_golden_selection(name, monkeypatch):
     make, digest, walk, flushes = GOLDEN[name]
     h_v, h_q, m = make()
-    walked = []  # (steps, flushes) after each extend; both only grow
-    extend = qcsp.GreedyState.extend
-
-    def recording(state, k):
-        extend(state, k)
-        walked.append((state.t, state.flushes))
-
-    monkeypatch.setattr(qcsp.GreedyState, "extend", recording)
+    walks = record_walks(monkeypatch)
     sel = fusion.script_select(h_v, h_q, m)
+    walked = [(t, flushes) for _, t, flushes in walks]  # both only grow
     assert ((selection_digest(sel.kept, sel.stage_tags), *max(walked))
             == (digest, walk, flushes))
 
@@ -123,11 +117,8 @@ def test_golden_selections_hold_with_two_blas_threads():
 def test_benchmark_seed0_pool_digest():
     # the selections of the benchmark's seed-0 pool: 4 inputs per workload,
     # 136 frames, digested by scripts/pool_digest.py as for all ten seeds
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("pool_digest", root / "scripts" / "pool_digest.py")
-    script = importlib.util.module_from_spec(spec)
     env = dict(os.environ)
-    spec.loader.exec_module(script)
+    script = load_file("scripts/pool_digest.py", "pool_digest")
     assert dict(os.environ) == env  # importing it pins no BLAS threads
     assert script.pool_digest(range(1)) == (
         "fda05402ac647cafdbb2eb77d214cac01439becd7d73ca2a706d7ce9957e9ecc")

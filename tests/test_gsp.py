@@ -1,8 +1,8 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from hooks import traced_peak
 
 from tokensieve.fusion import select
 from tokensieve.gsp import (BipartiteRedundancyGraph, build_graph, gsp_select,
@@ -196,16 +196,6 @@ def test_build_graph_rejects_a_gamma_that_can_overflow_a_score():
     scores = redundancy_scores(build_graph(h, gamma=gamma)).score
     assert np.isfinite(scores).all() and scores.max() > 1e307
     assert gsp_select(h, gamma=gamma, keep=2) == [3, 4]
-
-
-def traced_peak(call):
-    """The peak bytes traced while call() runs, and its result."""
-    tracemalloc.start()
-    try:
-        result = call()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
 
 
 def test_scoring_allocates_the_bool_mask_and_no_float_copy_of_the_block():

@@ -15,8 +15,8 @@ with each token replaced by its class of identical tokens.
 
 import numpy as np
 import pytest
+from hooks import set_panel_rows
 
-from tokensieve import qcsp
 from tokensieve.qcsp import EPS, GreedyState, kernel_matrix
 from tokensieve.rng import gaussian_matrix
 from tokensieve.similarity import prepare
@@ -61,7 +61,7 @@ def test_flushing_walk_follows_dpstrf(n, d):
 def test_walk_with_zero_rows_follows_dpstrf(monkeypatch):
     # zero rows have gain 0: the walk ends before them and pads them in
     # ascending order, while dpstrf takes them last, tied at EPS
-    monkeypatch.setattr(qcsp, "flush_rows", lambda n: 16)
+    set_panel_rows(monkeypatch, 16)
     h = gaussian_matrix(23, 300, 24)
     zero = np.arange(7, 300, 29)
     h[zero] = 0.0

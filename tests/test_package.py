@@ -32,3 +32,16 @@ def test_only_rng_adds_to_a_seed():
              for lineno, line in enumerate(path.read_text().splitlines(), start=1)
              if offsets.search(line)]
     assert found == []
+
+
+def test_only_hooks_patch_the_walk_or_load_files():
+    # tests reach into the greedy walk, load repo scripts by path and trace
+    # memory through tests/hooks.py, so a refactor of the walk finds them there
+    here = Path(__file__).resolve()
+    reach = re.compile(r"spec_from_file_location|tracemalloc\.start"
+                       r"|setattr\(\s*(qcsp|GreedyState|[\"']tokensieve\.qcsp)\b")
+    found = [f"{path.name}:{lineno}: {line.strip()}"
+             for path in sorted(here.parent.glob("test_*.py")) if path != here
+             for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+             if reach.search(line)]
+    assert found == []

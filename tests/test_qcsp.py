@@ -1,9 +1,6 @@
-import importlib.util
-import tracemalloc
-from pathlib import Path
-
 import numpy as np
 import pytest
+from hooks import load_file, set_panel_rows, traced_peak
 
 from tokensieve import qcsp, similarity
 from tokensieve.fusion import select
@@ -266,12 +263,6 @@ def flush_instance(seed):
     return prepare(h), min_max_normalize(rng.standard_normal(n)), d
 
 
-def set_panel_rows(monkeypatch, rows):
-    # a flush runs its GEMMs over panel-deep row blocks, so with panels this
-    # small a flush spans several blocks and only A's upper triangle is valid
-    monkeypatch.setattr(qcsp, "flush_rows", lambda n: rows)
-
-
 def walk(prep, r, k, monkeypatch, rows):
     set_panel_rows(monkeypatch, rows)
     state = GreedyState(prep, r)
@@ -424,13 +415,13 @@ def test_a_flush_allocates_nothing_past_the_panel():
     # separate (n - t)-row buffer would be 1.5 MiB at the first flush here
     n = 1024
     prep = prepare(gaussian_matrix(8, n, 400))
-    tracemalloc.start()
-    try:
+
+    def walk_400():  # the state is built inside, so its panel is traced
         state = GreedyState(prep, np.ones(n))
         state.extend(400)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return state
+
+    peak, state = traced_peak(walk_400)
     assert state.flushes == 1 and state._panel.shape == (256, n)
     assert peak <= state._panel.nbytes + 2**20
 
@@ -503,10 +494,7 @@ def test_bench_walk_instrumentation_times_every_part(monkeypatch):
     # scripts/bench_walk.py times a walk's parts by replacing _flush and
     # _swap and swapping qcsp.np for a proxy during flushes; a refactor of
     # either would silently zero its figures
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("bench_walk", root / "scripts" / "bench_walk.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_file("scripts/bench_walk.py", "bench_walk")
     h, q = gaussian_matrix(5, 300, 40), gaussian_matrix(6, 2, 40)
     set_panel_rows(monkeypatch, 8)
 

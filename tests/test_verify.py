@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hooks import break_swaps, skew_gains
 
 from tokensieve import analysis, oracle, qcsp, verify
 from tokensieve.qcsp import GreedyState
@@ -107,14 +108,7 @@ def test_no_check_passes_on_no_instances(check, msg):
 
 
 def _nan_gains_after_step_0(monkeypatch):
-    orig = qcsp.GreedyState._steps
-
-    def nan_gains(self, t_start, t_stop):
-        done, exhausted = orig(self, t_start, t_stop)
-        self.gains[max(t_start, 1):done] = np.nan
-        return done, exhausted
-
-    monkeypatch.setattr(qcsp.GreedyState, "_steps", nan_gains)
+    skew_gains(monkeypatch, lambda gains: np.nan, first=lambda state: 1)
 
 
 def _nan_from(owner, name, like_tokens=False):
@@ -230,16 +224,7 @@ def test_marginal_gain_errors_shapes():
 
 
 def test_suite_flags_sabotaged_gains(monkeypatch):
-    from tokensieve import qcsp
-    orig = qcsp.GreedyState._steps
-
-    def corrupted(self, t_start, t_stop):
-        done, exhausted = orig(self, t_start, t_stop)
-        for t in range(t_start, done):
-            self.gains[t] *= 1.02
-        return done, exhausted
-
-    monkeypatch.setattr(qcsp.GreedyState, "_steps", corrupted)
+    skew_gains(monkeypatch, lambda gains: gains * 1.02)
     results = verify.check_greedy_suite(seed=0, instances=3)
     by_name = {r.name: r for r in results}
     assert not by_name["marginal-gain"].passed
@@ -247,27 +232,17 @@ def test_suite_flags_sabotaged_gains(monkeypatch):
 
 
 def test_flushed_walk_check_flags_a_broken_flush(monkeypatch):
-    from tokensieve import qcsp
-    # swaps that leave each moved token with its old position's entries of A
-    monkeypatch.setattr(qcsp, "_move_upper", lambda a, lo, hi: None)
+    break_swaps(monkeypatch)
     by_name = {r.name: r for r in verify.check_flushed_walk(instances=1, seed=0)}
     assert not by_name["flushed-walk"].passed
 
 
 def test_flushed_shifted_gain_flags_gains_off_after_a_flush(monkeypatch):
-    from tokensieve import qcsp
-    orig = qcsp.GreedyState._steps
-
-    def corrupted(self, t_start, t_stop):
-        # the gains of every step after the first flush, 1e-8 off
-        done, exhausted = orig(self, t_start, t_stop)
-        for t in range(max(t_start, qcsp.flush_rows(self.kernel.n)), done):
-            self.gains[t] *= 1.0 + 1e-8
-        return done, exhausted
-
     by_name = {r.name: r for r in verify.check_flushed_walk(instances=1, seed=0)}
     assert by_name["flushed-shifted-gain"].passed
-    monkeypatch.setattr(qcsp.GreedyState, "_steps", corrupted)
+    # the gains of every step after the first flush, 1e-8 off
+    skew_gains(monkeypatch, lambda gains: gains * (1.0 + 1e-8),
+               first=lambda state: qcsp.flush_rows(state.kernel.n))
     by_name = {r.name: r for r in verify.check_flushed_walk(instances=1, seed=0)}
     assert not by_name["flushed-shifted-gain"].passed
 
