@@ -127,8 +127,8 @@ def main() -> int:
         lengths = []
         extend = qcsp.GreedyState.extend
 
-        def recording_extend(state, n):
-            extend(state, n)
+        def recording_extend(state, *args, **kwargs):
+            extend(state, *args, **kwargs)
             lengths.append(state.t)
         qcsp.GreedyState.extend = recording_extend
         fusion.script_select(h_v, h_q, 320)

@@ -12,14 +12,12 @@ steps.  Because greedy selection is prefix-consistent, walking one
 length-n order is equivalent to re-running it with increasing budgets.
 
 The walk stops exactly where the answer is known.  The scan keeps
-target = min(m, |G|) members; while target - len(kept) of them are still
-missing, each costs at least one more step, so the state is grown by
-target - len(kept) steps per round.  The walk therefore ends
-at the m-th G-member and never passes it (if G holds fewer than m, it
-ends at the last G-member or at step m, whichever is later).  The
-per-step arithmetic does not depend on how the walk is split into
-rounds, so the kept set is that of the full-length order.  What a walk
-step and a flush cost, and which n x n buffer the walk owns, is in qcsp.
+target = min(m, |G|) members, and the walk is asked for them in one call:
+it stops right after the step that selects the target-th G-member (or
+pads up to it, once its gains run out), so it never passes the m-th
+G-member (if G holds fewer than m, it ends at the last G-member or at
+step m, whichever is later).  What a walk step and a flush cost, and
+which n x n buffer the walk owns, is in qcsp.
 """
 
 from __future__ import annotations
@@ -42,26 +40,20 @@ def _fuse(prep, m: int, tau: float, gamma: float, gsp_keep: int) -> tuple[list[i
     m in [1, n]: the kept indices in greedy-order scan order, and their tags."""
     # both stages read the one Gram; GSP reads it before the walk scales it
     # into L in place
-    g_members = set(gsp_select(prep, tau, gamma, keep=gsp_keep))
+    g = gsp_select(prep, tau, gamma, keep=gsp_keep)
+    members = np.zeros(prep.n, dtype=bool)
+    members[g] = True
     state = build_kernel(prep, prep.relevance)
-
-    kept: list[int] = []
-    target = min(m, len(g_members))
-    while len(kept) < target:
-        # the len(g_members) - len(kept) members not yet kept all lie in the
-        # n - t unwalked positions, so this never asks for more than n steps
-        scanned = state.t
-        state.extend(scanned + target - len(kept))
-        for idx in state.order[scanned: state.t].tolist():
-            if idx in g_members:
-                kept.append(idx)
-
+    state.extend(min(m, len(g)), members=members)
+    walked = state.order[: state.t]
+    kept = walked[members[walked]].tolist()
     fill: list[int] = []
     if len(kept) < m:
         # every G-member is kept, and the order's first m steps hold at most
         # len(kept) of them, so they hold the m - len(kept) fill tokens
         state.extend(m)
-        fill = [i for i in state.order[:m].tolist() if i not in g_members][: m - len(kept)]
+        first = state.order[:m]
+        fill = first[~members[first]][: m - len(kept)].tolist()
     return kept + fill, ["intersection"] * len(kept) + ["qcsp-fill"] * len(fill)
 
 

@@ -20,7 +20,8 @@ vector u_i via incremental Cholesky updates:
 
 Candidates whose v^2 has fallen to <= 0 are never picked; if none are
 positive the kernel rank is exhausted and the remaining budget is
-padded by ascending index so callers always get exactly k indices.
+padded by ascending index so callers always get exactly k indices (or,
+asked for k tokens of a member set, exactly k members).
 
 Write L = B B^T, with rows b_i = r_i * h_i / |h_i|.  After the steps of a
 selected set S, every unselected gain is
@@ -52,7 +53,8 @@ token map that starts as the identity.
 Until the first flush A is L, each step reads the winner's whole row and
 the argmax breaks ties on the lower token index: these steps do the
 arithmetic of the unblocked walk that keeps every coefficient row, bit
-for bit, so a walk that never fills its panel moves nothing.  The first
+for bit, so a walk that never fills its panel moves nothing.  They run
+in a loop of their own, which reads no position -> token map.  The first
 flush swaps the tokens selected so far to positions [0, t) in step
 order.  From then on each step swaps its winner to position t, as dpstrf
 pivots, so the selected tokens always fill positions [0, t), e covers the
@@ -159,77 +161,137 @@ class GreedyState:
         self._kk = 0  # rows in the panel
         self._perm = np.arange(n)  # position -> token index
 
-    def extend(self, k: int) -> None:
-        """Grow the selection order to length k (no-op if already there); a k
-        that is not an integer in [1, n] (bools included) raises ValueError."""
-        k = _integer("k", k, 1, self.kernel.n)
-        if k <= self.t:
+    def extend(self, k: int, members: np.ndarray | None = None) -> None:
+        """Grow the selection order to length k (no-op if already there).
+
+        With members, a bool array of one entry per token, k counts member
+        tokens: the order grows until it holds k of them, and the walk stops
+        right after the step that selects the k-th (no-op if the order holds
+        k already).  Once the gains run out, either way, the order is padded
+        by ascending token index up to length k, or up to the k-th member.
+        A k that is not an integer in [1, n] (bools included), or with
+        members in [1, members' count], and members that are not a bool
+        array of length n raise ValueError."""
+        n = self.kernel.n
+        if members is None:
+            need = _integer("k", k, 1, n) - self.t
+        else:
+            members = np.asarray(members)
+            if members.dtype != bool or members.shape != (n,):
+                raise ValueError(f"members must be a bool array of shape ({n},), got "
+                                 f"{members.dtype} of shape {members.shape}")
+            need = (_integer("k", k, 1, int(np.count_nonzero(members)))
+                    - int(np.count_nonzero(members[self.order[: self.t]])))
+        if need <= 0:
             return
         if not self.exhausted:
-            self.t, self.exhausted = self._steps(self.t, k)
-        if self.exhausted and self.t < k:
+            self.t, need, self.exhausted = self._steps(
+                self.t, need, None if members is None else members.tolist())
+        if need:
             # kernel rank exhausted: pad by ascending index to honor the budget
             free = np.flatnonzero(self.v_sq != -np.inf)
-            pad = free[np.argsort(self._perm[free])[: k - self.t]]
-            self.order[self.t: k] = self._perm[pad]
-            self.gains[self.t: k] = 0.0
-            self.v_sq[pad] = -np.inf
-            self.t = k
+            pad = free[np.argsort(self._perm[free])]
+            tokens = self._perm[pad]
+            if members is not None:
+                need = int(np.flatnonzero(members[tokens])[need - 1]) + 1
+            self.order[self.t: self.t + need] = tokens[:need]
+            self.gains[self.t: self.t + need] = 0.0
+            self.v_sq[pad[:need]] = -np.inf
+            self.t += need
 
-    def _steps(self, t_start: int, t_stop: int) -> tuple[int, bool]:
-        """Run steps [t_start, t_stop); returns (steps done, exhausted)."""
+    def _steps(self, t: int, need: int, members: list | None) -> tuple[int, int, bool]:
+        """Run steps from step t until they select need more tokens of
+        members (any tokens, with members None) or the gains run out;
+        returns (steps done, tokens still needed, exhausted)."""
+        if not self.flushes:
+            t, need, exhausted = self._unflushed_steps(t, need, members)
+            if exhausted or not need:
+                return t, need, exhausted
+        return self._flushed_steps(t, need, members)
+
+    def _unflushed_steps(self, t_start: int, need: int,
+                         members: list | None) -> tuple[int, int, bool]:
+        """_steps until the panel is full.  No flush has run, so a position
+        is its token, and the panel holds one row per step: row t is step
+        t's coefficient row."""
+        v, order, gains, sq = self.v_sq, self.order, self.gains, self._sq
+        a, panel = self._a, self._panel
+        argmax, subtract, multiply, sqrt = v.argmax, np.subtract, np.multiply, math.sqrt
+        for t in range(t_start, panel.shape[0]):
+            p = int(argmax())
+            vj = v[p]
+            if not vj > 0.0:
+                self._kk = t
+                return t, need, True
+            e = panel[t]
+            # on whole panel rows ndarray.dot is the faster call; on the
+            # columns after t it is slower than np.matmul (same bits)
+            subtract(a[p], panel[:t, p].dot(panel[:t], out=sq), out=e)
+            e /= sqrt(vj + EPS)
+            multiply(e, e, out=sq)
+            v -= sq
+            v[p] = -np.inf
+            order[t] = p
+            gains[t] = vj
+            if members is None or members[p]:
+                need -= 1
+                if not need:
+                    self._kk = t + 1
+                    return t + 1, 0, False
+        self._kk = panel.shape[0]
+        return panel.shape[0], need, False
+
+    def _flushed_steps(self, t_start: int, need: int,
+                       members: list | None) -> tuple[int, int, bool]:
+        """_steps from a full panel on: each flushes a full panel first, and
+        after the first flush positions [0, t) hold order[:t].  The need
+        tokens lie among the n - t_start unselected ones, so the loop
+        returns before it ends."""
         v, order, gains, sq = self.v_sq, self.order, self.gains, self._sq
         a, perm, panel, kk = self._a, self._perm, self._panel, self._kk
-        for t in range(t_start, t_stop):
+        for t in range(t_start, v.size):
             if kk == panel.shape[0]:
                 self._kk = kk
                 # a walk whose gains ran out has no use for the flush
                 if not v.max() > 0.0:
-                    return t, True
+                    return t, need, True
                 self._flush(t)
                 kk = 0
-            # after the first flush positions [0, t) hold order[:t]
-            if self.flushes:
-                p = self._lowest_index_tie(t + int(v[t:].argmax()))
-            else:
-                p = int(v.argmax())
+            p = self._lowest_index_tie(t + int(v[t:].argmax()))
             vj = v[p]
             if not vj > 0.0:
                 self._kk = kk
-                return t, True
-            if self.flushes:
-                # dpstrf order: the winner goes to position t and e covers
-                # the positions after it.  Above A's diagonal its row lies in
-                # column p before position p and in row p after it; it is
-                # read before the token at t moves to position p
-                lo = t + 1
-                if p != t:
-                    row = panel[kk, lo:]
-                    row[: p - lo] = a[lo:p, p]
-                    row[p - lo] = a[t, p]
-                    row[p - t:] = a[p, p + 1:]
-                    self._swap(t, p, kk)
-                    p = t
-                else:
-                    row = a[t, lo:]
-                tail, s, e = v[lo:], sq[lo:], panel[kk, lo:]
-                prod = np.matmul(panel[:kk, p], panel[:kk, lo:], out=s)
+                return t, need, True
+            # dpstrf order: the winner goes to position t and e covers the
+            # positions after it.  Above A's diagonal its row lies in column
+            # p before position p and in row p after it; it is read before
+            # the token at t moves to position p
+            lo = t + 1
+            if p != t:
+                row = panel[kk, lo:]
+                row[: p - lo] = a[lo:p, p]
+                row[p - lo] = a[t, p]
+                row[p - t:] = a[p, p + 1:]
+                self._swap(t, p, kk)
+                p = t
             else:
-                row = a[p]
-                tail, s, e = v, sq, panel[kk]
-                # on whole panel rows ndarray.dot is the faster call; on the
-                # columns after t it is slower than np.matmul (same bits)
-                prod = panel[:kk, p].dot(panel[:kk], out=s)
+                row = a[t, lo:]
+            tail, s, e = v[lo:], sq[lo:], panel[kk, lo:]
+            prod = np.matmul(panel[:kk, p], panel[:kk, lo:], out=s)
             np.subtract(row, prod, out=e)
             e /= math.sqrt(vj + EPS)
             kk += 1
             np.multiply(e, e, out=s)
             tail -= s
             v[p] = -np.inf
-            order[t] = perm[p]
+            token = int(perm[p])
+            order[t] = token
             gains[t] = vj
-        self._kk = kk
-        return t_stop, False
+            if members is None or members[token]:
+                need -= 1
+                if not need:
+                    self._kk = kk
+                    return t + 1, 0, False
 
     def _lowest_index_tie(self, p: int) -> int:
         """Among the positions whose gain ties that of position p, the

@@ -14,8 +14,9 @@ optionally the cosine matrix S.  Every cosine it hands out is a product
 of raw rows times inverse norms: S = G * (inv_i * inv_j) with the Gram
 G = H @ H.T, whose diagonal gives the squared norms, and the relevance
 (H @ mu/||mu||) * inv_i.  So a selection writes no n x d array: it
-reads its tokens in the syrk and, with a query, in one gemv, and
-`Prepared.unit` computes the unit rows only for code that reads them.
+reads its tokens, with a query, in one gemv, and then in the syrk, which
+finds the rows the streaming gemv pulled into cache, and `Prepared.unit`
+computes the unit rows only for code that reads them.
 GSP reads its even x odd cosine block from S (or forms it the same way
 from the rows), and the greedy walk turns S into L = diag(r) S
 diag(r) in place, both through `scale_outer`.  It is the only place
@@ -34,8 +35,8 @@ sum overflows, because Cauchy-Schwarz bounds it by ||h_i|| ||h_j|| <=
 a normal float.  Each cosine thus has the error bound of a product of
 unit rows.  A finite nonzero row outside the range (its squared norm
 overflows, underflows or is subnormal) is replaced by its unit row from
-`l2_normalize_rows` before the products, and the Gram is built again;
-that is rare, and costs one n x d copy.
+`l2_normalize_rows` before the products, and the gemv and the Gram are
+taken again; that is rare, and costs one n x d copy.
 
 Input contract: the tokens are a 2-d array of finite real values (dtype
 bool, int, uint or float) with at least one column; the query, if any,
@@ -43,9 +44,12 @@ is a finite real 2-d array of at least one row with the tokens' width
 and a finite mean, against at least one token row; and the Gram, when
 one is asked for, fits in MAX_GRAM_BYTES (8*n^2 bytes, so n <= 16384).
 `prepare` raises `InputError` (a ValueError) naming the input otherwise.
-It checks the size before it computes anything, and it finds a
-non-finite token from the squared norms, which a NaN or an infinity
-takes out of the range, so that check costs O(n) on top of them.
+It checks the size before it computes anything and the query before it
+reads a token row.  Then it takes the rows' gemv with the pooled query,
+then the Gram, and finds a non-finite token from the Gram's squared
+norms, which a NaN or an infinity takes out of the range, so that check
+costs O(n) on top of them.  Input whose tokens and query both break the
+contract is refused for its query.
 """
 
 from __future__ import annotations
@@ -250,17 +254,21 @@ def _rows_in_range(h: np.ndarray, sq: np.ndarray) -> np.ndarray | None:
     return h
 
 
-def _gram_and_norms(h: np.ndarray, gram: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """h @ h.T (None without gram) and the squared norms of h's rows."""
+def _row_products(h: np.ndarray, mu: np.ndarray | None,
+                  gram: bool) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
+    """h @ mu (None without mu), h @ h.T (None without gram) and the squared
+    norms of h's rows."""
     # a row out of range may overflow, and inf * 0 is invalid: _rows_in_range
     # finds such rows from the squared norms
     with np.errstate(over="ignore", invalid="ignore"):
+        # the streaming gemv pulls the rows into cache, where the syrk reads them
+        raw = None if mu is None else h @ mu
         if not gram:
-            return None, np.einsum("ij,ij->i", h, h)
+            return raw, None, np.einsum("ij,ij->i", h, h)
         # numpy runs a @ a.T as one syrk and copies the triangle it computed
         # onto the other one, so the Gram is exactly symmetric
         g = h @ h.T
-    return g, g.diagonal().copy()
+    return raw, g, g.diagonal().copy()
 
 
 def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
@@ -269,7 +277,8 @@ def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
 
     Raises InputError for tokens or a query that break the input contract
     (see the module), including, with gram, an n whose 8*n^2-byte Gram
-    exceeds MAX_GRAM_BYTES.
+    exceeds MAX_GRAM_BYTES.  The query is checked before the token rows'
+    values.
     """
     h_v = _real_array(h_v, "tokens")
     if h_v.ndim != 2 or h_v.shape[1] == 0:
@@ -280,18 +289,7 @@ def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
         raise InputError(f"{n} tokens need a {8 * n * n / 2**30:.2f} GiB similarity "
                          f"matrix, over the {MAX_GRAM_BYTES / 2**30:g} GiB limit "
                          f"(at most {math.isqrt(MAX_GRAM_BYTES // 8)} tokens)")
-    h = np.ascontiguousarray(h_v)
-    s, sq = _gram_and_norms(h, gram)
-    fixed = _rows_in_range(h, sq)
-    if fixed is not None:
-        h = fixed
-        s, sq = _gram_and_norms(h, gram)
-    inv_norm = np.zeros(n)
-    np.divide(1.0, np.sqrt(sq), out=inv_norm, where=sq > 0.0)
-    if s is not None:
-        scale_outer(s, inv_norm, inv_norm)
-    relevance_raw = None
-    relevance = np.ones(n)
+    mu = None
     if h_q is not None:
         if n == 0:
             raise InputError("the token matrix has 0 rows, so there is no relevance "
@@ -305,10 +303,21 @@ def prepare(h_v: np.ndarray, h_q=None, gram: bool = True) -> Prepared:
         mu = l2_normalize_rows(mu[None, :])[0]
         if not np.isfinite(mu).all():
             raise InputError("query holds a non-finite value (or its mean overflows)")
-        relevance_raw = h @ mu
-        relevance_raw *= inv_norm
-        relevance = min_max_normalize(relevance_raw)
-    return Prepared(h_v, h, inv_norm, relevance, relevance_raw, s)
+    h = np.ascontiguousarray(h_v)
+    raw, s, sq = _row_products(h, mu, gram)
+    fixed = _rows_in_range(h, sq)
+    if fixed is not None:
+        h = fixed
+        raw, s, sq = _row_products(h, mu, gram)
+    inv_norm = np.zeros(n)
+    np.divide(1.0, np.sqrt(sq), out=inv_norm, where=sq > 0.0)
+    if s is not None:
+        scale_outer(s, inv_norm, inv_norm)
+    relevance = np.ones(n)
+    if raw is not None:
+        raw *= inv_norm
+        relevance = min_max_normalize(raw)
+    return Prepared(h_v, h, inv_norm, relevance, raw, s)
 
 
 def relevance_scores(h_v: np.ndarray, h_mu: np.ndarray) -> np.ndarray:

@@ -210,7 +210,8 @@ def make_greedy_instance(rng: SplitMix64, d: int = 32):
     return h_v, h_q, k
 
 
-def marginal_gain_errors(prep, r, k: int) -> tuple[list[float], list[float], list[int]]:
+def marginal_gain_errors(prep, r, k: int) -> tuple[list[float], list[float], list[int],
+                                                   np.ndarray]:
     """Two per-step error families for the recorded greedy gains.
 
     First: |gain - det(L_{S+j})/det(L_S)| / (1 + ratio), skipping steps
@@ -226,7 +227,8 @@ def marginal_gain_errors(prep, r, k: int) -> tuple[list[float], list[float], lis
     Ratios are taken as exp(logdet_{t} - logdet_{t-1}) from slogdet, so
     long walks, whose determinants underflow, are checked as well.  The
     walk of the prepared instance prep and relevance r takes prep's Gram,
-    so L is copied first.  The walk's order is returned third.
+    so L is copied first.  The walk's order is returned third, and the copy
+    of L fourth.
     """
     l = qcsp.kernel_matrix(prep, r)
     state = qcsp.GreedyState(prep, r)
@@ -249,7 +251,7 @@ def marginal_gain_errors(prep, r, k: int) -> tuple[list[float], list[float], lis
         # a det at or below 0 ends the first family, as one under 1e-12 does
         log_prev = log_cur if sign > 0 else -math.inf
         log_prev_m = log_cur_m
-    return mixed, shifted, [int(i) for i in state.order[:k]]
+    return mixed, shifted, [int(i) for i in state.order[:k]], l
 
 
 def _shifted_error(gain: float, ratio: float) -> float:
@@ -276,8 +278,7 @@ def check_greedy_suite(instances: int = 500, seed: int = 6) -> list[CheckResult]
     for _ in range(instances):
         h_v, h_q, k = make_greedy_instance(rng)
         prep = similarity.prepare(h_v, h_q)
-        l = qcsp.kernel_matrix(prep, prep.relevance)
-        mixed, shifted, picked = marginal_gain_errors(prep, prep.relevance, k)
+        mixed, shifted, picked, l = marginal_gain_errors(prep, prep.relevance, k)
         gain_errs.extend(mixed)
         shift_errs.extend(shifted)
 

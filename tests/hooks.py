@@ -10,13 +10,14 @@ from tokensieve import qcsp
 
 
 def record_walks(monkeypatch):
-    """The list of (k asked, state.t, state.flushes) after each extend."""
+    """The list of ((k, members) asked, state.t, state.flushes) after each
+    extend."""
     log = []
     extend = qcsp.GreedyState.extend
 
-    def recording(state, k):
-        extend(state, k)
-        log.append((k, state.t, state.flushes))
+    def recording(state, k, members=None):
+        extend(state, k, members)
+        log.append(((k, members), state.t, state.flushes))
 
     monkeypatch.setattr(qcsp.GreedyState, "extend", recording)
     return log
@@ -27,11 +28,11 @@ def skew_gains(monkeypatch, skew, first=lambda state: 0):
     skew(gains[lo:done]), with lo = max(t_start, first(state))."""
     steps = qcsp.GreedyState._steps
 
-    def skewed(state, t_start, t_stop):
-        done, exhausted = steps(state, t_start, t_stop)
+    def skewed(state, t_start, *args):
+        done, *rest = steps(state, t_start, *args)
         lo = max(t_start, first(state))
         state.gains[lo:done] = skew(state.gains[lo:done])
-        return done, exhausted
+        return (done, *rest)
 
     monkeypatch.setattr(qcsp.GreedyState, "_steps", skewed)
 

@@ -68,7 +68,7 @@ def test_walk_stops_at_mth_intersection_member(monkeypatch):
     h_q = gaussian_matrix(12, 2, 16)
     walks = record_walks(monkeypatch)
     sel = script_select(h_v, h_q, m)
-    lengths = [k for k, _, _ in walks]  # before the reference walk extends too
+    lengths = [t for _, t, _ in walks]  # before the reference walk extends too
 
     g = set(gsp_select(prepare(h_v, gram=False), keep=2 * m))
     r = min_max_normalize(relevance_scores(h_v, mean_pool(h_q)))
@@ -78,6 +78,20 @@ def test_walk_stops_at_mth_intersection_member(monkeypatch):
     positions = [t for t, idx in enumerate(order) if idx in g]
     assert sel.stage_tags == ["intersection"] * m
     assert max(lengths) == positions[m - 1] + 1
+
+
+def test_script_walks_in_one_member_bounded_extend(monkeypatch):
+    # one walk call per selection, asking for min(m, |G|) G-members; only
+    # the fill (gsp_keep < m) extends again, to m steps
+    h_v, h_q = gaussian_matrix(13, 60, 8), gaussian_matrix(14, 2, 8)
+    walks = record_walks(monkeypatch)
+    for m, gsp_keep, fill_asks in ((10, None, []), (10, 4, [(10, None)])):
+        walks.clear()
+        script_select(h_v, h_q, m, gsp_keep=gsp_keep)
+        g = gsp_select(prepare(h_v, gram=False), keep=gsp_keep or 2 * m)
+        ((k, members), _, _), *rest = walks
+        assert k == min(m, len(g)) and np.flatnonzero(members).tolist() == g
+        assert [ask for ask, _, _ in rest] == fill_asks
 
 
 def test_intersection_prefix_case():

@@ -184,6 +184,13 @@ def test_extend_validates_budget():
         state.extend(0)
     with pytest.raises(ValueError):
         state.extend(6)
+    members = np.array([True, False, True, False, False])
+    with pytest.raises(ValueError, match=r"^k must lie in \[1, 2\], got 3$"):
+        state.extend(3, members=members)
+    for bad in (members[:4], members.astype(int)):
+        with pytest.raises(ValueError, match=r"^members must be a bool array of shape \(5,\)"):
+            state.extend(1, members=bad)
+    assert state.t == 0
 
 
 @pytest.mark.parametrize("k", [2.0, True, "3", np.int64(3)])
@@ -345,6 +352,55 @@ def test_walk_in_short_rounds_matches_one_extend(panel_rows, monkeypatch):
         assert np.array_equal(rounds.gains, whole.gains), seed
 
 
+def scan_in_rounds(state, k, members):
+    """Grow state until its order holds k members, in rounds of plain
+    extends: each round asks for as many steps as members are missing."""
+    found = int(np.count_nonzero(members[state.order[: state.t]]))
+    while found < k:
+        scanned = state.t
+        state.extend(scanned + k - found)
+        found += int(np.count_nonzero(members[state.order[scanned: state.t]]))
+
+
+@pytest.mark.parametrize("panel_rows", [None, 3])
+def test_member_bounded_extend_matches_the_round_scan(panel_rows, monkeypatch):
+    # full-rank Gaussian instances, and flush_instance's n > d ones, whose
+    # walks exhaust and pad members; each is walked from scratch and resumed
+    # on a walked state, then asked for every member
+    if panel_rows is not None:
+        set_panel_rows(monkeypatch, panel_rows)
+    rng = np.random.default_rng(29)
+    padded = flushed = 0
+    for seed in range(24):
+        def make():
+            if seed % 2:
+                return random_instance(seed, n=30, d=40)
+            return flush_instance(seed)[:2]
+        n = make()[0].n
+        members = rng.random(n) < rng.uniform(0.1, 0.9)
+        members[rng.integers(n)] = True
+        count = int(np.count_nonzero(members))
+        for resume in (0, int(rng.integers(1, n)), n):
+            one, rounds = GreedyState(*make()), GreedyState(*make())
+            if resume:
+                one.extend(resume)
+                rounds.extend(resume)
+            for k in (int(rng.integers(1, count + 1)), count):
+                one.extend(k, members=members)
+                scan_in_rounds(rounds, k, members)
+                assert (one.t, one.flushes, one.exhausted) == \
+                    (rounds.t, rounds.flushes, rounds.exhausted), (seed, resume, k)
+                assert np.array_equal(one.order, rounds.order), (seed, resume, k)
+                assert np.array_equal(one.gains, rounds.gains), (seed, resume, k)
+                if resume < one.t:
+                    # the walk stopped at the k-th member, or padded up to it
+                    assert members[one.order[one.t - 1]]
+                    padded += one.gains[one.t - 1] == 0.0
+                flushed += one.flushes > 0
+    assert padded > 0
+    assert (flushed > 0) == (panel_rows is not None)
+
+
 def test_flushed_walk_keeps_shifted_gain_identity(monkeypatch):
     from tokensieve import verify
     set_panel_rows(monkeypatch, 2)
@@ -352,7 +408,7 @@ def test_flushed_walk_keeps_shifted_gain_identity(monkeypatch):
         prep, r, _ = flush_instance(seed)
         # to k = n, far past the rank; slogdet keeps the oracle's ratios
         # exact where the determinants of L + eps*I underflow
-        _, shifted, _ = verify.marginal_gain_errors(prep, r, prep.n)
+        _, shifted, _, _ = verify.marginal_gain_errors(prep, r, prep.n)
         assert max(shifted) <= 1e-9, seed
 
 

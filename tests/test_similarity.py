@@ -215,6 +215,37 @@ def test_prepare_rejects_a_query_that_breaks_the_contract(query, message):
         prepare(gaussian_matrix(8, 6, 5), query)
 
 
+def test_a_bad_query_is_named_before_a_non_finite_token():
+    # prepare checks and pools the query before it reads a token row
+    h = gaussian_matrix(26, 8, 5)
+    h[3, 2] = np.nan
+    h[6, 0] = np.inf
+    for query, message in [(np.full((2, 5), 1.7e308), "mean overflows"),
+                           (gaussian_matrix(27, 2, 6), "query width 6"),
+                           (np.ones(5), "the query must be a 2-d array")]:
+        for gram in (True, False):
+            with pytest.raises(InputError, match=message):
+                prepare(h, query, gram=gram)
+
+
+@pytest.mark.parametrize("gram", [True, False])
+def test_relevance_of_out_of_range_rows_is_that_of_their_unit_rows(gram):
+    # the relevance gemv runs before the range check, on rows whose product
+    # with the query may overflow, and again on the fixed rows
+    h = gaussian_matrix(28, 10, 6)
+    h[2] *= 1e200
+    h[5] = 1.5e308
+    q = np.abs(gaussian_matrix(29, 3, 6))
+    mu = l2_normalize_rows(mean_pool(q)[None, :])[0]
+    with np.errstate(over="ignore"):
+        assert np.isinf(h @ mu)[5]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        prep = prepare(h, q, gram=gram)
+    assert np.array_equal(prep.rows[[2, 5]], l2_normalize_rows(h[[2, 5]]))
+    assert np.array_equal(prep.relevance_raw, (prep.rows @ mu) * prep.inv_norm)
+
+
 def test_a_query_against_no_token_rows_raises_input_error():
     empty = np.zeros((0, 3))
     for score in (lambda: prepare(empty, np.ones((2, 3))),
@@ -234,16 +265,16 @@ def test_gram_size_limit_is_checked_before_any_work(monkeypatch):
     def must_not_run(*args):
         raise AssertionError("rows read before the size check")
 
-    gram_and_norms = similarity._gram_and_norms
+    row_products = similarity._row_products
     monkeypatch.setattr(similarity, "l2_normalize_rows", must_not_run)
-    monkeypatch.setattr(similarity, "_gram_and_norms", must_not_run)
+    monkeypatch.setattr(similarity, "_row_products", must_not_run)
     for run in (lambda: prepare(h), lambda: prepare(h, q),
                 lambda: script_select(h, q, 3), lambda: select("qcsp", h, q, 3),
                 lambda: select("diversity", h, None, 3)):
         with pytest.raises(InputError, match=f"{n} tokens"):
             run()
     monkeypatch.setattr(similarity, "l2_normalize_rows", l2_normalize_rows)
-    monkeypatch.setattr(similarity, "_gram_and_norms", gram_and_norms)
+    monkeypatch.setattr(similarity, "_row_products", row_products)
     # without a Gram there is nothing to bound
     assert prepare(h, q, gram=False).gram is None
     monkeypatch.setattr(similarity, "MAX_GRAM_BYTES", 8 * n * n)

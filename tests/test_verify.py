@@ -208,7 +208,7 @@ def test_marginal_gain_errors_shapes():
     rng = SplitMix64(77)
     h = gaussian_matrix(rng.next_below(2**32), 10, 32)
     r = min_max_normalize(np.abs(gaussian_matrix(5, 1, 10)[0]))
-    mixed, shifted, order = verify.marginal_gain_errors(prepare(h), r, 4)
+    mixed, shifted, order, l = verify.marginal_gain_errors(prepare(h), r, 4)
     # the plain det ratio is only checked while the prefix det is well
     # above float noise; the shifted identity holds on every step
     assert len(shifted) == 4
@@ -221,6 +221,8 @@ def test_marginal_gain_errors_shapes():
     state = GreedyState(prepare(h), r)
     state.extend(4)
     assert order == state.order[:4].tolist()
+    # and the kernel it walked, for the caller's oracles
+    np.testing.assert_array_equal(l, qcsp.kernel_matrix(prepare(h), r))
 
 
 def test_suite_flags_sabotaged_gains(monkeypatch):
