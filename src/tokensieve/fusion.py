@@ -6,18 +6,19 @@ tags, and `select` resolves gsp_keep and records the params.
 
 The fused rule: walk the greedy MAP order and keep the tokens that also
 survived the redundancy filter (the gsp_keep members of G), then fill any
-remaining budget from the top of the order.  The fill runs only when
-gsp_keep < m; it takes the earliest non-members of the order's first m
-steps.  Because greedy selection is prefix-consistent, walking one
-length-n order is equivalent to re-running it with increasing budgets.
+remaining budget from the top of the order.  Because greedy selection is
+prefix-consistent, walking one length-n order is equivalent to re-running
+it with increasing budgets.
 
-The walk stops exactly where the answer is known.  The scan keeps
-target = min(m, |G|) members, and the walk is asked for them in one call:
-it stops right after the step that selects the target-th G-member (or
-pads up to it, once its gains run out), so it never passes the m-th
-G-member (if G holds fewer than m, it ends at the last G-member or at
-step m, whichever is later).  What a walk step and a flush cost, and
-which n x n buffer the walk owns, is in qcsp.
+The walk stops exactly where the answer is known.  It is asked for
+target = min(m, |G|) G-members in one call, and stops right after the
+step that selects the target-th (or pads up to it, once its gains run
+out), so it never passes the m-th G-member.  If G holds fewer than m, it
+is then extended to step m, so it ends at the last G-member or at step m,
+whichever is later.  The scan is the walked order, G-members first, cut
+at m: the target members, then the earliest m - target non-members, which
+lie in the first m steps.  What a walk step and a flush cost, and which
+n x n buffer the walk owns, is in qcsp.
 """
 
 from __future__ import annotations
@@ -44,17 +45,13 @@ def _fuse(prep, m: int, tau: float, gamma: float, gsp_keep: int) -> tuple[list[i
     members = np.zeros(prep.n, dtype=bool)
     members[g] = True
     state = build_kernel(prep, prep.relevance)
-    state.extend(min(m, len(g)), members=members)
-    walked = state.order[: state.t]
-    kept = walked[members[walked]].tolist()
-    fill: list[int] = []
-    if len(kept) < m:
-        # every G-member is kept, and the order's first m steps hold at most
-        # len(kept) of them, so they hold the m - len(kept) fill tokens
+    target = min(m, len(g))
+    state.extend(target, members=members)
+    if target < m:
         state.extend(m)
-        first = state.order[:m]
-        fill = first[~members[first]][: m - len(kept)].tolist()
-    return kept + fill, ["intersection"] * len(kept) + ["qcsp-fill"] * len(fill)
+    walked = state.order[: state.t]
+    kept = walked[np.argsort(~members[walked], kind="stable")[:m]].tolist()
+    return kept, ["intersection"] * target + ["qcsp-fill"] * (m - target)
 
 
 MODES = ("script", "gsp", "qcsp", "random", "topk", "diversity")

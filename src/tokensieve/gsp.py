@@ -115,10 +115,11 @@ def gsp_select(prep: Prepared, tau: float = DEFAULT_TAU,
     """The indices of the `keep` lowest-redundancy tokens of a prepared
     instance, ascending.
 
-    Ties in score break toward the lower original index.  A keep that is
-    not an integer in [1, n] (bools included) raises ValueError.
+    Ties in score break toward the lower original index.  An instance of
+    no token ("n must be >= 1"), then a keep that is not an integer in
+    [1, n] (bools included), raises ValueError.
     """
-    keep = _integer("keep", keep, 1, prep.n)
+    keep = _integer("keep", keep, 1, _integer("n", prep.n, 1))
     scores = redundancy_scores(build_graph(prep, tau, gamma)).score
     # stable mergesort on score preserves index order within ties
     ranked = np.argsort(scores, kind="stable")

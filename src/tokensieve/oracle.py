@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,12 @@ PSD_TOL = 1e-8
 
 
 def _matrix(l: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """l as float64 and its order n, for a k in [1, n]."""
+    """l as float64 and its order n, for an integer k in [1, n] (a bool or a
+    non-integer raises ValueError)."""
     l = np.asarray(l, dtype=np.float64)
     n = l.shape[0]
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     return l, n

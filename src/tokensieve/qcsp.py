@@ -18,10 +18,11 @@ vector u_i via incremental Cholesky updates:
     u_i   += [e_i]
     v_i^2 -= e_i^2
 
-Candidates whose v^2 has fallen to <= 0 are never picked; if none are
-positive the kernel rank is exhausted and the remaining budget is
-padded by ascending index so callers always get exactly k indices (or,
-asked for k tokens of a member set, exactly k members).
+The walk has one budget rule: extend(k, members) walks until the order
+holds k tokens of a member mask, every token by default.  Candidates
+whose v^2 has fallen to <= 0 are never picked; if none are positive the
+kernel rank is exhausted and the order is padded by ascending index up
+to the k-th member, so callers always get exactly k members.
 
 Write L = B B^T, with rows b_i = r_i * h_i / |h_i|.  After the steps of a
 selected set S, every unselected gain is
@@ -140,11 +141,13 @@ class GreedyState:
         and the rows it holds.
     _perm: position -> token index.
 
-    A relevance that is not a real vector in [0, 1] (no NaN) of the
-    instance's length, or an instance that holds no Gram, raises ValueError.
+    An instance of no token ("n must be >= 1"), a relevance that is not a
+    real vector in [0, 1] (no NaN) of the instance's length, or an instance
+    that holds no Gram raises ValueError.
     """
 
     def __init__(self, prep: Prepared, r_norm: np.ndarray):
+        _integer("n", prep.n, 1)
         r = _relevance(prep, r_norm)
         self.kernel = prep
         self._a, prep.gram = prep.gram, None
@@ -162,55 +165,50 @@ class GreedyState:
         self._perm = np.arange(n)  # position -> token index
 
     def extend(self, k: int, members: np.ndarray | None = None) -> None:
-        """Grow the selection order to length k (no-op if already there).
-
-        With members, a bool array of one entry per token, k counts member
-        tokens: the order grows until it holds k of them, and the walk stops
-        right after the step that selects the k-th (no-op if the order holds
-        k already).  Once the gains run out, either way, the order is padded
-        by ascending token index up to length k, or up to the k-th member.
-        A k that is not an integer in [1, n] (bools included), or with
-        members in [1, members' count], and members that are not a bool
-        array of length n raise ValueError."""
+        """Grow the selection order until it holds k tokens of members, a
+        bool array of one entry per token (None: every token): the walk
+        stops right after the step that selects the k-th (no-op if the order
+        holds k already).  Once the gains run out, the order is padded by
+        ascending token index up to the k-th member.  Members that are not a
+        bool array of length n, or that hold no token, and a k that is not
+        an integer in [1, members' count] (bools included) raise ValueError,
+        in that order."""
         n = self.kernel.n
-        if members is None:
-            need = _integer("k", k, 1, n) - self.t
-        else:
-            members = np.asarray(members)
-            if members.dtype != bool or members.shape != (n,):
-                raise ValueError(f"members must be a bool array of shape ({n},), got "
-                                 f"{members.dtype} of shape {members.shape}")
-            need = (_integer("k", k, 1, int(np.count_nonzero(members)))
-                    - int(np.count_nonzero(members[self.order[: self.t]])))
+        members = np.ones(n, dtype=bool) if members is None else np.asarray(members)
+        if members.dtype != bool or members.shape != (n,):
+            raise ValueError(f"members must be a bool array of shape ({n},), got "
+                             f"{members.dtype} of shape {members.shape}")
+        count = int(np.count_nonzero(members))
+        if not count:
+            raise ValueError("members must hold at least one token, got none")
+        need = _integer("k", k, 1, count) - int(np.count_nonzero(members[self.order[: self.t]]))
         if need <= 0:
             return
         if not self.exhausted:
-            self.t, need, self.exhausted = self._steps(
-                self.t, need, None if members is None else members.tolist())
+            self.t, need, self.exhausted = self._steps(self.t, need, members.tolist())
         if need:
             # kernel rank exhausted: pad by ascending index to honor the budget
             free = np.flatnonzero(self.v_sq != -np.inf)
             pad = free[np.argsort(self._perm[free])]
             tokens = self._perm[pad]
-            if members is not None:
-                need = int(np.flatnonzero(members[tokens])[need - 1]) + 1
+            need = int(np.flatnonzero(members[tokens])[need - 1]) + 1
             self.order[self.t: self.t + need] = tokens[:need]
             self.gains[self.t: self.t + need] = 0.0
             self.v_sq[pad[:need]] = -np.inf
             self.t += need
 
-    def _steps(self, t: int, need: int, members: list | None) -> tuple[int, int, bool]:
+    def _steps(self, t: int, need: int, members: list) -> tuple[int, int, bool]:
         """Run steps from step t until they select need more tokens of
-        members (any tokens, with members None) or the gains run out;
-        returns (steps done, tokens still needed, exhausted)."""
+        members or the gains run out; returns (steps done, tokens still
+        needed, exhausted)."""
         if not self.flushes:
             t, need, exhausted = self._unflushed_steps(t, need, members)
+            self._kk = t  # before the first flush, panel row t is step t's
             if exhausted or not need:
                 return t, need, exhausted
         return self._flushed_steps(t, need, members)
 
-    def _unflushed_steps(self, t_start: int, need: int,
-                         members: list | None) -> tuple[int, int, bool]:
+    def _unflushed_steps(self, t_start: int, need: int, members: list) -> tuple[int, int, bool]:
         """_steps until the panel is full.  No flush has run, so a position
         is its token, and the panel holds one row per step: row t is step
         t's coefficient row."""
@@ -221,7 +219,6 @@ class GreedyState:
             p = int(argmax())
             vj = v[p]
             if not vj > 0.0:
-                self._kk = t
                 return t, need, True
             e = panel[t]
             # on whole panel rows ndarray.dot is the faster call; on the
@@ -233,16 +230,13 @@ class GreedyState:
             v[p] = -np.inf
             order[t] = p
             gains[t] = vj
-            if members is None or members[p]:
+            if members[p]:
                 need -= 1
                 if not need:
-                    self._kk = t + 1
                     return t + 1, 0, False
-        self._kk = panel.shape[0]
         return panel.shape[0], need, False
 
-    def _flushed_steps(self, t_start: int, need: int,
-                       members: list | None) -> tuple[int, int, bool]:
+    def _flushed_steps(self, t_start: int, need: int, members: list) -> tuple[int, int, bool]:
         """_steps from a full panel on: each flushes a full panel first, and
         after the first flush positions [0, t) hold order[:t].  The need
         tokens lie among the n - t_start unselected ones, so the loop
@@ -287,7 +281,7 @@ class GreedyState:
             token = int(perm[p])
             order[t] = token
             gains[t] = vj
-            if members is None or members[token]:
+            if members[token]:
                 need -= 1
                 if not need:
                     self._kk = kk

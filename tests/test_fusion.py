@@ -13,7 +13,8 @@ from tokensieve.similarity import (InputError, l2_normalize_rows, mean_pool,
 
 def reference_script(h_v, h_q, m, tau=0.3, gamma=5.0, gsp_keep=None):
     """Direct transcription of the fusion rule, no lazy chunking, over the
-    oracle's unblocked walk rather than the program's own."""
+    oracle's unblocked walk rather than the program's own; also returns how
+    many G-members the order places past step m."""
     n = len(h_v)
     if gsp_keep is None:
         gsp_keep = min(n, 2 * m)
@@ -29,7 +30,7 @@ def reference_script(h_v, h_q, m, tau=0.3, gamma=5.0, gsp_keep=None):
     kept = [i for i in order if i in g][:m]
     tags = ["intersection"] * len(kept)
     fill = [i for i in order if i not in kept][: m - len(kept)]
-    return kept + fill, tags + ["qcsp-fill"] * len(fill)
+    return kept + fill, tags + ["qcsp-fill"] * len(fill), len(g & set(order[m:]))
 
 
 def test_matches_reference_on_random_instances():
@@ -40,11 +41,15 @@ def test_matches_reference_on_random_instances():
         h_v = gaussian_matrix(rng.next_u64() >> 1, n, 8)
         h_q = gaussian_matrix(rng.next_u64() >> 1, 2, 8)
         sel = script_select(h_v, h_q, m)
-        kept, tags = reference_script(h_v, h_q, m)
+        kept, tags, _ = reference_script(h_v, h_q, m)
         assert sel.kept == kept
         assert sel.stage_tags == tags
     # n > d and n >> m: many extension rounds, gsp_keep on both sides of
-    # m, and zero rows (gain 0) so that some walks end in exhaustion padding
+    # m, and zero rows (gain 0) so that some walks end in exhaustion padding.
+    # A fill whose walk passes a G-member after step m is the case where the
+    # order's first m steps and the whole walked order could give different
+    # fills
+    late = 0
     for seed in range(12):
         rng = SplitMix64(1000 + seed)
         n = 100 + rng.next_below(200)
@@ -55,9 +60,11 @@ def test_matches_reference_on_random_instances():
         h_v[rng.next_below(n)::1 + rng.next_below(40)] = 0.0
         h_q = gaussian_matrix(rng.next_u64() >> 1, 2, d) if seed % 3 else None
         sel = script_select(h_v, h_q, m, gsp_keep=gsp_keep)
-        kept, tags = reference_script(h_v, h_q, m, gsp_keep=gsp_keep)
+        kept, tags, past_m = reference_script(h_v, h_q, m, gsp_keep=gsp_keep)
         assert sel.kept == kept
         assert sel.stage_tags == tags
+        late += "qcsp-fill" in tags and past_m > 0
+    assert late > 0
 
 
 def test_walk_stops_at_mth_intersection_member(monkeypatch):

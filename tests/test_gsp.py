@@ -32,6 +32,9 @@ def test_graph_cross_block_is_even_rows_by_odd_columns(n):
 def test_graph_rejects_no_tokens():
     with pytest.raises(ValueError):
         build_graph(prepare(np.zeros((0, 3)), gram=False))
+    # gsp_select names n before it checks keep against it
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        gsp_select(prepare(np.zeros((0, 3)), gram=False), keep=1)
 
 
 def test_graph_two_identical_tokens():

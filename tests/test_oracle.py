@@ -19,6 +19,7 @@ def test_brute_force_identity_tie_break():
     subset, det = oracle.brute_force_map(np.eye(4), 2)
     assert subset == (0, 1)
     assert det == pytest.approx(1.0)
+    assert oracle.brute_force_map(np.eye(4), np.int64(2)) == (subset, det)
 
 
 def test_brute_force_mixed_vectors():
@@ -168,6 +169,8 @@ def test_hadamard_requires_unit_diagonal():
     (lambda: oracle.regularized_optimum(np.eye(30), 15), r"C\(30,15\) exceeds"),
     (lambda: oracle.regularized_optimum(np.eye(3), 5), r"k must lie in \[1, 3\], got 5"),
     (lambda: oracle.regularized_optimum(np.eye(3), 0), r"k must lie in \[1, 3\], got 0"),
+    (lambda: oracle.brute_force_map(np.eye(3), True), "^k must be an integer, got True$"),
+    (lambda: oracle.greedy_walk(np.eye(3), 2.0, 1e-6), r"^k must be an integer, got 2\.0$"),
 ])
 def test_oracle_guards_name_their_parameter(call, match):
     with pytest.raises(ValueError, match=match):

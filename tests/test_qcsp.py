@@ -190,7 +190,12 @@ def test_extend_validates_budget():
     for bad in (members[:4], members.astype(int)):
         with pytest.raises(ValueError, match=r"^members must be a bool array of shape \(5,\)"):
             state.extend(1, members=bad)
+    # an empty mask and an empty instance are refused by name, before k
+    with pytest.raises(ValueError, match="^members must hold at least one token"):
+        state.extend(1, members=np.zeros(5, dtype=bool))
     assert state.t == 0
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        GreedyState(prepare(np.zeros((0, 3))), np.ones(0))
 
 
 @pytest.mark.parametrize("k", [2.0, True, "3", np.int64(3)])
@@ -354,7 +359,8 @@ def test_walk_in_short_rounds_matches_one_extend(panel_rows, monkeypatch):
 
 def scan_in_rounds(state, k, members):
     """Grow state until its order holds k members, in rounds of plain
-    extends: each round asks for as many steps as members are missing."""
+    extends: each round asks for as many steps as members are missing
+    (one round, extend(k), for the all-True mask)."""
     found = int(np.count_nonzero(members[state.order[: state.t]]))
     while found < k:
         scanned = state.t
@@ -366,39 +372,43 @@ def scan_in_rounds(state, k, members):
 def test_member_bounded_extend_matches_the_round_scan(panel_rows, monkeypatch):
     # full-rank Gaussian instances, and flush_instance's n > d ones, whose
     # walks exhaust and pad members; each is walked from scratch and resumed
-    # on a walked state, then asked for every member
+    # on a walked state, then asked for every member.  Besides a random mask
+    # each is given the all-True one, which must walk as extend(k) does
     if panel_rows is not None:
         set_panel_rows(monkeypatch, panel_rows)
     rng = np.random.default_rng(29)
-    padded = flushed = 0
+    padded, flushed = [0, 0], [0, 0]  # by mask: random, all-True
     for seed in range(24):
         def make():
             if seed % 2:
                 return random_instance(seed, n=30, d=40)
             return flush_instance(seed)[:2]
         n = make()[0].n
-        members = rng.random(n) < rng.uniform(0.1, 0.9)
-        members[rng.integers(n)] = True
-        count = int(np.count_nonzero(members))
-        for resume in (0, int(rng.integers(1, n)), n):
-            one, rounds = GreedyState(*make()), GreedyState(*make())
-            if resume:
-                one.extend(resume)
-                rounds.extend(resume)
-            for k in (int(rng.integers(1, count + 1)), count):
-                one.extend(k, members=members)
-                scan_in_rounds(rounds, k, members)
-                assert (one.t, one.flushes, one.exhausted) == \
-                    (rounds.t, rounds.flushes, rounds.exhausted), (seed, resume, k)
-                assert np.array_equal(one.order, rounds.order), (seed, resume, k)
-                assert np.array_equal(one.gains, rounds.gains), (seed, resume, k)
-                if resume < one.t:
-                    # the walk stopped at the k-th member, or padded up to it
-                    assert members[one.order[one.t - 1]]
-                    padded += one.gains[one.t - 1] == 0.0
-                flushed += one.flushes > 0
-    assert padded > 0
-    assert (flushed > 0) == (panel_rows is not None)
+        picked = rng.random(n) < rng.uniform(0.1, 0.9)
+        picked[rng.integers(n)] = True
+        for members in (picked, np.ones(n, dtype=bool)):
+            count = int(np.count_nonzero(members))
+            for resume in (0, int(rng.integers(1, n)), n):
+                one, rounds = GreedyState(*make()), GreedyState(*make())
+                if resume:
+                    one.extend(resume)
+                    rounds.extend(resume)
+                for k in (int(rng.integers(1, count + 1)), count):
+                    one.extend(k, members=members)
+                    scan_in_rounds(rounds, k, members)
+                    every = int(members.all())
+                    case = (seed, every, resume, k)
+                    assert (one.t, one.flushes, one.exhausted) == \
+                        (rounds.t, rounds.flushes, rounds.exhausted), case
+                    assert np.array_equal(one.order, rounds.order), case
+                    assert np.array_equal(one.gains, rounds.gains), case
+                    if resume < one.t:
+                        # the walk stopped at the k-th member, or padded up to it
+                        assert members[one.order[one.t - 1]]
+                        padded[every] += one.gains[one.t - 1] == 0.0
+                    flushed[every] += one.flushes > 0
+    assert min(padded) > 0
+    assert (min(flushed) > 0) == (max(flushed) > 0) == (panel_rows is not None)
 
 
 def test_flushed_walk_keeps_shifted_gain_identity(monkeypatch):
