@@ -12,10 +12,11 @@ its cosine matrix, and takes medians:
 - walk_s: the plain walk's extend(T), from a GreedyState built, and its
   cosines scaled into the kernel L, before the clock starts;
 - in a second, instrumented walk per run, the parts: gemm_s and
-  subtract_s are the flushes' np.matmul and np.subtract calls, swaps_s
-  the time in `GreedyState._swap`, of which flush_swaps_s inside
-  flushes, flush_other_s the rest of the flushes and steps_s the rest of
-  the walk;
+  subtract_s are the flushes' np.matmul and np.subtract calls,
+  flush_order_s the first flush's layout of the positions by gain
+  (`GreedyState._order_by_gain`), swaps_s the steps' time in
+  `GreedyState._swap`, flush_other_s the rest of the flushes and steps_s
+  the rest of the walk;
 - dpstrf_s: scipy's LAPACK dpstrf on L + EPS*I, stopped after T pivots by
   its tolerance, timed without the +EPS*I pass (it runs in place on the
   matrix's Fortran-ordered view), and walk_over_dpstrf, the ratio of the
@@ -46,11 +47,12 @@ def parse_args():
 
 
 class _Parts:
-    """Times the flushes' GEMMs and subtracts and the swaps of one walk by
-    wrapping them; the plain walk is timed separately."""
+    """Times the flushes' GEMMs, subtracts and first-flush layout and the
+    steps' swaps of one walk by wrapping them; the plain walk is timed
+    separately."""
 
     def __init__(self, qcsp, np):
-        self.acc, self.in_flush = {}, False
+        self.acc = {}
         proxy = types.ModuleType("numpy_timed")
         proxy.__getattr__ = lambda name: getattr(np, name)
         proxy.matmul = self._timed(np.matmul, "gemm_s")
@@ -59,26 +61,19 @@ class _Parts:
         flush = gs._flush
 
         def timed_flush(state, *args):
-            qcsp.np, self.in_flush = proxy, True
+            qcsp.np = proxy
             start = time.perf_counter()
             try:
                 flush(state, *args)
             finally:
                 self._add("flush_s", time.perf_counter() - start)
-                qcsp.np, self.in_flush = np, False
+                qcsp.np = np
 
-        swap = gs._swap
-        self.saved = [(gs, "_flush", flush), (gs, "_swap", swap)]
+        self.saved = [(gs, name, getattr(gs, name))
+                      for name in ("_flush", "_order_by_gain", "_swap")]
         gs._flush = timed_flush
-
-        def timed_swap(*args):
-            start = time.perf_counter()
-            try:
-                return swap(*args)
-            finally:
-                self._add("flush_swaps_s" if self.in_flush else "step_swaps_s",
-                          time.perf_counter() - start)
-        gs._swap = timed_swap
+        gs._order_by_gain = self._timed(gs._order_by_gain, "flush_order_s")
+        gs._swap = self._timed(gs._swap, "swaps_s")
 
     def _add(self, key, seconds):
         self.acc[key] = self.acc.get(key, 0.0) + seconds
@@ -158,17 +153,16 @@ def main() -> int:
             finally:
                 timer.restore()
             acc = {key: timer.acc.get(key, 0.0) for key in
-                   ("flush_s", "gemm_s", "subtract_s", "flush_swaps_s", "step_swaps_s")}
-            acc["swaps_s"] = acc["flush_swaps_s"] + acc["step_swaps_s"]
+                   ("flush_s", "gemm_s", "subtract_s", "flush_order_s", "swaps_s")}
             acc["flush_other_s"] = (acc["flush_s"] - acc["gemm_s"] - acc["subtract_s"]
-                                    - acc["flush_swaps_s"])
-            acc["steps_s"] = seconds - acc["flush_s"] - acc["step_swaps_s"]
+                                    - acc["flush_order_s"])
+            acc["steps_s"] = seconds - acc["flush_s"] - acc["swaps_s"]
             parts.append(acc)
         rec = {"T": t, "flushes": state.flushes,
                "walk_s": statistics.median(walk_s),
                "dpstrf_s": statistics.median(dpstrf_s)}
         rec["walk_over_dpstrf"] = rec["walk_s"] / rec["dpstrf_s"]
-        for key in ("steps_s", "swaps_s", "flush_swaps_s", "gemm_s", "subtract_s",
+        for key in ("steps_s", "swaps_s", "flush_order_s", "gemm_s", "subtract_s",
                     "flush_other_s"):
             rec[key] = statistics.median(p[key] for p in parts)
         out["instances"][f"anyres2880 seed 0 #{k} (bench --seed {2 * k})"

@@ -27,13 +27,18 @@ UNIT_DIAG_TOL = 1e-9
 PSD_TOL = 1e-8
 
 
+def _require_integer(k) -> None:
+    """Refuse a bool or non-integer k with a ValueError naming it."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
+
+
 def _matrix(l: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     """l as float64 and its order n, for an integer k in [1, n] (a bool or a
     non-integer raises ValueError)."""
     l = np.asarray(l, dtype=np.float64)
     n = l.shape[0]
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValueError(f"k must be an integer, got {k!r}")
+    _require_integer(k)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     return l, n
@@ -119,7 +124,9 @@ def gershgorin_lower_bound(l_s: np.ndarray) -> float:
 
 
 def refined_upper_bound(k: int, rho_avg: float) -> float:
-    """(1 + (k-1) rho) (1 - rho)^(k-1); tight on the equicorrelation family."""
+    """(1 + (k-1) rho) (1 - rho)^(k-1); tight on the equicorrelation family.
+    A bool or non-integer k raises ValueError."""
+    _require_integer(k)
     if k < 2:
         raise ValueError("refined bound needs k >= 2")
     lo = -1.0 / (k - 1)
@@ -132,8 +139,10 @@ def equicorrelation_matrix(k: int, rho: float) -> np.ndarray:
     """Unit diagonal, all off-diagonals rho.
 
     Eigenvalues are 1 + (k-1) rho once and (1 - rho) with multiplicity
-    k - 1, so det = (1 + (k-1) rho) (1 - rho)^(k-1).
+    k - 1, so det = (1 + (k-1) rho) (1 - rho)^(k-1).  A bool or non-integer
+    k raises ValueError.
     """
+    _require_integer(k)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= 2:

@@ -56,21 +56,29 @@ the argmax breaks ties on the lower token index: these steps do the
 arithmetic of the unblocked walk that keeps every coefficient row, bit
 for bit, so a walk that never fills its panel moves nothing.  They run
 in a loop of their own, which reads no position -> token map.  The first
-flush swaps the tokens selected so far to positions [0, t) in step
-order.  From then on each step swaps its winner to position t, as dpstrf
-pivots, so the selected tokens always fill positions [0, t), e covers the
-positions after t alone, ties are broken on the token index through the
-map, and A is kept in the upper triangle of the unselected block alone:
-the winner's row there is read from column p down to the diagonal and
-from row p after it (the contiguous A[t, t+1:] when the winner already
-sits at t), before the token at t moves to position p.  A flush with f
-tokens selected costs about (n-f)^2*B/2 multiply-adds and no swaps, and
-each step after the first flush reads and updates only the n-t-1
-positions after its winner, plus a pass over the panel, at most B*(n-t)
-doubles.  A flush at step t writes its GEMM products into A's rows of
-positions [0, t): they hold selected tokens that nothing reads again,
-and B*(n-t) <= t*n, so a flush allocates nothing.  The walk owns one
-n x n buffer, the Gram's, 8*n^2 bytes: a GreedyState takes it from its
+flush lays the positions out anew: [0, t) get the tokens selected so far
+in step order, and [t, n) the unselected tokens by descending gain, ties
+to the lower token index.  It permutes the gains, the panel's columns
+and the upper triangle of A[t:, t:] in place, the last by following the
+permutation's cycles row by row, with O(n) temporaries.  From then on
+each step swaps its winner to position t, as dpstrf pivots, so the
+selected tokens always fill positions [0, t), e covers the positions
+after t alone, ties are broken on the token index through the map, and A
+is kept in the upper triangle of the unselected block alone: the
+winner's row there is read from column p down to the diagonal and from
+row p after it (the contiguous A[t, t+1:] when the winner already sits
+at t), before the token at t moves to position p.  Gains only fall, so a
+winner mostly had a high gain at the first flush and sits soon after t
+(about 100 positions on average on the n = 2880 Gaussian instances,
+against about 1100 in token order): the strided read of column p stays
+short.  A flush with f tokens selected costs about (n-f)^2*B/2
+multiply-adds and no swaps, and each step after the first flush reads
+and updates only the n-t-1 positions after its winner, plus a pass over
+the panel, at most B*(n-t) doubles.  A flush at step t writes its GEMM
+products into A's rows of positions [0, t): they hold selected tokens
+that nothing reads again, and B*(n-t) <= t*n, so past the first flush's
+O(n) temporaries a flush allocates nothing.  The walk owns one n x n
+buffer, the Gram's, 8*n^2 bytes: a GreedyState takes it from its
 prepared instance, scales it into L and overwrites it, so a second walk
 on one instance raises, and similarity.prepare refuses an instance
 whose Gram would exceed similarity.MAX_GRAM_BYTES.  kernel_matrix copies
@@ -313,19 +321,29 @@ class GreedyState:
         panel[:, hi] = col
         _move_upper(self._a, lo, hi)
 
+    def _order_by_gain(self, t: int) -> None:
+        """Lay out the positions at the first flush, at step t, where they are
+        still tokens and A is all of L: [0, t) get order[:t], [t, n) the
+        unselected tokens by descending gain, ties to the lower token index.
+        The gains, the panel's columns, A and _perm follow in place."""
+        v, sq, new = self.v_sq, self._sq, self._perm
+        # the selected gains are -inf and sort last; _perm is the identity
+        # until now, and is written in place because _flushed_steps holds it
+        new[t:] = np.argsort(np.negative(v, out=sq), kind="stable")[: v.size - t]
+        new[:t] = self.order[:t]
+        for row in (v, *self._panel[:t]):
+            row.take(new, out=sq, mode="clip")
+            row[:] = sq
+        _permute_upper(self._a, new, t, sq)
+
     def _flush(self, t: int) -> None:
         """Fold the panel P of the steps before t into the unselected block:
         set the upper triangle of A[t:, t:] to A - P.T @ P and empty P.  The
-        first flush also swaps the panel's tokens to positions [0, t)."""
+        first flush also lays the positions out by gain (_order_by_gain)."""
         n, b = self.kernel.n, self._kk
         a, panel = self._a, self._panel[:b]
         if not self.flushes:
-            # the token of step dst goes to position dst, from wherever the
-            # swaps before it left it
-            for dst, j in enumerate(self.order[:t].tolist()):
-                src = dst + int(np.argmax(self._perm[dst:] == j))
-                if src != dst:
-                    self._swap(dst, src, b)
+            self._order_by_gain(t)
         buf = a[:t].reshape(-1)  # selected rows, dead (see the module)
         for i0 in range(t, n, b):
             i1 = min(n, i0 + b)
@@ -335,6 +353,28 @@ class GreedyState:
             np.subtract(block, prod, out=block)
         self._kk = 0
         self.flushes += 1
+
+
+def _permute_upper(a: np.ndarray, new: np.ndarray, t: int, row: np.ndarray) -> None:
+    """Set the upper triangle of rows [t, n) of the symmetric matrix held
+    whole in a to that of a[np.ix_(new, new)], for a permutation new; rows
+    [0, t) are left as they are.  The walk follows each cycle of new that
+    meets [t, n), so every row is read before it is written, with the
+    cycle's first row saved in row, an n-vector of scratch."""
+    seen = bytearray(new.size)
+    for start in range(t, new.size):
+        if seen[start]:
+            continue
+        row[:] = a[start]
+        dst = start
+        while not seen[dst]:
+            seen[dst] = True
+            src = int(new[dst])
+            if dst >= t:
+                # mode="clip" lets take write into out without a buffer
+                (row if src == start else a[src]).take(new[dst:], out=a[dst, dst:],
+                                                       mode="clip")
+            dst = src
 
 
 def _move_upper(a: np.ndarray, lo: int, hi: int) -> None:

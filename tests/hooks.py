@@ -43,6 +43,24 @@ def set_panel_rows(monkeypatch, rows):
     monkeypatch.setattr(qcsp, "flush_rows", lambda n: rows)
 
 
+def record_first_flush(monkeypatch):
+    """A dict that the walk's first flush fills: its step t, the gains and
+    the panel's rows before it, and perm and A after it."""
+    seen = {}
+    flush = qcsp.GreedyState._flush
+
+    def recording(state, t):
+        first = not state.flushes
+        if first:
+            seen.update(t=t, gains=state.v_sq.copy(), panel=state._panel[:t].copy())
+        flush(state, t)
+        if first:
+            seen.update(perm=state._perm.copy(), a=state._a.copy())
+
+    monkeypatch.setattr(qcsp.GreedyState, "_flush", recording)
+    return seen
+
+
 def break_swaps(monkeypatch):
     """Swaps that leave each moved token with its old position's entries of A."""
     monkeypatch.setattr(qcsp, "_move_upper", lambda a, lo, hi: None)

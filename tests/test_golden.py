@@ -61,7 +61,7 @@ def _clip24x196():
 def _frame196():
     # one 14x14 video frame: 6 directions, each repeated in 12 noisy copies
     # (cosine ~0.8), followed by 124 independent rows; a walk of 95 steps
-    # in 13 extend rounds that never fills the panel
+    # in one extend call that never fills the panel
     base = gaussian_matrix(20, 6, 1024)
     h_v = np.vstack([np.repeat(base, 12, axis=0), gaussian_matrix(21, 124, 1024)])
     h_v[:72] += 0.5 * gaussian_matrix(22, 72, 1024)

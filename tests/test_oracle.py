@@ -171,6 +171,10 @@ def test_hadamard_requires_unit_diagonal():
     (lambda: oracle.regularized_optimum(np.eye(3), 0), r"k must lie in \[1, 3\], got 0"),
     (lambda: oracle.brute_force_map(np.eye(3), True), "^k must be an integer, got True$"),
     (lambda: oracle.greedy_walk(np.eye(3), 2.0, 1e-6), r"^k must be an integer, got 2\.0$"),
+    (lambda: oracle.equicorrelation_matrix(True, 0.1), "^k must be an integer, got True$"),
+    (lambda: oracle.equicorrelation_matrix(2.0, 0.1), r"^k must be an integer, got 2\.0$"),
+    (lambda: oracle.refined_upper_bound(True, 0.1), "^k must be an integer, got True$"),
+    (lambda: oracle.refined_upper_bound(2.5, 0.1), r"^k must be an integer, got 2\.5$"),
 ])
 def test_oracle_guards_name_their_parameter(call, match):
     with pytest.raises(ValueError, match=match):

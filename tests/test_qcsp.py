@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hooks import load_file, set_panel_rows, traced_peak
+from hooks import load_file, record_first_flush, set_panel_rows, traced_peak
 
 from tokensieve import qcsp, similarity
 from tokensieve.fusion import select
@@ -439,27 +439,33 @@ def test_a_second_walk_on_one_prepared_raises():
 
 
 def test_tie_break_follows_token_index_after_a_flush(monkeypatch):
-    # tokens 0 and 3 are exact duplicates, orthogonal to tokens 5 and 4,
-    # which have the largest relevance and go first.  With a one-row panel
-    # the flush before step 1 swaps token 5 into position 0 and token 0
-    # into position 5, behind token 3.  At step 2 the two duplicates tie
-    # exactly, and the lower token index must win over the lower position.
-    h = np.array([[1.0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1],
-                  [1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]])
-    r = np.array([0.75, 0.5, 0.5, 0.75, 0.9, 1.0])
+    # tokens 0 and 3 are exact duplicates.  Token 5 is orthogonal to all and
+    # goes first; with a one-row panel the flush before step 1 lays the rest
+    # out by gain: 4, then the duplicates by token index, then 1 and 2.
+    # Token 4 leans on the duplicates, so after step 1 token 1 wins at
+    # position 4, and step 2's swap moves token 0 behind token 3.  At step 3
+    # the two duplicates tie exactly, and the lower token index must win over
+    # the lower position.
+    h = np.array([[1.0, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+                  [1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 0, 0, 1]])
+    r = np.array([0.75, 0.7, 0.5, 0.75, 0.9, 1.0])
     state = walk(prepare(h), r, 2, monkeypatch, 1)
     perm = state._perm
     assert state.flushes == 1
-    assert np.array_equal(perm[:2], state.order[:2])
-    assert np.flatnonzero(perm == 0)[0] > np.flatnonzero(perm == 3)[0]
+    assert perm.tolist() == [5, 4, 0, 3, 1, 2]
     state.extend(3)
     assert state.flushes == 2
     assert np.array_equal(perm[:3], state.order[:3])
-    assert state.gains[2] == 0.75 ** 2
-    assert [int(i) for i in state.order[:3]] == [5, 4, 0]
-    unflushed = walk(prepare(h), r, 3, monkeypatch, 3)
+    dup0, dup3 = np.flatnonzero(perm == 0)[0], np.flatnonzero(perm == 3)[0]
+    assert dup0 > dup3
+    assert state.v_sq[dup0] == state.v_sq[dup3] == state.v_sq[3:].max()
+    state.extend(4)
+    assert state.flushes == 3
+    assert np.array_equal(perm[:4], state.order[:4])
+    assert [int(i) for i in state.order[:4]] == [5, 4, 1, 0]
+    unflushed = walk(prepare(h), r, 4, monkeypatch, 4)
     assert unflushed.flushes == 0
-    assert np.array_equal(unflushed.order[:3], state.order[:3])
+    assert np.array_equal(unflushed.order[:4], state.order[:4])
 
 
 def test_materialized_panel_is_allocated_once(monkeypatch):
@@ -478,7 +484,9 @@ def test_materialized_panel_is_allocated_once(monkeypatch):
 
 def test_a_flush_allocates_nothing_past_the_panel():
     # a flush writes its products into A's rows of selected positions; a
-    # separate (n - t)-row buffer would be 1.5 MiB at the first flush here
+    # separate (n - t)-row buffer would be 1.5 MiB at the first flush here.
+    # That flush's layout by gain takes O(n) temporaries; a copy of the
+    # panel would be 2 MiB
     n = 1024
     prep = prepare(gaussian_matrix(8, n, 400))
 
@@ -510,6 +518,43 @@ def test_positions_track_the_selection(monkeypatch):
                     assert np.all(state.v_sq[:t] == -np.inf)
             assert state.flushes > 0
             assert np.array_equal(np.sort(state._perm), np.arange(n)), (seed, rows)
+
+
+def test_first_flush_lays_the_unselected_tokens_out_by_gain(monkeypatch):
+    # positions [0, t) hold the tokens selected so far and [t, n) the others
+    # by descending gain, ties (duplicates, zero rows) to the lower token;
+    # A's upper triangle there is the permuted Schur complement L - P.T @ P
+    seen = record_first_flush(monkeypatch)  # each walk's first flush refills it
+    for rows in (1, 2, 5):
+        for seed in range(20):
+            prep, r, _ = flush_instance(seed)
+            l = kernel_matrix(prep, r)
+            state = walk(prep, r, prep.n, monkeypatch, rows)
+            assert state.flushes > 0
+            t, perm, gains = seen["t"], seen["perm"], seen["gains"]
+            assert np.array_equal(perm[:t], state.order[:t]), (seed, rows)
+            rest = perm[t:]
+            assert np.array_equal(np.lexsort((rest, -gains[rest])), np.arange(rest.size))
+            schur = (l - seen["panel"].T @ seen["panel"])[np.ix_(rest, rest)]
+            np.testing.assert_allclose(np.triu(seen["a"][t:, t:]), np.triu(schur),
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("new, t", [
+    ([5, 0, 7, 1, 4, 6, 2, 3], 3),  # fixed point 4, one cycle through rows 0-2
+    ([3, 1, 0, 2], 1),  # fixed point 1, a cycle of rows >= t and one row below
+    ([2, 0, 1, 4, 3], 4),  # t = n - 1
+    *[(np.random.default_rng(seed).permutation(9).tolist(), seed) for seed in range(9)],
+])
+def test_permute_upper_matches_fancy_indexing(new, t):
+    new = np.array(new)
+    n = new.size
+    a = gaussian_matrix(n, n, n)
+    a += a.T
+    out = a.copy()
+    qcsp._permute_upper(out, new, t, np.empty(n))
+    assert np.array_equal(out[:t], a[:t])
+    assert np.array_equal(np.triu(out[t:, t:]), np.triu(a[np.ix_(new, new)][t:, t:]))
 
 
 def test_padding_after_a_flush_takes_each_token_once(monkeypatch):
@@ -557,9 +602,9 @@ def test_walk_flushes_only_before_a_positive_gain(monkeypatch):
 
 
 def test_bench_walk_instrumentation_times_every_part(monkeypatch):
-    # scripts/bench_walk.py times a walk's parts by replacing _flush and
-    # _swap and swapping qcsp.np for a proxy during flushes; a refactor of
-    # either would silently zero its figures
+    # scripts/bench_walk.py times a walk's parts by replacing _flush,
+    # _order_by_gain and _swap and swapping qcsp.np for a proxy during
+    # flushes; a refactor of any would silently zero its figures
     script = load_file("scripts/bench_walk.py", "bench_walk")
     h, q = gaussian_matrix(5, 300, 40), gaussian_matrix(6, 2, 40)
     set_panel_rows(monkeypatch, 8)
@@ -571,16 +616,17 @@ def test_bench_walk_instrumentation_times_every_part(monkeypatch):
         return state
 
     plain = walk_60()
-    flush, swap = GreedyState._flush, GreedyState._swap
+    flush, order, swap = GreedyState._flush, GreedyState._order_by_gain, GreedyState._swap
     timer = script._Parts(qcsp, np)
     try:
         timed = walk_60()
     finally:
         timer.restore()
-    assert GreedyState._flush is flush and GreedyState._swap is swap and qcsp.np is np
+    assert (GreedyState._flush is flush and GreedyState._order_by_gain is order
+            and GreedyState._swap is swap and qcsp.np is np)
     assert timed.flushes == 7
-    assert sorted(timer.acc) == ["flush_s", "flush_swaps_s", "gemm_s", "step_swaps_s",
-                                 "subtract_s"]
+    assert sorted(timer.acc) == ["flush_order_s", "flush_s", "gemm_s", "subtract_s",
+                                 "swaps_s"]
     assert all(seconds > 0 for seconds in timer.acc.values()), timer.acc
     assert np.array_equal(timed.order, plain.order)
     assert np.array_equal(timed.gains, plain.gains)
