@@ -5,9 +5,9 @@
 On the four `anyres2880` instances of perfbench seed 0 (`tokensieve bench
 --n 2880 --d 1024 --keep 320 --seed 2k` for k < 4; k = 0 is the desk-scale
 instance of acceptance check C12) it records, per instance, the walk
-length T that `fusion.script_select` reaches and the flush count, then
-walks the instance to T `--runs` times, each time from a fresh copy of
-its cosine matrix, and takes medians:
+length T that `fusion.script_select` reaches and the flush and catch-up
+counts, then walks the instance to T `--runs` times, each time from a
+fresh copy of its cosine matrix, and takes medians:
 
 - walk_s: the plain walk's extend(T), from a GreedyState built, and its
   cosines scaled into the kernel L, before the clock starts;
@@ -15,8 +15,9 @@ its cosine matrix, and takes medians:
   subtract_s are the flushes' np.matmul and np.subtract calls,
   flush_order_s the first flush's layout of the positions by gain
   (`GreedyState._order_by_gain`), swaps_s the steps' time in
-  `GreedyState._swap`, flush_other_s the rest of the flushes and steps_s
-  the rest of the walk;
+  `GreedyState._swap`, catch_up_s their time in `GreedyState._catch_up`
+  (the lagging rows' GEMMs and subtracts), flush_other_s the rest of the
+  flushes and steps_s the rest of the walk;
 - dpstrf_s: scipy's LAPACK dpstrf on L + EPS*I, stopped after T pivots by
   its tolerance, timed without the +EPS*I pass (it runs in place on the
   matrix's Fortran-ordered view), and walk_over_dpstrf, the ratio of the
@@ -48,8 +49,8 @@ def parse_args():
 
 class _Parts:
     """Times the flushes' GEMMs, subtracts and first-flush layout and the
-    steps' swaps of one walk by wrapping them; the plain walk is timed
-    separately."""
+    steps' swaps and catch-ups of one walk by wrapping them; the plain walk
+    is timed separately."""
 
     def __init__(self, qcsp, np):
         self.acc = {}
@@ -70,10 +71,11 @@ class _Parts:
                 qcsp.np = np
 
         self.saved = [(gs, name, getattr(gs, name))
-                      for name in ("_flush", "_order_by_gain", "_swap")]
+                      for name in ("_flush", "_order_by_gain", "_swap", "_catch_up")]
         gs._flush = timed_flush
         gs._order_by_gain = self._timed(gs._order_by_gain, "flush_order_s")
         gs._swap = self._timed(gs._swap, "swaps_s")
+        gs._catch_up = self._timed(gs._catch_up, "catch_up_s")
 
     def _add(self, key, seconds):
         self.acc[key] = self.acc.get(key, 0.0) + seconds
@@ -153,17 +155,18 @@ def main() -> int:
             finally:
                 timer.restore()
             acc = {key: timer.acc.get(key, 0.0) for key in
-                   ("flush_s", "gemm_s", "subtract_s", "flush_order_s", "swaps_s")}
+                   ("flush_s", "gemm_s", "subtract_s", "flush_order_s", "swaps_s",
+                    "catch_up_s")}
             acc["flush_other_s"] = (acc["flush_s"] - acc["gemm_s"] - acc["subtract_s"]
                                     - acc["flush_order_s"])
-            acc["steps_s"] = seconds - acc["flush_s"] - acc["swaps_s"]
+            acc["steps_s"] = seconds - acc["flush_s"] - acc["swaps_s"] - acc["catch_up_s"]
             parts.append(acc)
-        rec = {"T": t, "flushes": state.flushes,
+        rec = {"T": t, "flushes": state.flushes, "catch_ups": state.catch_ups,
                "walk_s": statistics.median(walk_s),
                "dpstrf_s": statistics.median(dpstrf_s)}
         rec["walk_over_dpstrf"] = rec["walk_s"] / rec["dpstrf_s"]
-        for key in ("steps_s", "swaps_s", "flush_order_s", "gemm_s", "subtract_s",
-                    "flush_other_s"):
+        for key in ("steps_s", "swaps_s", "catch_up_s", "flush_order_s", "gemm_s",
+                    "subtract_s", "flush_other_s"):
             rec[key] = statistics.median(p[key] for p in parts)
         out["instances"][f"anyres2880 seed 0 #{k} (bench --seed {2 * k})"
                          + (", C12" if k == 0 else "")] = rec

@@ -44,12 +44,12 @@ last flush form a panel P of B = min(n, flush_rows(n)) rows, one column
 per position, allocated once; a step takes its <u_j, u_i> terms as its
 panel column's product with P (zero with an empty panel).  A full panel
 is flushed at the start of the next step that runs, before its argmax,
-if a positive gain is left (otherwise the walk is exhausted): the upper
-triangle of the unselected block A[t:, t:] of the working matrix is set
-to A - P.T @ P, the Schur complement of the selection so far, in GEMMs
-over B-row blocks, and the panel is emptied.  The residual gains, the
-panel's columns and A are indexed by position, through a position ->
-token map that starts as the identity.
+if a positive gain is left (otherwise the walk is exhausted): it is
+stored, folded into the rows of the working matrix A that the next
+steps read (A - P.T @ P, the Schur complement of the selection so far,
+in the upper triangle), and emptied.  The residual gains, the panel's
+columns and A are indexed by position, through a position -> token map
+that starts as the identity.
 
 Until the first flush A is L, each step reads the winner's whole row and
 the argmax breaks ties on the lower token index: these steps do the
@@ -71,18 +71,44 @@ at t), before the token at t moves to position p.  Gains only fall, so a
 winner mostly had a high gain at the first flush and sits soon after t
 (about 100 positions on average on the n = 2880 Gaussian instances,
 against about 1100 in token order): the strided read of column p stays
-short.  A flush with f tokens selected costs about (n-f)^2*B/2
-multiply-adds and no swaps, and each step after the first flush reads
-and updates only the n-t-1 positions after its winner, plus a pass over
-the panel, at most B*(n-t) doubles.  A flush at step t writes its GEMM
-products into A's rows of positions [0, t): they hold selected tokens
-that nothing reads again, and B*(n-t) <= t*n, so past the first flush's
-O(n) temporaries a flush allocates nothing.  The walk owns one n x n
-buffer, the Gram's, 8*n^2 bytes: a GreedyState takes it from its
-prepared instance, scales it into L and overwrites it, so a second walk
-on one instance raises, and similarity.prepare refuses an instance
-whose Gram would exceed similarity.MAX_GRAM_BYTES.  kernel_matrix copies
-L for code that reads it.
+short.  Each step after the first flush reads and updates only the
+n-t-1 positions after its winner, plus a pass over the panel, at most
+B*(n-t) doubles.
+
+So only the rows of A that winners reach are kept current: rows [t, lag)
+hold the Schur complement of every flushed panel, and rows [lag, n) wait
+as the first flush laid them out, the permuted L.  A flush at step t
+copies the panel's columns [t, n) into A's rows of its own steps,
+[t-B, t), which hold selected positions that no step reads again: from
+then on A[:t] holds every flushed coefficient row.  It then folds P into
+rows [t, lag) alone, about (lag-t)*(n-t)*B multiply-adds in GEMMs over
+row blocks, against (n-t)^2*B/2 to fold every unselected row.
+The first flush sets lag = t and folds nothing.  When a step's winner p
+sits at or past lag, the step first catches rows [lag, min(n, p+B)) up:
+it folds all the stored rows A[:f], f the last flush's t, into them, one
+GEMM with f terms and one subtract per row block, about
+(p+B-lag)*(n-lag)*f multiply-adds, and moves lag there.  A winner lies
+before lag when it is swapped, so rows and columns from lag on are never
+swapped: rows [lag, n) stay the permuted L and the stored rows' columns
+[lag, n) those of their flush.  After each step t <= lag, so a catch-up
+never folds into the dead rows [0, t) that hold the stored rows.  On the
+n = 2880 Gaussian instances a walk of 1375-1520 steps makes 10-13
+catch-ups, 420-950 rows are never folded, and the subtract passes write
+10.7-12.6 M entries, against 25.7-26.9 M if every flush folded every
+unselected row.
+
+A flush's GEMMs write into the panel's own buffer, free once it is
+stored; a catch-up's into the larger of the panel's unused rows [kk, B)
+and A's rows of the panel's steps [t-kk, t), selected positions that
+hold no coefficients until the next flush, at least B/2 rows of n.  So
+past the first flush's O(n) temporaries the walk allocates nothing
+after its panel.
+
+The walk owns one n x n buffer, the Gram's, 8*n^2 bytes: a GreedyState
+takes it from its prepared instance, scales it into L and overwrites it,
+so a second walk on one instance raises, and similarity.prepare refuses
+an instance whose Gram would exceed similarity.MAX_GRAM_BYTES.
+kernel_matrix copies L for code that reads it.
 """
 
 from __future__ import annotations
@@ -140,13 +166,19 @@ class GreedyState:
         at -inf, the walk's only record of which tokens it has selected.
         An unselected gain is finite: it starts at diag(L) >= 0 and only
         ever has e^2 subtracted.
-    t, exhausted, flushes: the steps taken, whether the gains ran out
-        (later steps are padding), and the flushes made.
+    t, exhausted, flushes, catch_ups: the steps taken, whether the gains
+        ran out (later steps are padding), the flushes made, and the
+        catch-ups made of the rows past lag.
     kernel: the prepared instance walked, its gram set to None; the
         benchmark's tracer reads its n and unit.
     _a: the working matrix A, the instance's Gram buffer scaled into L.
+        After the first flush its rows [0, t - _kk) hold the flushed
+        coefficient rows.
     _panel, _kk: the panel P, min(n, flush_rows(n)) rows of n columns,
         and the rows it holds.
+    _lag: rows [t, _lag) of A hold the Schur complement of every flushed
+        panel, rows [_lag, n) the permuted L until a winner at or past
+        _lag catches them up (n until the first flush, which sets it to t).
     _perm: position -> token index.
 
     An instance of no token ("n must be >= 1"), a relevance that is not a
@@ -167,6 +199,8 @@ class GreedyState:
         self.exhausted = False
         self.t = 0
         self.flushes = 0
+        self.catch_ups = 0
+        self._lag = n  # until the first flush every row of A is current
         self._panel = np.empty((min(n, flush_rows(n)), n))
         self._sq = np.empty(n)  # e * e of the current step, by position
         self._kk = 0  # rows in the panel
@@ -245,12 +279,13 @@ class GreedyState:
         return panel.shape[0], need, False
 
     def _flushed_steps(self, t_start: int, need: int, members: list) -> tuple[int, int, bool]:
-        """_steps from a full panel on: each flushes a full panel first, and
-        after the first flush positions [0, t) hold order[:t].  The need
-        tokens lie among the n - t_start unselected ones, so the loop
+        """_steps from a full panel on: each flushes a full panel first and
+        catches A's rows up to its winner if the winner sits at or past
+        lag, and after the first flush positions [0, t) hold order[:t].  The
+        need tokens lie among the n - t_start unselected ones, so the loop
         returns before it ends."""
         v, order, gains, sq = self.v_sq, self.order, self.gains, self._sq
-        a, perm, panel, kk = self._a, self._perm, self._panel, self._kk
+        a, perm, panel, kk, lag = self._a, self._perm, self._panel, self._kk, self._lag
         for t in range(t_start, v.size):
             if kk == panel.shape[0]:
                 self._kk = kk
@@ -258,12 +293,14 @@ class GreedyState:
                 if not v.max() > 0.0:
                     return t, need, True
                 self._flush(t)
-                kk = 0
+                kk, lag = 0, self._lag
             p = self._lowest_index_tie(t + int(v[t:].argmax()))
             vj = v[p]
             if not vj > 0.0:
                 self._kk = kk
                 return t, need, True
+            if p >= lag:
+                lag = self._catch_up(t, p, kk)
             # dpstrf order: the winner goes to position t and e covers the
             # positions after it.  Above A's diagonal its row lies in column
             # p before position p and in row p after it; it is read before
@@ -337,22 +374,47 @@ class GreedyState:
         _permute_upper(self._a, new, t, sq)
 
     def _flush(self, t: int) -> None:
-        """Fold the panel P of the steps before t into the unselected block:
-        set the upper triangle of A[t:, t:] to A - P.T @ P and empty P.  The
-        first flush also lays the positions out by gain (_order_by_gain)."""
-        n, b = self.kernel.n, self._kk
-        a, panel = self._a, self._panel[:b]
+        """Store the panel P of the steps before t in A's dead rows of those
+        steps, columns [t, n), and fold it into rows [t, lag) of A (see the
+        module), with the panel's own buffer as GEMM scratch; empty P.  The
+        first flush also lays the positions out by gain (_order_by_gain) and
+        sets lag = t, so it folds nothing."""
+        b, a, panel = self._kk, self._a, self._panel
         if not self.flushes:
             self._order_by_gain(t)
-        buf = a[:t].reshape(-1)  # selected rows, dead (see the module)
-        for i0 in range(t, n, b):
-            i1 = min(n, i0 + b)
-            prod = np.matmul(panel[:, i0:i1].T, panel[:, i0:],
-                             out=buf[: (i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0))
-            block = a[i0:i1, i0:]
-            np.subtract(block, prod, out=block)
+            self._lag = t
+        a[t - b:t, t:] = panel[:b, t:]
+        _fold(a, a[t - b:t], t, self._lag, panel.reshape(-1))
         self._kk = 0
         self.flushes += 1
+
+    def _catch_up(self, t: int, p: int, kk: int) -> int:
+        """Fold every stored coefficient row, A[:t - kk], into rows [lag,
+        min(n, p + B)) of A, for a winner p at or past lag at step t with kk
+        panel rows, and return the new lag.  The GEMM scratch is the larger
+        free region: the panel's unused rows, or the dead rows of its steps,
+        which hold no coefficients until the next flush."""
+        a, panel, lag = self._a, self._panel, self._lag
+        b = panel.shape[0]
+        scratch = panel[kk:] if 2 * kk <= b else a[t - kk:t]
+        self._lag = min(a.shape[0], p + b)
+        _fold(a, a[:t - kk], lag, self._lag, scratch.reshape(-1))
+        self.catch_ups += 1
+        return self._lag
+
+
+def _fold(a: np.ndarray, coef: np.ndarray, lo: int, hi: int, scratch: np.ndarray) -> None:
+    """Subtract coef.T @ coef from the upper triangle of rows [lo, hi) of a,
+    in row blocks as deep as the flat buffer scratch holds, one GEMM into
+    scratch and one subtract each; scratch holds at least n - lo doubles."""
+    n = a.shape[0]
+    while lo < hi:
+        i1 = min(hi, lo + scratch.size // (n - lo))
+        prod = np.matmul(coef[:, lo:i1].T, coef[:, lo:],
+                         out=scratch[: (i1 - lo) * (n - lo)].reshape(i1 - lo, n - lo))
+        block = a[lo:i1, lo:]
+        np.subtract(block, prod, out=block)
+        lo = i1
 
 
 def _permute_upper(a: np.ndarray, new: np.ndarray, t: int, row: np.ndarray) -> None:

@@ -6,18 +6,20 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 from tokensieve import qcsp
 
 
 def record_walks(monkeypatch):
-    """The list of ((k, members) asked, state.t, state.flushes) after each
-    extend."""
+    """The list of ((k, members) asked, state.t, state.flushes,
+    state.catch_ups) after each extend."""
     log = []
     extend = qcsp.GreedyState.extend
 
     def recording(state, k, members=None):
         extend(state, k, members)
-        log.append(((k, members), state.t, state.flushes))
+        log.append(((k, members), state.t, state.flushes, state.catch_ups))
 
     monkeypatch.setattr(qcsp.GreedyState, "extend", recording)
     return log
@@ -45,7 +47,8 @@ def set_panel_rows(monkeypatch, rows):
 
 def record_first_flush(monkeypatch):
     """A dict that the walk's first flush fills: its step t, the gains and
-    the panel's rows before it, and perm and A after it."""
+    the panel's rows before it (after it the panel buffer holds GEMM
+    scratch), and perm, A and lag after it."""
     seen = {}
     flush = qcsp.GreedyState._flush
 
@@ -55,10 +58,44 @@ def record_first_flush(monkeypatch):
             seen.update(t=t, gains=state.v_sq.copy(), panel=state._panel[:t].copy())
         flush(state, t)
         if first:
-            seen.update(perm=state._perm.copy(), a=state._a.copy())
+            seen.update(perm=state._perm.copy(), a=state._a.copy(), lag=state._lag)
 
     monkeypatch.setattr(qcsp.GreedyState, "_flush", recording)
     return seen
+
+
+def record_flushes(monkeypatch):
+    """A list that each flush extends with its panel's coefficient rows by
+    token, NaN in the columns of the tokens selected by then."""
+    stored = []
+    flush = qcsp.GreedyState._flush
+
+    def recording(state, t):
+        # the panel's columns are positions under the map before the flush
+        # (tokens, before the first flush's layout changes the map)
+        panel, cols = state._panel[: state._kk].copy(), state._perm.copy()
+        flush(state, t)
+        by_token = np.full(panel.shape, np.nan)
+        by_token[:, cols] = panel
+        by_token[:, state._perm[:t]] = np.nan
+        stored.append(by_token)
+
+    monkeypatch.setattr(qcsp.GreedyState, "_flush", recording)
+    return stored
+
+
+def record_catch_ups(monkeypatch):
+    """The list of (t, p, kk) of each catch-up: its step, the winner's
+    position and the panel's rows."""
+    log = []
+    catch_up = qcsp.GreedyState._catch_up
+
+    def recording(state, t, p, kk):
+        log.append((t, p, kk))
+        return catch_up(state, t, p, kk)
+
+    monkeypatch.setattr(qcsp.GreedyState, "_catch_up", recording)
+    return log
 
 
 def break_swaps(monkeypatch):

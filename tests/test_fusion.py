@@ -75,7 +75,7 @@ def test_walk_stops_at_mth_intersection_member(monkeypatch):
     h_q = gaussian_matrix(12, 2, 16)
     walks = record_walks(monkeypatch)
     sel = script_select(h_v, h_q, m)
-    lengths = [t for _, t, _ in walks]  # before the reference walk extends too
+    lengths = [t for _, t, *_ in walks]  # before the reference walk extends too
 
     g = set(gsp_select(prepare(h_v, gram=False), keep=2 * m))
     r = min_max_normalize(relevance_scores(h_v, mean_pool(h_q)))
@@ -96,9 +96,9 @@ def test_script_walks_in_one_member_bounded_extend(monkeypatch):
         walks.clear()
         script_select(h_v, h_q, m, gsp_keep=gsp_keep)
         g = gsp_select(prepare(h_v, gram=False), keep=gsp_keep or 2 * m)
-        ((k, members), _, _), *rest = walks
+        ((k, members), *_), *rest = walks
         assert k == min(m, len(g)) and np.flatnonzero(members).tolist() == g
-        assert [ask for ask, _, _ in rest] == fill_asks
+        assert [ask for ask, *_ in rest] == fill_asks
 
 
 def test_intersection_prefix_case():
@@ -375,7 +375,7 @@ def test_benchmark_tracer_wraps_names_the_program_keeps(monkeypatch):
     with monkeypatch.context() as patch:
         walks = record_walks(patch)
         untraced = script_select(h_v, h_q, 22).kept
-    lengths = [t for _, t, _ in walks]
+    lengths = [t for _, t, *_ in walks]
     owners = (similarity, gsp, qcsp, fusion, qcsp.GreedyState)
     before = [dict(vars(owner)) for owner in owners]
     tracer = spans.Tracer()

@@ -1,10 +1,10 @@
 """Golden fixtures: fixed script-mode selections pinned by hash.
 
 Each case records the sha256 of the selection's `kept` indices and
-`stage_tags`, and the length and flush count of the greedy walk that
-produced them.  A change that moves any kept token, any tag, the walk's
-stopping point or its number of panel flushes fails here, however small
-the numerical change behind it.
+`stage_tags`, and the length, flush count and catch-up count of the greedy
+walk that produced them.  A change that moves any kept token, any tag, the
+walk's stopping point or its number of panel flushes or catch-ups fails
+here, however small the numerical change behind it.
 """
 
 import hashlib
@@ -70,18 +70,21 @@ def _frame196():
 
 
 # name: (instance, sha256 of [kept, stage_tags] as JSON, greedy walk length,
-# panel flushes of the walk)
+# panel flushes and catch-ups of the walk)
 GOLDEN = {
     "clip2352": (_clip12x196,
-                 "d74568cb599e9a12e0a4980de8d8618d086a01e9dbeadebbf3939e53903ee786", 1259, 9),
+                 "d74568cb599e9a12e0a4980de8d8618d086a01e9dbeadebbf3939e53903ee786", 1259, 9,
+                 14),
     "clip4704": (_clip24x196,
-                 "9ab046ad23ca507a719166f699fd3bbdc0cb19663563744256ce5bd38f0bfa31", 2319, 18),
+                 "9ab046ad23ca507a719166f699fd3bbdc0cb19663563744256ce5bd38f0bfa31", 2319, 18,
+                 21),
     "desk2880": (_desk_scale,
-                 "5ec01e927bbcdcbe88fd1a4c229f8717efe30340e29597ba90c4ea62298ee7a4", 1375, 10),
+                 "5ec01e927bbcdcbe88fd1a4c229f8717efe30340e29597ba90c4ea62298ee7a4", 1375, 10,
+                 11),
     "frame196": (_frame196,
-                 "ee742e2fc9e1deb7ecd023910dc007012b5efc5ac56327a4a40aa5bd235ff329", 95, 0),
+                 "ee742e2fc9e1deb7ecd023910dc007012b5efc5ac56327a4a40aa5bd235ff329", 95, 0, 0),
     "grid576": (_grid576,
-                "792b0d0b7233e94888543ab38b0ec716f865b424d640b2636ce1595acf0c3d92", 209, 0),
+                "792b0d0b7233e94888543ab38b0ec716f865b424d640b2636ce1595acf0c3d92", 209, 0, 0),
 }
 
 
@@ -91,13 +94,13 @@ def selection_digest(kept, tags) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_selection(name, monkeypatch):
-    make, digest, walk, flushes = GOLDEN[name]
+    make, digest, walk, flushes, catch_ups = GOLDEN[name]
     h_v, h_q, m = make()
     walks = record_walks(monkeypatch)
     sel = fusion.script_select(h_v, h_q, m)
-    walked = [(t, flushes) for _, t, flushes in walks]  # both only grow
+    walked = [counts for _, *counts in walks]  # each count only grows
     assert ((selection_digest(sel.kept, sel.stage_tags), *max(walked))
-            == (digest, walk, flushes))
+            == (digest, walk, flushes, catch_ups))
 
 
 def test_golden_selections_hold_with_two_blas_threads():

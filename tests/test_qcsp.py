@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hooks import load_file, record_first_flush, set_panel_rows, traced_peak
+from hooks import (load_file, record_catch_ups, record_first_flush, record_flushes,
+                   set_panel_rows, traced_peak)
 
-from tokensieve import qcsp, similarity
+from tokensieve import oracle, qcsp, similarity
 from tokensieve.fusion import select
 from tokensieve.qcsp import GreedyState, kernel_matrix
 from tokensieve.rng import SplitMix64, gaussian_matrix
@@ -483,10 +484,10 @@ def test_materialized_panel_is_allocated_once(monkeypatch):
 
 
 def test_a_flush_allocates_nothing_past_the_panel():
-    # a flush writes its products into A's rows of selected positions; a
-    # separate (n - t)-row buffer would be 1.5 MiB at the first flush here.
-    # That flush's layout by gain takes O(n) temporaries; a copy of the
-    # panel would be 2 MiB
+    # a flush stores its panel in A's rows of the selected positions and
+    # takes the freed panel buffer as GEMM scratch; a separate B x n scratch
+    # buffer would be 2 MiB here.  The first flush's layout by gain takes
+    # O(n) temporaries; a copy of the panel would be 2 MiB
     n = 1024
     prep = prepare(gaussian_matrix(8, n, 400))
 
@@ -498,6 +499,28 @@ def test_a_flush_allocates_nothing_past_the_panel():
     peak, state = traced_peak(walk_400)
     assert state.flushes == 1 and state._panel.shape == (256, n)
     assert peak <= state._panel.nbytes + 2**20
+
+
+def test_catch_ups_allocate_nothing_past_the_panel(monkeypatch):
+    # a catch-up between flushes takes its GEMM scratch from the panel's
+    # unused rows or from A's rows of the panel's steps, whichever is
+    # larger: a mid-panel catch-up of the first walk takes the former, one of
+    # the second walk the latter, and each walk flushes 3 times
+    log = record_catch_ups(monkeypatch)
+    for n, d, steps, seed, in_a in ((1024, 400, 800, 8, False), (1000, 200, 900, 35, True)):
+        prep = prepare(gaussian_matrix(seed, n, d), gaussian_matrix(seed + 1, 3, d))
+        b = qcsp.flush_rows(n)
+        log.clear()
+
+        def walk_through():
+            state = GreedyState(prep, prep.relevance)
+            state.extend(steps)
+            return state
+
+        peak, state = traced_peak(walk_through)
+        assert state.flushes == 3
+        assert any(0 < kk and (2 * kk > b) == in_a for _, _, kk in log), log
+        assert peak <= state._panel.nbytes + 2**20
 
 
 def test_positions_track_the_selection(monkeypatch):
@@ -522,8 +545,10 @@ def test_positions_track_the_selection(monkeypatch):
 
 def test_first_flush_lays_the_unselected_tokens_out_by_gain(monkeypatch):
     # positions [0, t) hold the tokens selected so far and [t, n) the others
-    # by descending gain, ties (duplicates, zero rows) to the lower token;
-    # A's upper triangle there is the permuted Schur complement L - P.T @ P
+    # by descending gain, ties (duplicates, zero rows) to the lower token.
+    # The flush stores the panel's columns [t, n) in A's rows [0, t) and folds
+    # the panel into rows [t, lag) alone, the Schur complement L - P.T @ P
+    # there; it sets lag = t, so rows [t, n) are the permuted L, bit for bit
     seen = record_first_flush(monkeypatch)  # each walk's first flush refills it
     for rows in (1, 2, 5):
         for seed in range(20):
@@ -531,13 +556,99 @@ def test_first_flush_lays_the_unselected_tokens_out_by_gain(monkeypatch):
             l = kernel_matrix(prep, r)
             state = walk(prep, r, prep.n, monkeypatch, rows)
             assert state.flushes > 0
-            t, perm, gains = seen["t"], seen["perm"], seen["gains"]
+            t, perm, gains, lag = seen["t"], seen["perm"], seen["gains"], seen["lag"]
+            a, panel = seen["a"], seen["panel"]
             assert np.array_equal(perm[:t], state.order[:t]), (seed, rows)
             rest = perm[t:]
             assert np.array_equal(np.lexsort((rest, -gains[rest])), np.arange(rest.size))
-            schur = (l - seen["panel"].T @ seen["panel"])[np.ix_(rest, rest)]
-            np.testing.assert_allclose(np.triu(seen["a"][t:, t:]), np.triu(schur),
+            assert lag == t
+            assert np.array_equal(a[:t, t:], panel[:, rest])
+            schur = (l - panel.T @ panel)[np.ix_(perm[t:lag], rest)]
+            np.testing.assert_allclose(np.triu(a[t:lag, t:]), np.triu(schur),
                                        rtol=0, atol=1e-12)
+            late = perm[lag:]
+            assert np.array_equal(np.triu(a[lag:, lag:]), np.triu(l[np.ix_(late, late)]))
+
+
+def check_lagging_rows(state, l, stored):
+    """The layout of A after a step of a flushed walk: rows [t, lag) hold
+    the Schur complement of the stored coefficient rows within 1e-12 above
+    the diagonal (a swap leaves the diagonal, which no step reads), rows
+    [lag, n) the permuted L bit for bit, and A's rows [0, t - kk) the stored
+    rows, of which the columns [lag, n) are read."""
+    t, lag, perm, a = state.t, state._lag, state._perm, state._a
+    coef = np.vstack(stored)
+    assert coef.shape[0] == t - state._kk
+    now, rest, late = perm[t:lag], perm[t:], perm[lag:]
+    schur = l[np.ix_(now, rest)] - coef[:, now].T @ coef[:, rest]
+    np.testing.assert_allclose(np.triu(a[t:lag, t:], 1), np.triu(schur, 1), rtol=0, atol=1e-12)
+    assert np.array_equal(np.triu(a[lag:, lag:]), np.triu(l[np.ix_(late, late)]))
+    assert np.array_equal(a[: coef.shape[0], lag:], coef[:, late])
+
+
+def walk_checking_lag(prep, r, k, checked, monkeypatch):
+    """Walk prep and r one step per extend for k steps or until the gains run
+    out, checking after every step that t <= lag, and A's layout after the
+    steps checked(state) names once the first flush has run; then the walk
+    against the unblocked one.  Returns the state and its catch-ups'
+    (t, p, kk)."""
+    l = kernel_matrix(prep, r)
+    stored, catch_ups = record_flushes(monkeypatch), record_catch_ups(monkeypatch)
+    state = GreedyState(prep, r)
+    for t in range(1, k + 1):
+        state.extend(t)
+        if state.exhausted:
+            break
+        # a catch-up folds rows [lag, p + B), so it never reaches the dead
+        # rows [0, t) that hold the stored rows: during a step lag > p >= t,
+        # and after it t may reach lag, when the next winner catches up
+        assert t <= state._lag
+        if state.flushes and checked(state):
+            check_lagging_rows(state, l, stored)
+    order, gains = oracle.greedy_walk(l, state.t, qcsp.EPS)
+    assert state.order[: len(order)].tolist() == order
+    np.testing.assert_allclose(state.gains[: len(order)], gains, rtol=0,
+                               atol=1e-12 * gains[0])
+    return state, catch_ups
+
+
+def test_lagging_rows_catch_up_when_a_winner_reaches_them(monkeypatch):
+    # after the first flush A's rows [t, lag) take each flush and rows
+    # [lag, n) wait as the first flush laid them out, until a winner at or
+    # past lag folds every stored coefficient row into rows [lag, p + B).
+    # Small panels make catch-ups that fold several stored panels, and
+    # catch-ups past the middle of a panel, whose scratch is A's rows of
+    # its steps
+    many, dead_rows = 0, 0
+    for rows in (1, 2, 5, 16):
+        set_panel_rows(monkeypatch, rows)
+        for seed in range(20):
+            prep, r, _ = flush_instance(seed)
+            state, log = walk_checking_lag(prep, r, prep.n, lambda s: True, monkeypatch)
+            assert state.catch_ups == len(log)
+            many += sum(t - kk > rows for t, _, kk in log)
+            dead_rows += sum(2 * kk > rows for _, _, kk in log)
+    assert many > 0 and dead_rows > 0
+
+
+def test_lagging_rows_at_the_shipped_panel_size(monkeypatch):
+    # n = 1000, B = flush_rows(n) = 262: a walk of 900 steps flushes 3
+    # times, and its third catch-up folds the two stored panels, mid-panel.
+    # A is checked every 8 steps and after each flush and catch-up
+    n = 1000
+    prep = prepare(gaussian_matrix(35, n, 200), gaussian_matrix(36, 3, 200))
+    b = qcsp.flush_rows(n)
+    seen = set()
+
+    def checked(state):
+        key = (state.flushes, state.catch_ups)
+        fresh = key not in seen
+        seen.add(key)
+        return fresh or state.t % 8 == 0
+
+    state, log = walk_checking_lag(prep, prep.relevance, 900, checked, monkeypatch)
+    assert state.flushes >= 3 and len(log) >= 3
+    assert any(t - kk >= 2 * b and kk > 0 for t, _, kk in log)
 
 
 @pytest.mark.parametrize("new, t", [
@@ -603,8 +714,8 @@ def test_walk_flushes_only_before_a_positive_gain(monkeypatch):
 
 def test_bench_walk_instrumentation_times_every_part(monkeypatch):
     # scripts/bench_walk.py times a walk's parts by replacing _flush,
-    # _order_by_gain and _swap and swapping qcsp.np for a proxy during
-    # flushes; a refactor of any would silently zero its figures
+    # _order_by_gain, _swap and _catch_up and swapping qcsp.np for a proxy
+    # during flushes; a refactor of any would silently zero its figures
     script = load_file("scripts/bench_walk.py", "bench_walk")
     h, q = gaussian_matrix(5, 300, 40), gaussian_matrix(6, 2, 40)
     set_panel_rows(monkeypatch, 8)
@@ -616,17 +727,17 @@ def test_bench_walk_instrumentation_times_every_part(monkeypatch):
         return state
 
     plain = walk_60()
-    flush, order, swap = GreedyState._flush, GreedyState._order_by_gain, GreedyState._swap
+    names = ("_flush", "_order_by_gain", "_swap", "_catch_up")
+    before = [getattr(GreedyState, name) for name in names]
     timer = script._Parts(qcsp, np)
     try:
         timed = walk_60()
     finally:
         timer.restore()
-    assert (GreedyState._flush is flush and GreedyState._order_by_gain is order
-            and GreedyState._swap is swap and qcsp.np is np)
+    assert [getattr(GreedyState, name) for name in names] == before and qcsp.np is np
     assert timed.flushes == 7
-    assert sorted(timer.acc) == ["flush_order_s", "flush_s", "gemm_s", "subtract_s",
-                                 "swaps_s"]
+    assert sorted(timer.acc) == ["catch_up_s", "flush_order_s", "flush_s", "gemm_s",
+                                 "subtract_s", "swaps_s"]
     assert all(seconds > 0 for seconds in timer.acc.values()), timer.acc
     assert np.array_equal(timed.order, plain.order)
     assert np.array_equal(timed.gains, plain.gains)
