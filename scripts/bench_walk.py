@@ -44,7 +44,10 @@ def parse_args():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", required=True, help="the checkout's src directory")
     p.add_argument("--runs", type=int, default=5)
-    return p.parse_args()
+    args = p.parse_args()
+    if args.runs < 1:
+        p.error(f"--runs must be at least 1, got {args.runs}")
+    return args
 
 
 class _Parts:

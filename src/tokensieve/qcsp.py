@@ -40,69 +40,67 @@ depend on it.
 
 The walk is a pivoted Cholesky of L + eps*I, run with deferred updates
 as LAPACK's dpstrf does.  The coefficient rows e of the steps since the
-last flush form a panel P of B = min(n, flush_rows(n)) rows, one column
-per position, allocated once; a step takes its <u_j, u_i> terms as its
-panel column's product with P (zero with an empty panel).  A full panel
-is flushed at the start of the next step that runs, before its argmax,
-if a positive gain is left (otherwise the walk is exhausted): it is
-stored, folded into the rows of the working matrix A that the next
-steps read (A - P.T @ P, the Schur complement of the selection so far,
-in the upper triangle), and emptied.  The residual gains, the panel's
-columns and A are indexed by position, through a position -> token map
-that starts as the identity.
+last flush form a panel P of up to B = min(n, flush_rows(n)) rows; a
+step takes its <u_j, u_i> terms as its column's product with P (zero
+with an empty panel).  A full panel is flushed at the start of the next
+step that runs, before its argmax, if a positive gain is left (otherwise
+the walk is exhausted): it is folded into the rows of the working matrix
+A that the next steps read (A - P.T @ P, the Schur complement of the
+selection so far, in the upper triangle), and a new panel starts.  The
+residual gains, the coefficient rows' columns and A are indexed by
+position, through a position -> token map that starts as the identity.
 
-Until the first flush A is L, each step reads the winner's whole row and
-the argmax breaks ties on the lower token index: these steps do the
-arithmetic of the unblocked walk that keeps every coefficient row, bit
-for bit, so a walk that never fills its panel moves nothing.  They run
-in a loop of their own, which reads no position -> token map.  The first
-flush lays the positions out anew: [0, t) get the tokens selected so far
-in step order, and [t, n) the unselected tokens by descending gain, ties
-to the lower token index.  It permutes the gains, the panel's columns
-and the upper triangle of A[t:, t:] in place, the last by following the
-permutation's cycles row by row, with O(n) temporaries.  From then on
-each step swaps its winner to position t, as dpstrf pivots, so the
-selected tokens always fill positions [0, t), e covers the positions
-after t alone, ties are broken on the token index through the map, and A
-is kept in the upper triangle of the unselected block alone: the
-winner's row there is read from column p down to the diagonal and from
-row p after it (the contiguous A[t, t+1:] when the winner already sits
-at t), before the token at t moves to position p.  Gains only fall, so a
-winner mostly had a high gain at the first flush and sits soon after t
-(about 100 positions on average on the n = 2880 Gaussian instances,
-against about 1100 in token order): the strided read of column p stays
-short.  Each step after the first flush reads and updates only the
-n-t-1 positions after its winner, plus a pass over the panel, at most
-B*(n-t) doubles.
+Until the first flush A is L, and P fills a buffer of B rows of n
+columns, allocated once, row t step t's.  Each step reads the winner's
+whole row and the argmax breaks ties on the lower token index: these
+steps do the arithmetic of the unblocked walk that keeps every
+coefficient row, bit for bit, so a walk that never fills its panel
+moves nothing.  They run in a loop of their own, which reads no
+position -> token map.  The first flush lays the positions out anew:
+[0, t) get the tokens selected so far in step order, and [t, n) the
+unselected tokens by descending gain, ties to the lower token index.  It
+permutes the gains and the upper triangle of A[t:, t:] in place, the
+last by following the permutation's cycles row by row, with O(n)
+temporaries, and then writes each panel row's permuted columns [t, n)
+into A's row of its step.  From then on each step swaps its winner to
+position t, as dpstrf pivots, so the selected tokens always fill
+positions [0, t), e covers the positions after t alone, ties are broken
+on the token index through the map, and A is kept in the upper triangle
+of the unselected block alone: the winner's row there is read from
+column p down to the diagonal and from row p after it (the contiguous
+A[t, t+1:] when the winner already sits at t), before the token at t
+moves to position p.  Gains only fall, so a winner mostly had a high
+gain at the first flush and sits soon after t (about 100 positions on
+average on the n = 2880 Gaussian instances): the strided read of column
+p stays short.
 
-So only the rows of A that winners reach are kept current: rows [t, lag)
+So after the first flush every coefficient row lives in A's row of its
+own step: row t is dead once step t has read it, or moved it to p, and
+step t writes its e there.  The panel is A[f:t], f the last flush's
+step, a swap exchanges its columns t and p, and A[:f] holds the flushed
+rows.  Each step reads and updates only the n-t-1 positions after its
+winner, plus a pass over the panel, at most B*(n-t) doubles.
+
+Only the rows of A that winners reach are kept current: rows [t, lag)
 hold the Schur complement of every flushed panel, and rows [lag, n) wait
 as the first flush laid them out, the permuted L.  A flush at step t
-copies the panel's columns [t, n) into A's rows of its own steps,
-[t-B, t), which hold selected positions that no step reads again: from
-then on A[:t] holds every flushed coefficient row.  It then folds P into
-rows [t, lag) alone, about (lag-t)*(n-t)*B multiply-adds in GEMMs over
-row blocks, against (n-t)^2*B/2 to fold every unselected row.
-The first flush sets lag = t and folds nothing.  When a step's winner p
-sits at or past lag, the step first catches rows [lag, min(n, p+B)) up:
-it folds all the stored rows A[:f], f the last flush's t, into them, one
-GEMM with f terms and one subtract per row block, about
+folds A[f:t] into rows [t, lag) alone, about (lag-t)*(n-t)*B
+multiply-adds in GEMMs over row blocks, and copies nothing; the first
+sets lag = t and folds nothing.  When a step's winner p sits at or past
+lag, the step first catches rows [lag, min(n, p+B)) up: it folds A[:f]
+into them, one GEMM with f terms and one subtract per row block, about
 (p+B-lag)*(n-lag)*f multiply-adds, and moves lag there.  A winner lies
 before lag when it is swapped, so rows and columns from lag on are never
-swapped: rows [lag, n) stay the permuted L and the stored rows' columns
-[lag, n) those of their flush.  After each step t <= lag, so a catch-up
-never folds into the dead rows [0, t) that hold the stored rows.  On the
-n = 2880 Gaussian instances a walk of 1375-1520 steps makes 10-13
-catch-ups, 420-950 rows are never folded, and the subtract passes write
-10.7-12.6 M entries, against 25.7-26.9 M if every flush folded every
-unselected row.
+swapped: rows [lag, n) stay the permuted L and A[:f]'s columns [lag, n)
+those of their flush.  After each step t <= lag, so a catch-up never
+folds into the coefficient rows A[:t].  On the n = 2880 Gaussian
+instances a walk of 1375-1520 steps makes 10-13 catch-ups, 420-950 rows
+are never folded, and the subtract passes write 10.7-12.6 M entries.
 
-A flush's GEMMs write into the panel's own buffer, free once it is
-stored; a catch-up's into the larger of the panel's unused rows [kk, B)
-and A's rows of the panel's steps [t-kk, t), selected positions that
-hold no coefficients until the next flush, at least B/2 rows of n.  So
-past the first flush's O(n) temporaries the walk allocates nothing
-after its panel.
+After the first flush the panel buffer is the walk's one scratch: every
+fold's GEMMs write into it, in row blocks of at least B rows, and a
+swapping step gathers its winner's row there.  So past the first flush's
+O(n) temporaries the walk allocates nothing after its panel buffer.
 
 The walk owns one n x n buffer, the Gram's, 8*n^2 bytes: a GreedyState
 takes it from its prepared instance, scales it into L and overwrites it,
@@ -172,10 +170,11 @@ class GreedyState:
     kernel: the prepared instance walked, its gram set to None; the
         benchmark's tracer reads its n and unit.
     _a: the working matrix A, the instance's Gram buffer scaled into L.
-        After the first flush its rows [0, t - _kk) hold the flushed
-        coefficient rows.
-    _panel, _kk: the panel P, min(n, flush_rows(n)) rows of n columns,
-        and the rows it holds.
+        After the first flush its rows [0, t) hold the coefficient rows,
+        [0, _f) the flushed ones.
+    _panel: min(n, flush_rows(n)) rows of n columns: the panel before the
+        first flush, scratch after it.
+    _f: the step of the last flush (0 until the first).
     _lag: rows [t, _lag) of A hold the Schur complement of every flushed
         panel, rows [_lag, n) the permuted L until a winner at or past
         _lag catches them up (n until the first flush, which sets it to t).
@@ -203,7 +202,7 @@ class GreedyState:
         self._lag = n  # until the first flush every row of A is current
         self._panel = np.empty((min(n, flush_rows(n)), n))
         self._sq = np.empty(n)  # e * e of the current step, by position
-        self._kk = 0  # rows in the panel
+        self._f = 0
         self._perm = np.arange(n)  # position -> token index
 
     def extend(self, k: int, members: np.ndarray | None = None) -> None:
@@ -245,7 +244,6 @@ class GreedyState:
         needed, exhausted)."""
         if not self.flushes:
             t, need, exhausted = self._unflushed_steps(t, need, members)
-            self._kk = t  # before the first flush, panel row t is step t's
             if exhausted or not need:
                 return t, need, exhausted
         return self._flushed_steps(t, need, members)
@@ -281,45 +279,43 @@ class GreedyState:
     def _flushed_steps(self, t_start: int, need: int, members: list) -> tuple[int, int, bool]:
         """_steps from a full panel on: each flushes a full panel first and
         catches A's rows up to its winner if the winner sits at or past
-        lag, and after the first flush positions [0, t) hold order[:t].  The
-        need tokens lie among the n - t_start unselected ones, so the loop
-        returns before it ends."""
+        lag, and after the first flush positions [0, t) hold order[:t] and
+        A's rows [f, t) the panel.  The need tokens lie among the n -
+        t_start unselected ones, so the loop returns before it ends."""
         v, order, gains, sq = self.v_sq, self.order, self.gains, self._sq
-        a, perm, panel, kk, lag = self._a, self._perm, self._panel, self._kk, self._lag
+        a, perm, panel, f, lag = self._a, self._perm, self._panel, self._f, self._lag
         for t in range(t_start, v.size):
-            if kk == panel.shape[0]:
-                self._kk = kk
+            if t - f == panel.shape[0]:
                 # a walk whose gains ran out has no use for the flush
                 if not v.max() > 0.0:
                     return t, need, True
                 self._flush(t)
-                kk, lag = 0, self._lag
+                f, lag = t, self._lag
             p = self._lowest_index_tie(t + int(v[t:].argmax()))
             vj = v[p]
             if not vj > 0.0:
-                self._kk = kk
                 return t, need, True
             if p >= lag:
-                lag = self._catch_up(t, p, kk)
+                lag = self._catch_up(p)
             # dpstrf order: the winner goes to position t and e covers the
-            # positions after it.  Above A's diagonal its row lies in column
-            # p before position p and in row p after it; it is read before
-            # the token at t moves to position p
+            # positions after it, in A's row t.  Above A's diagonal the
+            # winner's row lies in column p before position p and in row p
+            # after it; it is read before the token at t moves to position p
             lo = t + 1
+            e = a[t, lo:]
             if p != t:
-                row = panel[kk, lo:]
+                row = panel[0, lo:]
                 row[: p - lo] = a[lo:p, p]
                 row[p - lo] = a[t, p]
                 row[p - t:] = a[p, p + 1:]
-                self._swap(t, p, kk)
+                self._swap(t, p)
                 p = t
             else:
-                row = a[t, lo:]
-            tail, s, e = v[lo:], sq[lo:], panel[kk, lo:]
-            prod = np.matmul(panel[:kk, p], panel[:kk, lo:], out=s)
+                row = e
+            tail, s = v[lo:], sq[lo:]
+            prod = np.matmul(a[f:t, t], a[f:t, lo:], out=s)
             np.subtract(row, prod, out=e)
             e /= math.sqrt(vj + EPS)
-            kk += 1
             np.multiply(e, e, out=s)
             tail -= s
             v[p] = -np.inf
@@ -329,7 +325,6 @@ class GreedyState:
             if members[token]:
                 need -= 1
                 if not need:
-                    self._kk = kk
                     return t + 1, 0, False
 
     def _lowest_index_tie(self, p: int) -> int:
@@ -344,13 +339,14 @@ class GreedyState:
             return int(ties[np.argmin(self._perm[ties])])
         return p
 
-    def _swap(self, lo: int, hi: int, kk: int) -> None:
+    def _swap(self, lo: int, hi: int) -> None:
         """Swap the tokens at positions lo < hi, where the token moving to lo
-        is being selected: their perm entries, gains and panel columns trade
-        places, and the entries of A's upper triangle that position lo held
-        against the positions after it go to position hi.  Nothing reads
-        position lo's entries of A again, so they are left as they are."""
-        perm, v, panel = self._perm, self.v_sq, self._panel[:kk]
+        is being selected: their perm entries, gains and columns of the
+        panel A[f:lo] trade places, and the entries of A's upper triangle
+        that position lo held against the positions after it go to position
+        hi.  Nothing reads position lo's entries of A again, so they are
+        left as they are."""
+        perm, v, panel = self._perm, self.v_sq, self._a[self._f:lo]
         perm[lo], perm[hi] = perm[hi], perm[lo]
         v[lo], v[hi] = v[hi], v[lo]
         col = panel[:, lo].copy()
@@ -362,43 +358,39 @@ class GreedyState:
         """Lay out the positions at the first flush, at step t, where they are
         still tokens and A is all of L: [0, t) get order[:t], [t, n) the
         unselected tokens by descending gain, ties to the lower token index.
-        The gains, the panel's columns, A and _perm follow in place."""
-        v, sq, new = self.v_sq, self._sq, self._perm
+        The gains, A and _perm follow in place, and once _permute_upper has
+        read A's rows [0, t) they take the panel rows' columns [t, n)."""
+        v, sq, new, a = self.v_sq, self._sq, self._perm, self._a
         # the selected gains are -inf and sort last; _perm is the identity
         # until now, and is written in place because _flushed_steps holds it
         new[t:] = np.argsort(np.negative(v, out=sq), kind="stable")[: v.size - t]
         new[:t] = self.order[:t]
-        for row in (v, *self._panel[:t]):
-            row.take(new, out=sq, mode="clip")
-            row[:] = sq
-        _permute_upper(self._a, new, t, sq)
+        v.take(new, out=sq, mode="clip")
+        v[:] = sq
+        _permute_upper(a, new, t, sq)
+        for i, row in enumerate(self._panel[:t]):
+            row.take(new[t:], out=a[i, t:], mode="clip")
 
     def _flush(self, t: int) -> None:
-        """Store the panel P of the steps before t in A's dead rows of those
-        steps, columns [t, n), and fold it into rows [t, lag) of A (see the
-        module), with the panel's own buffer as GEMM scratch; empty P.  The
-        first flush also lays the positions out by gain (_order_by_gain) and
-        sets lag = t, so it folds nothing."""
-        b, a, panel = self._kk, self._a, self._panel
+        """Fold the panel A[f:t] into rows [t, lag) of A (see the module),
+        with the panel buffer as GEMM scratch, and start a new panel at t.
+        The first flush also lays the positions out by gain (_order_by_gain),
+        which moves the panel into A, and sets lag = t, so it folds nothing."""
+        a = self._a
         if not self.flushes:
             self._order_by_gain(t)
             self._lag = t
-        a[t - b:t, t:] = panel[:b, t:]
-        _fold(a, a[t - b:t], t, self._lag, panel.reshape(-1))
-        self._kk = 0
+        _fold(a, a[self._f:t], t, self._lag, self._panel.reshape(-1))
+        self._f = t
         self.flushes += 1
 
-    def _catch_up(self, t: int, p: int, kk: int) -> int:
-        """Fold every stored coefficient row, A[:t - kk], into rows [lag,
-        min(n, p + B)) of A, for a winner p at or past lag at step t with kk
-        panel rows, and return the new lag.  The GEMM scratch is the larger
-        free region: the panel's unused rows, or the dead rows of its steps,
-        which hold no coefficients until the next flush."""
+    def _catch_up(self, p: int) -> int:
+        """Fold the flushed coefficient rows A[:f] into rows [lag, min(n, p +
+        B)) of A, for a winner p at or past lag, with the panel buffer as
+        GEMM scratch, and return the new lag."""
         a, panel, lag = self._a, self._panel, self._lag
-        b = panel.shape[0]
-        scratch = panel[kk:] if 2 * kk <= b else a[t - kk:t]
-        self._lag = min(a.shape[0], p + b)
-        _fold(a, a[:t - kk], lag, self._lag, scratch.reshape(-1))
+        self._lag = min(a.shape[0], p + panel.shape[0])
+        _fold(a, a[:self._f], lag, self._lag, panel.reshape(-1))
         self.catch_ups += 1
         return self._lag
 

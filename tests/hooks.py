@@ -72,8 +72,10 @@ def record_flushes(monkeypatch):
 
     def recording(state, t):
         # the panel's columns are positions under the map before the flush
-        # (tokens, before the first flush's layout changes the map)
-        panel, cols = state._panel[: state._kk].copy(), state._perm.copy()
+        # (tokens, before the first flush's layout changes the map); after
+        # the first flush the panel is A's rows [f, t)
+        panel = state._a[state._f:t] if state.flushes else state._panel[:t]
+        panel, cols = panel.copy(), state._perm.copy()
         flush(state, t)
         by_token = np.full(panel.shape, np.nan)
         by_token[:, cols] = panel
@@ -85,14 +87,15 @@ def record_flushes(monkeypatch):
 
 
 def record_catch_ups(monkeypatch):
-    """The list of (t, p, kk) of each catch-up: its step, the winner's
-    position and the panel's rows."""
+    """The list of (t, p, f) of each catch-up: its step (the count of
+    selected, -inf, gains), the winner's position and the last flush's
+    step, so A[:f] are the rows it folds."""
     log = []
     catch_up = qcsp.GreedyState._catch_up
 
-    def recording(state, t, p, kk):
-        log.append((t, p, kk))
-        return catch_up(state, t, p, kk)
+    def recording(state, p):
+        log.append((int(np.count_nonzero(state.v_sq == -np.inf)), p, state._f))
+        return catch_up(state, p)
 
     monkeypatch.setattr(qcsp.GreedyState, "_catch_up", recording)
     return log

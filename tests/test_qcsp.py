@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hooks import (load_file, record_catch_ups, record_first_flush, record_flushes,
@@ -502,14 +504,11 @@ def test_a_flush_allocates_nothing_past_the_panel():
 
 
 def test_catch_ups_allocate_nothing_past_the_panel(monkeypatch):
-    # a catch-up between flushes takes its GEMM scratch from the panel's
-    # unused rows or from A's rows of the panel's steps, whichever is
-    # larger: a mid-panel catch-up of the first walk takes the former, one of
-    # the second walk the latter, and each walk flushes 3 times
+    # a catch-up takes the panel buffer, free after the first flush, as its
+    # GEMM scratch; each walk flushes 3 times and catches up mid-panel
     log = record_catch_ups(monkeypatch)
-    for n, d, steps, seed, in_a in ((1024, 400, 800, 8, False), (1000, 200, 900, 35, True)):
+    for n, d, steps, seed in ((1024, 400, 800, 8), (1000, 200, 900, 35)):
         prep = prepare(gaussian_matrix(seed, n, d), gaussian_matrix(seed + 1, 3, d))
-        b = qcsp.flush_rows(n)
         log.clear()
 
         def walk_through():
@@ -519,7 +518,7 @@ def test_catch_ups_allocate_nothing_past_the_panel(monkeypatch):
 
         peak, state = traced_peak(walk_through)
         assert state.flushes == 3
-        assert any(0 < kk and (2 * kk > b) == in_a for _, _, kk in log), log
+        assert any(t > f for t, _, f in log), log
         assert peak <= state._panel.nbytes + 2**20
 
 
@@ -574,16 +573,21 @@ def check_lagging_rows(state, l, stored):
     """The layout of A after a step of a flushed walk: rows [t, lag) hold
     the Schur complement of the stored coefficient rows within 1e-12 above
     the diagonal (a swap leaves the diagonal, which no step reads), rows
-    [lag, n) the permuted L bit for bit, and A's rows [0, t - kk) the stored
-    rows, of which the columns [lag, n) are read."""
+    [lag, n) the permuted L bit for bit, and A's rows [0, f) the stored
+    rows, of which the columns [lag, n) are read.  With the panel A[f:t],
+    the gains from lag on are the diagonal of L less the squared columns
+    of A[:t], within 1e-12 of the first gain."""
     t, lag, perm, a = state.t, state._lag, state._perm, state._a
     coef = np.vstack(stored)
-    assert coef.shape[0] == t - state._kk
+    assert coef.shape[0] == state._f
     now, rest, late = perm[t:lag], perm[t:], perm[lag:]
     schur = l[np.ix_(now, rest)] - coef[:, now].T @ coef[:, rest]
     np.testing.assert_allclose(np.triu(a[t:lag, t:], 1), np.triu(schur, 1), rtol=0, atol=1e-12)
     assert np.array_equal(np.triu(a[lag:, lag:]), np.triu(l[np.ix_(late, late)]))
     assert np.array_equal(a[: coef.shape[0], lag:], coef[:, late])
+    col = a[:t, lag:]
+    np.testing.assert_allclose(state.v_sq[lag:], l[late, late] - np.einsum("ij,ij->j", col, col),
+                               rtol=0, atol=1e-12 * state.gains[0])
 
 
 def walk_checking_lag(prep, r, k, checked, monkeypatch):
@@ -591,7 +595,7 @@ def walk_checking_lag(prep, r, k, checked, monkeypatch):
     out, checking after every step that t <= lag, and A's layout after the
     steps checked(state) names once the first flush has run; then the walk
     against the unblocked one.  Returns the state and its catch-ups'
-    (t, p, kk)."""
+    (t, p, f)."""
     l = kernel_matrix(prep, r)
     stored, catch_ups = record_flushes(monkeypatch), record_catch_ups(monkeypatch)
     state = GreedyState(prep, r)
@@ -616,19 +620,16 @@ def test_lagging_rows_catch_up_when_a_winner_reaches_them(monkeypatch):
     # after the first flush A's rows [t, lag) take each flush and rows
     # [lag, n) wait as the first flush laid them out, until a winner at or
     # past lag folds every stored coefficient row into rows [lag, p + B).
-    # Small panels make catch-ups that fold several stored panels, and
-    # catch-ups past the middle of a panel, whose scratch is A's rows of
-    # its steps
-    many, dead_rows = 0, 0
+    # Small panels make catch-ups that fold several stored panels
+    many = 0
     for rows in (1, 2, 5, 16):
         set_panel_rows(monkeypatch, rows)
         for seed in range(20):
             prep, r, _ = flush_instance(seed)
             state, log = walk_checking_lag(prep, r, prep.n, lambda s: True, monkeypatch)
             assert state.catch_ups == len(log)
-            many += sum(t - kk > rows for t, _, kk in log)
-            dead_rows += sum(2 * kk > rows for _, _, kk in log)
-    assert many > 0 and dead_rows > 0
+            many += sum(f > rows for _, _, f in log)
+    assert many > 0
 
 
 def test_lagging_rows_at_the_shipped_panel_size(monkeypatch):
@@ -648,7 +649,7 @@ def test_lagging_rows_at_the_shipped_panel_size(monkeypatch):
 
     state, log = walk_checking_lag(prep, prep.relevance, 900, checked, monkeypatch)
     assert state.flushes >= 3 and len(log) >= 3
-    assert any(t - kk >= 2 * b and kk > 0 for t, _, kk in log)
+    assert any(f >= 2 * b and t > f for t, _, f in log)
 
 
 @pytest.mark.parametrize("new, t", [
@@ -741,3 +742,14 @@ def test_bench_walk_instrumentation_times_every_part(monkeypatch):
     assert all(seconds > 0 for seconds in timer.acc.values()), timer.acc
     assert np.array_equal(timed.order, plain.order)
     assert np.array_equal(timed.gains, plain.gains)
+
+
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_bench_walk_refuses_fewer_than_one_run(runs, monkeypatch, capsys):
+    # refused before any instance is walked, with argparse's usage exit
+    script = load_file("scripts/bench_walk.py", "bench_walk")
+    monkeypatch.setattr(sys, "argv", ["bench_walk.py", "--src", "src", "--runs", runs])
+    with pytest.raises(SystemExit) as exit_info:
+        script.main()
+    assert exit_info.value.code == 2
+    assert "--runs must be at least 1" in capsys.readouterr().err
