@@ -25,7 +25,9 @@ fresh copy of its cosine matrix, and takes medians:
 
 Run as a script, it pins BLAS to one thread before numpy loads.  scipy
 is needed for dpstrf only; the program under test is imported from --src
-alone.
+alone, and a `tokensieve` imported from anywhere else (a --src that holds
+none falls through to PYTHONPATH) ends the run with exit 2 before any
+instance is built.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import statistics
 import sys
 import time
 import types
+from pathlib import Path
 
 
 def parse_args():
@@ -47,7 +50,7 @@ def parse_args():
     args = p.parse_args()
     if args.runs < 1:
         p.error(f"--runs must be at least 1, got {args.runs}")
-    return args
+    return p, args
 
 
 class _Parts:
@@ -98,7 +101,7 @@ class _Parts:
 
 
 def main() -> int:
-    args = parse_args()
+    p, args = parse_args()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, os.path.abspath(args.src))
@@ -106,8 +109,12 @@ def main() -> int:
     import scipy
     from scipy.linalg import lapack
 
+    import tokensieve
     from tokensieve import fusion, qcsp, similarity
     from tokensieve.rng import gaussian_matrix
+    found = Path(tokensieve.__file__).resolve().parent
+    if found != Path(args.src, "tokensieve").resolve():
+        p.error(f"--src {args.src} holds no tokensieve: it was imported from {found}")
 
     def walk(prep, t):
         # a walk takes its instance's cosine matrix over, so each walk is

@@ -10,10 +10,12 @@ over `repr((kept, stage_tags))` of each frame's selection.  A change that
 keeps every selection prints the same digest; one that moves a single
 kept token or tag does not.  Run as a script, it pins BLAS to one thread
 before numpy loads and imports the program from --src (default: this
-checkout's src/), so it can score another checkout.  Imported, it sets
-no environment variable: `pool_digest(seeds)` digests the pools of the
-given benchmark seeds with whatever `tokensieve` and BLAS setting are
-loaded.
+checkout's src/), so it can score another checkout; a `tokensieve`
+imported from anywhere else (a --src that holds none falls through to
+PYTHONPATH) ends the run with exit 2 before any instance is built.
+Imported, it sets no environment variable: `pool_digest(seeds)` digests
+the pools of the given benchmark seeds with whatever `tokensieve` and
+BLAS setting are loaded.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ def main() -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, os.path.abspath(args.src))
+    import tokensieve
+    found = Path(tokensieve.__file__).resolve().parent
+    if found != Path(args.src, "tokensieve").resolve():
+        p.error(f"--src {args.src} holds no tokensieve: it was imported from {found}")
     print(pool_digest(range(SEEDS)))
     return 0
 

@@ -9,7 +9,7 @@ scores 0, textured regions approach log(number of bins).
 The token rows pass through similarity.prepare before anything reads
 them, so a non-real dtype or a non-finite token (named by its row)
 raises similarity.InputError, and the distance profile, which builds
-the full unit-row Gram, is bounded by MAX_GRAM_BYTES.  Every count (grid
+the full cosine Gram, is bounded by MAX_GRAM_BYTES.  Every count (grid
 side, profile dimension, token count, max_dist) goes through
 similarity._integer: a bool, a float, a string or a value below its
 bound (0 for the token count, 1 for the others) raises ValueError, and
@@ -119,14 +119,14 @@ def mean_neighbor_similarity(h_v: np.ndarray, grid: GridShape) -> np.ndarray:
     """
     prep = prepare(h_v, gram=False)
     grid.check(prep.n)
-    unit = prep.unit
+    rows, inv = prep.rows, prep.inv_norm
     out = np.full(prep.n, np.nan)
     for row in range(grid.height):
         for col in range(grid.width):
             tok = row * grid.width + col
             others = [i for i in _moore_neighborhood(row, col, grid) if i != tok]
             if others:
-                out[tok] = float((unit[others] @ unit[tok]).mean())
+                out[tok] = float(((rows[others] @ rows[tok]) * inv[others]).mean() * inv[tok])
     return out
 
 

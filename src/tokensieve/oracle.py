@@ -9,17 +9,19 @@ greedy MAP walk to check the blocked one against.
 
 Determinants go through LU with partial pivoting in 64-bit.  For tie
 purposes in the exhaustive search, determinants below 1e-12 count as
-exactly 0 so near-singular subsets compare reproducibly.
+exactly 0 so near-singular subsets compare reproducibly.  A bool, a
+non-integer or an out-of-range k raises similarity._integer's ValueError.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .similarity import _integer
 
 DET_TIE_FLOOR = 1e-12
 SUBSET_GUARD = 10**6
@@ -27,20 +29,11 @@ UNIT_DIAG_TOL = 1e-9
 PSD_TOL = 1e-8
 
 
-def _require_integer(k) -> None:
-    """Refuse a bool or non-integer k with a ValueError naming it."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValueError(f"k must be an integer, got {k!r}")
-
-
 def _matrix(l: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """l as float64 and its order n, for an integer k in [1, n] (a bool or a
-    non-integer raises ValueError)."""
+    """l as float64 and its order n, for an integer k in [1, n]."""
     l = np.asarray(l, dtype=np.float64)
     n = l.shape[0]
-    _require_integer(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    _integer("k", k, 1, n)
     return l, n
 
 
@@ -124,11 +117,9 @@ def gershgorin_lower_bound(l_s: np.ndarray) -> float:
 
 
 def refined_upper_bound(k: int, rho_avg: float) -> float:
-    """(1 + (k-1) rho) (1 - rho)^(k-1); tight on the equicorrelation family.
-    A bool or non-integer k raises ValueError."""
-    _require_integer(k)
-    if k < 2:
-        raise ValueError("refined bound needs k >= 2")
+    """(1 + (k-1) rho) (1 - rho)^(k-1), for k >= 2; tight on the
+    equicorrelation family."""
+    _integer("k", k, 2)
     lo = -1.0 / (k - 1)
     if not (lo - 1e-12 <= rho_avg <= 1.0 + 1e-12):
         raise ValueError(f"rho_avg must lie in [{lo}, 1], got {rho_avg}")
@@ -139,12 +130,9 @@ def equicorrelation_matrix(k: int, rho: float) -> np.ndarray:
     """Unit diagonal, all off-diagonals rho.
 
     Eigenvalues are 1 + (k-1) rho once and (1 - rho) with multiplicity
-    k - 1, so det = (1 + (k-1) rho) (1 - rho)^(k-1).  A bool or non-integer
-    k raises ValueError.
+    k - 1, so det = (1 + (k-1) rho) (1 - rho)^(k-1), for k >= 1.
     """
-    _require_integer(k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _integer("k", k, 1)
     if k >= 2:
         lo = -1.0 / (k - 1)
         if not (lo - 1e-12 <= rho <= 1.0 + 1e-12):

@@ -349,7 +349,8 @@ class GreedyState:
         perm, v, panel = self._perm, self.v_sq, self._a[self._f:lo]
         perm[lo], perm[hi] = perm[hi], perm[lo]
         v[lo], v[hi] = v[hi], v[lo]
-        col = panel[:, lo].copy()
+        col = self._sq[: lo - self._f]  # _sq is free until the step product
+        col[:] = panel[:, lo]
         panel[:, lo] = panel[:, hi]
         panel[:, hi] = col
         _move_upper(self._a, lo, hi)

@@ -215,7 +215,7 @@ class Prepared:
         scales it into L, so views of it taken earlier (GSP's cross block)
         change with it.
     unit: the (n, d) unit token rows, l2_normalize_rows(tokens), computed on
-        first read and kept; no selection reads them.
+        first read and kept; only tests and the benchmark's tracer read them.
     """
 
     tokens: np.ndarray

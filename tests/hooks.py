@@ -106,6 +106,12 @@ def break_swaps(monkeypatch):
     monkeypatch.setattr(qcsp, "_move_upper", lambda a, lo, hi: None)
 
 
+def skip_relevance_scaling(monkeypatch):
+    """Walks whose kernel is the cosine matrix itself: the relevance is
+    neither checked nor scaled in."""
+    monkeypatch.setattr(qcsp, "_relevance", lambda prep, r_norm: np.ones(prep.n))
+
+
 def load_file(relpath, name, monkeypatch=None):
     """The module at relpath under the repo root, registered in sys.modules
     as name for the test (dataclasses look their module up there) when a

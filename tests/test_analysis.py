@@ -113,6 +113,34 @@ def test_mean_neighbor_similarity_lone_token_is_nan():
     assert np.isnan(mean_neighbor_similarity(np.ones((1, 4)), GridShape(1, 1))).all()
 
 
+def neighbor_means_of_unit_rows(h, grid):
+    """Each token's mean cosine to its Moore neighbors, from prepare's unit
+    rows (reference)."""
+    unit = similarity.prepare(h, gram=False).unit
+    hoods = [_moore_neighborhood(*divmod(tok, grid.width), grid) for tok in range(len(h))]
+    return [np.mean([unit[i] @ unit[tok] for i in hood if i != tok])
+            for tok, hood in enumerate(hoods)]
+
+
+def test_mean_neighbor_similarity_copies_no_token_rows():
+    # cosines are raw-row products times inverse norms: no n x d unit copy
+    grid = GridShape(24, 24)
+    h = gaussian_matrix(3, 576, 1024)
+    peak, got = traced_peak(lambda: mean_neighbor_similarity(h, grid))
+    assert peak < 576 * 1024 * 8 / 4
+    np.testing.assert_allclose(got, neighbor_means_of_unit_rows(h, grid), rtol=0, atol=1e-15)
+
+
+def test_mean_neighbor_similarity_of_zero_and_out_of_range_rows():
+    # a zero row has cosine 0 to every row; a row whose squared norm over-
+    # or underflows takes the cosines of its unit row
+    grid = GridShape(3, 3)
+    h = gaussian_matrix(4, 9, 4)
+    h[0], h[4], h[8] = 0.0, h[4] * 1e200, h[8] * 1e-200
+    got = mean_neighbor_similarity(h, grid)
+    np.testing.assert_allclose(got, neighbor_means_of_unit_rows(h, grid), rtol=0, atol=1e-15)
+
+
 def test_profile_identical_tokens():
     h = np.tile(np.array([1.0, 1.0]), (16, 1))
     prof = similarity_by_distance_profile(h, GridShape(4, 4), 6)

@@ -161,7 +161,9 @@ def test_hadamard_requires_unit_diagonal():
     (lambda: oracle.brute_force_map(np.eye(3), 4), r"k must lie in \[1, 3\], got 4"),
     (lambda: oracle.rho_metrics(np.eye(1)), "square matrix with k >= 2"),
     (lambda: oracle.rho_metrics(np.ones((2, 3))), "square matrix with k >= 2"),
-    (lambda: oracle.refined_upper_bound(1, 0.0), "k >= 2"),
+    # the id names the bound; the message is similarity._integer's
+    pytest.param(lambda: oracle.refined_upper_bound(1, 0.0), r"^k must be >= 2, got 1$",
+                 id="<lambda>-k >= 2"),
     (lambda: oracle.refined_upper_bound(3, -0.6), r"rho_avg must lie in \[-0.5, 1\]"),
     (lambda: oracle.equicorrelation_matrix(0, 0.0), "k must be >= 1"),
     (lambda: oracle.greedy_regularized(np.eye(3), 4), r"k must lie in \[1, 3\], got 4"),

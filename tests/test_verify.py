@@ -3,9 +3,9 @@ import re
 
 import numpy as np
 import pytest
-from hooks import break_swaps, skew_gains
+from hooks import break_swaps, skew_gains, skip_relevance_scaling
 
-from tokensieve import analysis, oracle, qcsp, verify
+from tokensieve import analysis, fusion, gsp, oracle, qcsp, verify
 from tokensieve.qcsp import GreedyState
 from tokensieve.rng import SplitMix64, gaussian_matrix
 from tokensieve.similarity import min_max_normalize, prepare
@@ -157,6 +157,60 @@ def test_a_nan_error_fails_its_check(monkeypatch, name, sabotage, run):
     results = run()
     by_name = {r.name: r for r in (results if isinstance(results, list) else [results])}
     assert not by_name[name].passed, by_name[name].line()
+
+
+def _changed(owner, name, change):
+    """A sabotage that passes each result of owner.name through
+    change(result, *args) and returns what that gives."""
+    def sabotage(monkeypatch):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: change(original(*args), *args))
+
+    return sabotage
+
+
+def _reversed_for_odd_budgets(sel, mode, h_v, h_q, m):
+    if m % 2:
+        sel.kept.reverse()
+    return sel
+
+
+def _first_rows(sel, mode, h_v, h_q, m):
+    sel.kept = list(range(m))
+    return sel
+
+
+def _repeated_first(sel, h_v, h_q, m):
+    sel.kept[-1] = sel.kept[0]
+    return sel
+
+
+def _whole_cosine_matrix(g, prep):
+    s = (prep.rows @ prep.rows.T) * np.outer(prep.inv_norm, prep.inv_norm)
+    return gsp.BipartiteRedundancyGraph(s, g.tau, g.gamma)
+
+
+# (the check that must fail, a stage broken the way it counts, a run of it)
+COUNT_CASES = [
+    ("prefix-consistency", _changed(fusion, "select", _reversed_for_odd_budgets),
+     lambda: verify.check_prefix_consistency(10)),
+    ("relevance-dominance", skip_relevance_scaling,
+     lambda: verify.check_relevance_dominance(10)),
+    ("diversity-dominance", _changed(fusion, "select", _first_rows),
+     lambda: verify.check_diversity_dominance(10)),
+    ("bipartite-count", _changed(gsp, "build_graph", _whole_cosine_matrix),
+     lambda: verify.check_bipartite_count((64,))),
+    ("fusion-contract", _changed(fusion, "script_select", _repeated_first),
+     lambda: verify.check_fusion_contract(10, max_n=16)),
+]
+
+
+@pytest.mark.parametrize("name, sabotage, run", COUNT_CASES, ids=[c[0] for c in COUNT_CASES])
+def test_a_broken_stage_fails_its_count_check(monkeypatch, name, sabotage, run):
+    assert run().passed
+    sabotage(monkeypatch)
+    result = run()
+    assert result.name == name and not result.passed, result.line()
 
 
 # run_all(seed=0, instances=200) with each figure masked: every status,
